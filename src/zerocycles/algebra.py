@@ -2,7 +2,9 @@
 
 Everything is immutable and exact: scalars are `fractions.Fraction`,
 univariate polynomials are coefficient tuples over Q, and an etale algebra
-is a quotient Q[t]/(f) with f monic and squarefree.  No polynomial
+is a quotient Q[t]/(f) with f monic and squarefree.  Algebra elements are
+integer numerators over one reduced positive denominator and multiply
+fraction-free; `Poly` serves moduli, gcd/xgcd, splitting and CRT.  No polynomial
 factorization is ever performed; a reducible modulus is split lazily when
 some computation runs into a zero divisor (`ZeroDivisorFound` carries the
 discovered factor, and callers may continue componentwise).
@@ -11,6 +13,7 @@ discovered factor, and callers may continue componentwise).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -63,10 +66,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
-
-    @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls((_to_fraction(value),))
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "Poly":
@@ -151,18 +150,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
@@ -311,9 +298,13 @@ class EtaleAlgebra:
     modulus degree upper-bounds the residue field degree (the modulus is not
     factored, so a split algebra looks the same as a field until a zero
     divisor shows up).
+
+    The defining relation is kept in integer form for fraction-free
+    reduction: ``scale * t^n == -sum(tail[i] * t^i)``, where `scale` is the
+    least common denominator of the lower coefficients of f.
     """
 
-    __slots__ = ("modulus",)
+    __slots__ = ("modulus", "scale", "tail")
 
     def __init__(self, modulus: Poly):
         if modulus.degree < 1:
@@ -322,7 +313,11 @@ class EtaleAlgebra:
             raise ValueError("modulus must be monic")
         if not is_squarefree(modulus):
             raise ValueError(f"modulus {modulus} is not squarefree")
+        lower = modulus.coeffs[:-1]
+        scale = lcm(*(c.denominator for c in lower))
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "tail", tuple(c.numerator * (scale // c.denominator) for c in lower))
 
     def __setattr__(self, name, value):
         raise AttributeError("EtaleAlgebra is immutable")
@@ -331,27 +326,62 @@ class EtaleAlgebra:
     def degree(self) -> int:
         return self.modulus.degree
 
+    def _reduced(self, num: list, den: int) -> "AlgElement":
+        """The element sum(num[i] * t^i) / den, for any number of numerators."""
+        n = len(self.tail)
+        scale, tail = self.scale, self.tail
+        for k in range(len(num) - 1, n - 1, -1):
+            top = num[k]
+            if not top:
+                continue
+            if scale != 1:
+                for i in range(k):
+                    num[i] *= scale
+                den *= scale
+            base = k - n
+            for i, c in enumerate(tail):
+                if c:
+                    num[base + i] -= top * c
+        if len(num) != n:
+            num = num[:n] + [0] * (n - len(num))
+        return AlgElement(self, num, den)
+
+    def _product(self, a: tuple, b: tuple, den: int) -> "AlgElement":
+        if len(a) == 1:
+            return AlgElement(self, (a[0] * b[0],), den)
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self._reduced(prod, den)
+
     def element(self, value) -> "AlgElement":
         if isinstance(value, AlgElement):
             if value.algebra != self:
                 raise ValueError("element belongs to a different algebra")
             return value
         if isinstance(value, (int, Fraction, str)):
-            value = Poly.constant(_to_fraction(value))
-        elif not isinstance(value, Poly):
+            return self.from_rational(value)
+        if not isinstance(value, Poly):
             value = Poly(value)
-        return AlgElement(self, value % self.modulus)
+        coeffs = value.coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        return self._reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def from_rational(self, value) -> "AlgElement":
-        return AlgElement(self, Poly.constant(_to_fraction(value)))
+        q = _to_fraction(value)
+        num = [0] * len(self.tail)
+        num[0] = q.numerator
+        return AlgElement(self, num, q.denominator)
 
     @property
     def zero(self) -> "AlgElement":
-        return AlgElement(self, Poly.zero())
+        return AlgElement(self, (0,) * len(self.tail), 1)
 
     @property
     def one(self) -> "AlgElement":
-        return AlgElement(self, Poly.one())
+        return self.from_rational(1)
 
     @property
     def generator(self) -> "AlgElement":
@@ -370,7 +400,7 @@ class EtaleAlgebra:
         return EtaleAlgebra(factor), EtaleAlgebra(self.modulus // factor)
 
     def __eq__(self, other):
-        return isinstance(other, EtaleAlgebra) and self.modulus == other.modulus
+        return self is other or (isinstance(other, EtaleAlgebra) and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash(("EtaleAlgebra", self.modulus))
@@ -380,22 +410,42 @@ class EtaleAlgebra:
 
 
 class AlgElement:
-    """Element of an etale algebra, stored as its reduced representative."""
+    """Element of an etale algebra: sum(num[i] * t^i) / den.
 
-    __slots__ = ("algebra", "rep")
+    `num` holds one integer per power of t below the modulus degree and
+    `den` is positive with gcd(den, *num) == 1, so equal elements have equal
+    fields.  `rep`, the reduced representative as a `Poly`, is built on first
+    use.  Build elements through `EtaleAlgebra.element`/`from_rational`.
+    """
 
-    def __init__(self, algebra: EtaleAlgebra, rep: Poly):
-        if rep.degree >= algebra.degree:
-            rep = rep % algebra.modulus
+    __slots__ = ("algebra", "num", "den", "_rep")
+
+    def __init__(self, algebra: EtaleAlgebra, num, den: int):
+        if len(num) != len(algebra.tail) or den <= 0:
+            raise ValueError("expected one numerator per power of t and a positive denominator")
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_rep", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgElement is immutable")
 
+    @property
+    def rep(self) -> Poly:
+        rep = self._rep
+        if rep is None:
+            rep = Poly(Fraction(x, self.den) for x in self.num)
+            object.__setattr__(self, "_rep", rep)
+        return rep
+
     def _coerce(self, other):
         if isinstance(other, AlgElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("elements of different algebras")
             return other
         if isinstance(other, (int, Fraction)):
@@ -404,11 +454,13 @@ class AlgElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.rep.is_zero
+        return not any(self.num)
 
     def is_unit(self) -> bool:
-        if self.rep.is_zero:
+        if self.is_zero:
             return False
+        if len(self.num) == 1:
+            return True
         return poly_gcd(self.rep, self.algebra.modulus).degree == 0
 
     def zero_divisor_factor(self) -> Poly:
@@ -427,29 +479,35 @@ class AlgElement:
         Raises ZeroDivisionError on 0 and ZeroDivisorFound (carrying a proper
         factor of the modulus) on a nonzero non-unit.
         """
-        if self.rep.is_zero:
+        if self.is_zero:
             raise ZeroDivisionError("inverting zero in an etale algebra")
+        if len(self.num) == 1:
+            a = self.num[0]
+            return AlgElement(self.algebra, (self.den if a > 0 else -self.den,), abs(a))
         g, u, _ = poly_xgcd(self.rep, self.algebra.modulus)
         if g.degree > 0:
             raise ZeroDivisorFound(self.algebra, g)
-        return AlgElement(self.algebra, u % self.algebra.modulus)
+        return self.algebra.element(u)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgElement(self.algebra, self.rep + other.rep)
+        da, db = self.den, other.den
+        if da == db:
+            return AlgElement(self.algebra, [x + y for x, y in zip(self.num, other.num)], da)
+        return AlgElement(self.algebra, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgElement(self.algebra, -self.rep)
+        return AlgElement(self.algebra, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgElement(self.algebra, self.rep - other.rep)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -458,10 +516,12 @@ class AlgElement:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return AlgElement(self.algebra, [x * other.numerator for x in self.num], self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgElement(self.algebra, (self.rep * other.rep) % self.algebra.modulus)
+        return self.algebra._product(self.num, other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -493,7 +553,7 @@ class AlgElement:
         """Image in a component algebra whose modulus divides this one's."""
         if not sub.modulus.divides(self.algebra.modulus):
             raise ValueError("target modulus does not divide the current one")
-        return AlgElement(sub, self.rep % sub.modulus)
+        return sub._reduced(list(self.num), self.den)
 
     def at_root(self, tau) -> Fraction:
         """Evaluate the representative at a rational parameter.
@@ -505,9 +565,9 @@ class AlgElement:
 
     def constant_value(self) -> Fraction:
         """The element as a rational number; requires a constant representative."""
-        if self.rep.degree > 0:
+        if any(self.num[1:]):
             raise ValueError(f"{self} is not a rational constant")
-        return self.rep.coeff(0)
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         try:
@@ -516,10 +576,10 @@ class AlgElement:
             return False
         if other is NotImplemented:
             return NotImplemented
-        return self.rep == other.rep
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("AlgElement", self.algebra.modulus, self.rep))
+        return hash(("AlgElement", self.algebra.modulus, self.num, self.den))
 
     def __repr__(self):
         return f"({self.rep} mod {self.algebra.modulus})"

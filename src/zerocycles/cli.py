@@ -45,10 +45,27 @@ def _dump(payload) -> str:
 
 
 def _load_json_arg(value: str):
+    """Inline JSON when the argument starts with `[` or `{`, else a file path or JSON scalar."""
+    if value.lstrip()[:1] in ("[", "{"):
+        return json.loads(value)
     path = Path(value)
-    if path.exists():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. longer than the file system allows for a name
+        is_file = False
+    if is_file:
         return json.loads(path.read_text())
     return json.loads(value)
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _load_surface(value: str) -> CubicForm:
@@ -124,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--out")
     su = descent_sub.add_parser("suite", help="certify every start degree up to a ceiling")
     su.add_argument("--dS", type=int, required=True, choices=(1, 2, 3))
-    su.add_argument("--ceiling", type=int, default=200)
+    su.add_argument("--ceiling", type=_positive_int, default=200)
     su.add_argument("--with-x4", action="store_true")
     su.add_argument("--refined", action="store_true")
     su.add_argument("--out")

@@ -87,6 +87,11 @@ def genus_by_recurrence(d_S: int, l: int) -> int:
     return value
 
 
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+
+
 @dataclass(frozen=True)
 class DelPezzo:
     """Surface degree plus the available basis of 0-cycle classes."""
@@ -119,6 +124,7 @@ class DelPezzo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DelPezzo":
+        _require_object(obj, "surface")
         return cls(degree=obj["dS"], with_x4=BASIS_X4 in obj.get("basis", []))
 
 
@@ -456,6 +462,7 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        _require_object(obj, "certificate")
         return cls(
             surface=DelPezzo.from_json(obj["surface"]),
             initial=CycleState.from_json(obj["initial"]),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -64,6 +65,18 @@ class TangentLineInSurface(GeometryError):
 
 class PointNotOnSurface(GeometryError):
     kind = "PointNotOnSurface"
+
+
+class InvariantViolated(GeometryError):
+    """A construction's postcondition failed: a bug, not a genericity failure."""
+
+    kind = "InvariantViolated"
+
+
+def check_invariant(condition: bool, message: str) -> None:
+    """Explicit postcondition check; unlike `assert` it also runs under `python -O`."""
+    if not condition:
+        raise InvariantViolated(message)
 
 
 def _det2(a, b, c, d):
@@ -274,7 +287,7 @@ class PlanePencil:
 class CubicForm:
     """Homogeneous cubic form in X0..X3 with exact rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_max_exp")
 
     def __init__(self, terms):
         clean = {}
@@ -289,6 +302,7 @@ class CubicForm:
         if not clean:
             raise ValueError("the zero form is not a cubic surface")
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
+        object.__setattr__(self, "_max_exp", tuple(max(e[i] for e in clean) for i in range(4)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicForm is immutable")
@@ -302,14 +316,22 @@ class CubicForm:
         exps = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
         return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
 
+    def _powers(self, coords: Sequence) -> list:
+        """Per coordinate c, the row (None, c, c^2, c^3) up to the power the form uses."""
+        table = []
+        for c, top in zip(coords, self._max_exp):
+            row = [None, c]
+            for _ in range(top - 1):
+                row.append(row[-1] * c)
+            table.append(row)
+        return table
+
     def value_at(self, coords: Sequence):
         """Evaluate at any 4 ring elements (Fractions or AlgElements)."""
+        powers = self._powers(coords)
         total = None
         for exp, coeff in self.terms.items():
-            term = coeff
-            for c, e in zip(coords, exp):
-                for _ in range(e):
-                    term = term * c
+            term = _monomial(powers, exp) * coeff
             total = term if total is None else total + term
         return total
 
@@ -318,28 +340,18 @@ class CubicForm:
         return point.algebra.element(self.value_at(point.coords))
 
     def gradient_at(self, coords: Sequence) -> tuple:
-        out = []
-        for i in range(4):
-            part = None
-            for exp, coeff in self.terms.items():
-                if exp[i] == 0:
-                    continue
-                term = coeff * exp[i]
-                for j, e in enumerate(exp):
-                    f = e - 1 if j == i else e
-                    for _ in range(f):
-                        term = term * coords[j]
-                part = term if part is None else part + term
-            if part is None:
-                part = Fraction(0)
-            out.append(part)
-        return tuple(out)
+        powers = self._powers(coords)
+        out = [None] * 4
+        for exp, coeff in self.terms.items():
+            for i, e in enumerate(exp):
+                if e:
+                    term = _monomial(powers, exp[:i] + (e - 1,) + exp[i + 1 :]) * (coeff * e)
+                    out[i] = term if out[i] is None else out[i] + term
+        return tuple(Fraction(0) if part is None else part for part in out)
 
     def integer_terms(self) -> list:
         """Terms with denominators cleared, for integer-kernel evaluation."""
-        denom = 1
-        for coeff in self.terms.values():
-            denom = denom * coeff.denominator // _gcd(denom, coeff.denominator)
+        denom = lcm(*(coeff.denominator for coeff in self.terms.values()))
         return [(exp, int(coeff * denom)) for exp, coeff in self.terms.items()]
 
     def __eq__(self, other):
@@ -368,10 +380,13 @@ class CubicForm:
         return cls({tuple(m["exp"]): Fraction(m["coeff"]) for m in obj["monomials"]})
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _monomial(powers: list, exp: tuple):
+    """Product of power-table entries; `exp` has at least one nonzero entry."""
+    term = None
+    for row, e in zip(powers, exp):
+        if e:
+            term = row[e] if term is None else term * row[e]
+    return term
 
 
 @dataclass(frozen=True)
@@ -519,11 +534,11 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     elif not xk.is_zero:
         raise ZeroDivisorFound(algebra, xk.zero_divisor_factor())
     else:  # x is supported on the pivot coordinates only, so x = 0: impossible
-        raise AssertionError("point outside the kernel it must lie in")
+        raise InvariantViolated("point outside the kernel it must lie in")
 
     cubic = _restrict_coords(surface, algebra, x.coords, direction)
     c0, c1, c2, c3 = cubic.coeffs
-    assert c0.is_zero and c1.is_zero, "tangency must force a double root"
+    check_invariant(c0.is_zero and c1.is_zero, "tangency must force a double root")
     if c2.is_zero and c3.is_zero:
         raise TangentLineInSurface("tangent line is contained in the surface")
     residual = tuple(c3 * a - c2 * b for a, b in zip(x.coords, direction))
@@ -621,7 +636,7 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
         if cubic.value(Fraction(k), Fraction(1)).constant_value() != 0:
             break
     else:
-        raise AssertionError("a nonzero binary cubic cannot vanish at 4 parameters")
+        raise InvariantViolated("a nonzero binary cubic cannot vanish at 4 parameters")
     q_new = _vadd(_vscale(Fraction(k), p), q)
 
     # g'(s', t') = g(s' + k t', t'): expand (s' + k t')^(3-i) binomially.
@@ -632,7 +647,7 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
             continue
         for r in range(3 - i + 1):
             shifted[i + r] += ci * binom[3 - i][r] * Fraction(k) ** r
-    assert shifted[3] != 0
+    check_invariant(shifted[3] != 0, "the new basepoint must lie off the surface")
     affine = Poly(shifted).monic()
     reduced = squarefree_part(affine)
     non_reduced = reduced.degree < 3
@@ -641,9 +656,9 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     for s, t in visible:
         # parameter in the new chart: s*p + t*q = (s - k t)*p + t*q_new
         denom = s - k * t
-        assert denom != 0, "a visible root landed on the new basepoint"
+        check_invariant(denom != 0, "a visible root landed on the new basepoint")
         tau = t / denom
-        assert reduced(tau) == 0
+        check_invariant(reduced(tau) == 0, "a visible root is not a root of the section")
         if tau not in params:
             params.append(tau)
     params.sort()
@@ -652,7 +667,7 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     tbar = algebra.generator
     coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
     point = ProjPoint(algebra, coords)
-    assert surface.evaluate(point).is_zero
+    check_invariant(surface.evaluate(point).is_zero, "the line section must lie on the surface")
     return LengthThreeScheme(
         algebra=algebra,
         point=point,
@@ -696,7 +711,7 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
         raise ValueError("the pencil axis must be a rational line")
     scheme = line_section(surface, line)
     image = _tangent_on_components(surface, pencil.axis, scheme.algebra, scheme.point)
-    assert surface.evaluate(image).is_zero
+    check_invariant(surface.evaluate(image).is_zero, "the triple map image must lie on the surface")
     return LengthThreeScheme(
         algebra=scheme.algebra,
         point=image,

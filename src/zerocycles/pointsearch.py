@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence
 
 from .geometry import (
@@ -19,6 +20,7 @@ from .geometry import (
     GeometryError,
     Line,
     ProjPoint,
+    check_invariant,
     line_section,
     third_point,
 )
@@ -49,13 +51,9 @@ class PointRecord:
 
 def _primitive_key(coords: Sequence[Fraction]) -> Optional[tuple]:
     """Primitive integer representative with positive first nonzero entry."""
-    denom = 1
-    for c in coords:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in coords))
     ints = [int(c * denom) for c in coords]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
+    g = gcd(*ints)
     if g == 0:
         return None
     ints = [v // g for v in ints]
@@ -65,12 +63,6 @@ def _primitive_key(coords: Sequence[Fraction]) -> Optional[tuple]:
                 ints = [-w for w in ints]
             break
     return tuple(ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def rational_record(point: ProjPoint, source: str) -> PointRecord:
@@ -107,7 +99,7 @@ def _enumerate_shard(terms, height: int, first: int) -> Iterable[tuple]:
                 )
                 for d in d_range:
                     coords = (0, b, c, d)
-                    if _gcd(_gcd(b, c), d) != 1:
+                    if gcd(b, c, d) != 1:
                         continue
                     if _int_eval(terms, coords) == 0:
                         yield coords
@@ -116,7 +108,7 @@ def _enumerate_shard(terms, height: int, first: int) -> Iterable[tuple]:
         for c in range(lo, height + 1):
             for d in range(lo, height + 1):
                 coords = (first, b, c, d)
-                if _gcd(_gcd(_gcd(first, b), c), d) != 1:
+                if gcd(first, b, c, d) != 1:
                     continue
                 if _int_eval(terms, coords) == 0:
                     yield coords
@@ -140,7 +132,7 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     records = []
     for coords in found:
         point = ProjPoint.rational(coords)
-        assert surface.evaluate(point).is_zero
+        check_invariant(surface.evaluate(point).is_zero, "an enumerated point must lie on the surface")
         records.append(
             PointRecord(
                 point=point.normalized(),
@@ -236,7 +228,9 @@ def saturate(
             for residual in _tangent_direction_residuals(
                 surface, record.point, direction_height
             ):
-                assert surface.evaluate(residual).is_zero
+                check_invariant(
+                    surface.evaluate(residual).is_zero, "a tangent residual must lie on the surface"
+                )
                 fresh.append(rational_record(residual, SOURCE_TANGENT))
         added = False
         for record in fresh:

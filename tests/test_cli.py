@@ -239,3 +239,34 @@ class TestDeterminism:
         assert code == 0
         _, suite_two = run_cli(capsys, "descent", "suite", "--dS", "1", "--ceiling", "25")
         assert suite_one == suite_two
+
+
+class TestHostileInput:
+    def test_long_inline_json_is_parsed_not_opened(self, capsys, fermat_path):
+        # longer than a file name may be, so it must never reach the file system
+        inline = json.dumps(CubicForm.fermat().to_json(), indent=8)
+        assert len(inline) > 255
+        argv = ["geom", "third-point", "--x", '["1","-1","0","0"]', "--y", '["0","1","-1","0"]']
+        code, out = run_cli(capsys, *argv, "--surface", inline)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--surface", fermat_path) == (0, out)
+
+    def test_long_argument_that_is_neither_file_nor_json(self, capsys):
+        code, out = run_cli(capsys, "descent", "verify", "x" * 400)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "JSONDecodeError"
+
+    def test_verify_rejects_a_non_object_certificate(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        code, out = run_cli(capsys, "descent", "verify", str(path))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ValueError"
+        assert "JSON object" in error["message"]
+
+    def test_suite_ceiling_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["descent", "suite", "--dS", "3", "--ceiling", "0"])
+        assert info.value.code == 2
+        assert "--ceiling" in capsys.readouterr().err

@@ -233,6 +233,15 @@ class TestCertificates:
         report = verify_certificate(Certificate.from_json(payload))
         assert not report.ok and "final" in report.failure
 
+    def test_non_object_documents_rejected(self):
+        payload = find_certificate(CUBIC, 10, GOALS["coray"]).to_json()
+        for bad in ([payload], "certificate", 3, None):
+            with pytest.raises(ValueError, match="JSON object"):
+                Certificate.from_json(bad)
+        payload["surface"] = [3]
+        with pytest.raises(ValueError, match="surface must be a JSON object"):
+            Certificate.from_json(payload)
+
     def test_json_roundtrip(self):
         cert = find_certificate(CUBIC_X4, 18, GOALS["cubic-x4"])
         payload = json.loads(json.dumps(cert.to_json()))
