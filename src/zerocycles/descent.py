@@ -171,7 +171,10 @@ class CycleState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycleState":
-        return cls.make(obj["sign"], obj["unknown_degree"], obj.get("coeffs", {}))
+        _require_object(obj, "cycle state")
+        coeffs = obj.get("coeffs", {})
+        _require_object(coeffs, "coeffs")
+        return cls.make(obj["sign"], obj["unknown_degree"], coeffs)
 
 
 def _shift_coeffs(state: CycleState, delta: Dict[str, int], factor: int) -> Dict[str, int]:
@@ -249,7 +252,9 @@ class Move:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Move":
+        _require_object(obj, "move")
         combo = obj.get("target", obj.get("combo", {}))
+        _require_object(combo, "move target/combo")
         return cls(
             kind=obj["kind"],
             l=obj.get("l"),
@@ -463,6 +468,8 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
         _require_object(obj, "certificate")
+        if not isinstance(obj["moves"], list):
+            raise ValueError(f"moves must be a JSON list, not {type(obj['moves']).__name__}")
         return cls(
             surface=DelPezzo.from_json(obj["surface"]),
             initial=CycleState.from_json(obj["initial"]),

@@ -244,11 +244,7 @@ class Line:
         return Line(self.p.in_algebra(algebra), self.q.in_algebra(algebra))
 
     def contains(self, point: ProjPoint) -> bool:
-        rows = [point.coords, self.p.coords, self.q.coords]
-        return all(
-            _det3([r[i] for r in rows] for i in cols).is_zero
-            for cols in itertools.combinations(range(4), 3)
-        )
+        return collinear(self.p, self.q, point)
 
     def __repr__(self):
         return f"Line({self.p!r}, {self.q!r})"

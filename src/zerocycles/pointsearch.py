@@ -1,10 +1,10 @@
 """Height-bounded point enumeration and secant/tangent saturation on cubic surfaces.
 
-Enumeration runs over primitive integer coordinate vectors (first nonzero
-coordinate positive) with denominators cleared, sharded by the first
-coordinate; every emitted point is rechecked exactly.  Saturation closes a
-seed set under the chord construction and under residuals of low-height
-tangent directions.
+Both hot loops run on integers, with the form's denominators cleared.
+Enumeration scans the last coordinate of each fibre cubic in the height box;
+every emitted point is rechecked exactly.  Saturation closes a seed set under
+the chord construction and under residuals of low-height tangent directions,
+computed on each point's primitive integer coordinates.
 """
 
 from __future__ import annotations
@@ -75,59 +75,51 @@ def rational_record(point: ProjPoint, source: str) -> PointRecord:
     )
 
 
-def _int_eval(terms, coords) -> int:
-    total = 0
-    for exp, coeff in terms:
-        term = coeff
-        for c, e in zip(coords, exp):
-            if e:
-                term *= c**e
-        total += term
-    return total
-
-
-def _enumerate_shard(terms, height: int, first: int) -> Iterable[tuple]:
-    """Solutions with the given first coordinate, canonical and primitive."""
-    lo = -height
-    if first == 0:
-        # first coordinate zero: canonical form needs the next nonzero positive
-        for b in range(0, height + 1):
-            c_range = range(lo, height + 1) if b > 0 else range(0, height + 1)
-            for c in c_range:
-                d_range = (
-                    range(lo, height + 1) if (b or c) else range(1, height + 1)
-                )
-                for d in d_range:
-                    coords = (0, b, c, d)
-                    if gcd(b, c, d) != 1:
-                        continue
-                    if _int_eval(terms, coords) == 0:
-                        yield coords
-        return
-    for b in range(lo, height + 1):
-        for c in range(lo, height + 1):
-            for d in range(lo, height + 1):
-                coords = (first, b, c, d)
-                if gcd(first, b, c, d) != 1:
-                    continue
-                if _int_eval(terms, coords) == 0:
-                    yield coords
-
-
 def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecord]:
     """All primitive rational points of height up to the bound, in sorted order.
 
-    Height is the max absolute value of the primitive integer coordinates.
-    The box is sharded by the first coordinate (shards are independent and
-    could run in parallel); results are merged and re-sorted so the output
-    order is deterministic.
+    Height is the max absolute value of the primitive integer coordinates
+    (a, b, c, d), first nonzero one positive.  The integer form is reduced
+    to (b, c, d) once per `a`, to (c, d) once per (a, b), and to the fibre
+    cubic c0 + c1*d + c2*d^2 + c3*d^3 once per (a, b, c).  The canonical
+    range of `d` is scanned by Horner, skipping what cannot be a root: the
+    whole fibre when |c0| outweighs the other terms on the box, and any
+    nonzero d not dividing the lowest nonzero coefficient.  Only roots get
+    the primitivity test; a fibre whose cubic vanishes keeps its whole
+    range.  The output is sorted so its order is deterministic.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
+    h = height_bound
+    full = range(-h, h + 1)
     terms = surface.integer_terms()
     found = []
-    for first in range(0, height_bound + 1):
-        found.extend(_enumerate_shard(terms, height_bound, first))
+    for a in range(0, h + 1):
+        over_a = [(e[1], e[2], e[3], k * a ** e[0]) for e, k in terms]
+        for b in range(0, h + 1) if a == 0 else full:
+            rows = [[0] * (4 - k) for k in range(4)]  # rows[k][j]: coefficient of c^j d^k
+            for eb, ec, ed, k in over_a:
+                rows[ed][ec] += k * b**eb
+            (k00, k01, k02, k03), (k10, k11, k12), (k20, k21), (c3,) = rows
+            for c in full if (a or b) else range(0, h + 1):
+                c0 = ((k03 * c + k02) * c + k01) * c + k00
+                c1 = (k12 * c + k11) * c + k10
+                c2 = k21 * c + k20
+                if abs(c0) > ((abs(c3) * h + abs(c2)) * h + abs(c1)) * h:
+                    continue
+                d_range = full if (a or b or c) else range(1, h + 1)
+                low = c0 or c1 or c2 or c3
+                if low:
+                    roots = [
+                        d
+                        for d in d_range
+                        if not (d and low % d) and ((c3 * d + c2) * d + c1) * d + c0 == 0
+                    ]
+                else:
+                    roots = d_range
+                if roots:
+                    g = gcd(a, b, c)
+                    found.extend((a, b, c, d) for d in roots if gcd(g, d) == 1)
     found.sort()
     records = []
     for coords in found:
@@ -155,41 +147,44 @@ def degree3_from_line(surface: CubicForm, line: Line) -> PointRecord:
     )
 
 
+def _int_value(terms: list, x: Sequence[int]) -> int:
+    x0, x1, x2, x3 = x
+    return sum(k * x0**e0 * x1**e1 * x2**e2 * x3**e3 for (e0, e1, e2, e3), k in terms)
+
+
 def _tangent_direction_residuals(
-    surface: CubicForm, point: ProjPoint, direction_height: int
+    terms: list, p: Sequence[int], direction_height: int
 ) -> Iterable[ProjPoint]:
     """Residual points of low-height tangent lines at a rational surface point.
 
-    Directions are primitive integer vectors in the tangent plane at the
-    point; each tangent line meets the surface doubly at the point and the
-    leftover intersection is returned (when it is a genuine point).
+    `terms` is the integer form and `p` the point's primitive coordinates.
+    Directions are primitive integer vectors (first nonzero entry positive)
+    in the tangent plane at `p`; along each, F(p + t*v) = s0 + c2*t^2 +
+    c3*t^3 has integer coefficients, and the residual c3*p - c2*v is
+    returned when it is a genuine point.  Rescaling p or F only rescales it.
     """
-    coords = point.rational_coords()
-    grad = surface.gradient_at(coords)
+    grad = [
+        _int_value([(e[:i] + (e[i] - 1,) + e[i + 1 :], k * e[i]) for e, k in terms if e[i]], p)
+        for i in range(4)
+    ]
+    s0 = _int_value(terms, p)
     box = range(-direction_height, direction_height + 1)
-    for direction in product(box, repeat=4):
-        key = _primitive_key(tuple(Fraction(v) for v in direction))
-        if key is None or tuple(direction) != key:
+    for v in product(box, repeat=4):
+        if gcd(*v) != 1 or next(x for x in v if x) < 0:
             continue
-        if sum(Fraction(g) * v for g, v in zip(grad, direction)) != 0:
+        if sum(g * x for g, x in zip(grad, v)) != 0:
             continue
         # skip directions proportional to the point itself
-        if all(
-            coords[i] * direction[j] == coords[j] * direction[i]
-            for i, j in combinations(range(4), 2)
-        ):
+        if all(p[i] * v[j] == p[j] * v[i] for i, j in combinations(range(4), 2)):
             continue
-        s0 = surface.value_at(coords)
-        dirf = tuple(Fraction(v) for v in direction)
-        plus = surface.value_at(tuple(a + b for a, b in zip(coords, dirf)))
-        minus = surface.value_at(tuple(a - b for a, b in zip(coords, dirf)))
-        s3 = surface.value_at(dirf)
-        c2 = (plus + minus) / 2 - s0
-        c3 = s3
+        plus = _int_value(terms, [a + b for a, b in zip(p, v)])
+        minus = _int_value(terms, [a - b for a, b in zip(p, v)])
+        c2 = (plus + minus) // 2 - s0
+        c3 = _int_value(terms, v)
         if c2 == 0 and c3 == 0:
             continue  # tangent line inside the surface
-        residual = tuple(c3 * a - c2 * b for a, b in zip(coords, dirf))
-        if all(v == 0 for v in residual):
+        residual = tuple(c3 * a - c2 * b for a, b in zip(p, v))
+        if all(x == 0 for x in residual):
             continue
         yield ProjPoint.rational(residual)
 
@@ -209,6 +204,7 @@ def saturate(
     for record in seeds:
         if not surface.evaluate(record.point).is_zero:
             raise ValueError("seed point is not on the surface")
+    terms = surface.integer_terms()
     known = {}
     for record in seeds:
         fixed = rational_record(record.point, record.source)
@@ -225,9 +221,8 @@ def saturate(
                 continue
             fresh.append(rational_record(new_point, SOURCE_THIRD))
         for record in current:
-            for residual in _tangent_direction_residuals(
-                surface, record.point, direction_height
-            ):
+            p = _primitive_key(record.point.rational_coords())
+            for residual in _tangent_direction_residuals(terms, p, direction_height):
                 check_invariant(
                     surface.evaluate(residual).is_zero, "a tangent residual must lie on the surface"
                 )

@@ -265,6 +265,32 @@ class TestHostileInput:
         assert error["kind"] == "ValueError"
         assert "JSON object" in error["message"]
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("moves", 0, "combo"), ["h", 3]),
+            (("moves", 0), 1),
+            (("moves",), "AddBasis"),
+            (("initial",), [1, 19]),
+            (("initial", "coeffs"), [["h", 1]]),
+        ],
+        ids=["combo-list", "move-not-object", "moves-string", "initial-list", "coeffs-list"],
+    )
+    def test_verify_rejects_malformed_certificate_shapes(self, capsys, tmp_path, where, value):
+        cert_path = tmp_path / "cert.json"
+        argv = ["descent", "certify", "--dS", "3", "--degree", "19", "--out", str(cert_path)]
+        assert run_cli(capsys, *argv)[0] == 0
+        cert = json.loads(cert_path.read_text())
+        assert cert["moves"][0]["kind"] == "AddBasis"
+        parent = cert
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        cert_path.write_text(json.dumps(cert))
+        code, out = run_cli(capsys, "descent", "verify", str(cert_path))
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "ValueError"
+
     def test_suite_ceiling_below_one_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["descent", "suite", "--dS", "3", "--ceiling", "0"])

@@ -1,14 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from conftest import random_surface_through
+import zerocycles.pointsearch as pointsearch
+from conftest import MONOMIALS, random_surface_through, secant_instance
 from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
     SOURCE_TANGENT,
     SOURCE_THIRD,
+    _primitive_key,
+    _tangent_direction_residuals,
     degree3_from_line,
     enumerate_rational,
     rational_record,
@@ -77,6 +82,124 @@ class TestEnumerate:
     def test_height_bound_validated(self):
         with pytest.raises(ValueError):
             enumerate_rational(FERMAT, 0)
+
+
+def box_points(surface, height):
+    """Brute-force reference: every canonical primitive integer zero in the box."""
+    denom = lcm(*(c.denominator for c in surface.terms.values()))
+    terms = [(exp, int(c * denom)) for exp, c in surface.terms.items()]
+    found = []
+    for coords in itertools.product(range(-height, height + 1), repeat=4):
+        if gcd(*coords) != 1 or next(v for v in coords if v) < 0:
+            continue
+        total = 0
+        for exp, coeff in terms:
+            for c, e in zip(coords, exp):
+                coeff *= c**e
+            total += coeff
+        if total == 0:
+            found.append(coords)
+    return found
+
+
+def _random_form(rng, sparse):
+    monomials = rng.sample(MONOMIALS, 4) if sparse else MONOMIALS
+    return CubicForm(
+        {e: Fraction(rng.randint(-4, 4), 1 if sparse else rng.randint(1, 5)) for e in monomials}
+        | {monomials[0]: 1}
+    )
+
+
+_rng = random.Random(31)
+ENUMERATION_FORMS = {
+    "fermat": FERMAT,
+    "diagonal": CubicForm.diagonal(1, 2, -3, 5),
+    "diagonal-rational": CubicForm.diagonal(Fraction(1, 2), -4, Fraction(3, 7), 1),
+    "x0x1x2": CubicForm({(1, 1, 1, 0): 1}),
+    "x0x3^2": CubicForm({(1, 0, 0, 2): 1}),
+    "x1^3": CubicForm({(0, 3, 0, 0): 1}),
+    "x0^2x3-x3^3": CubicForm({(2, 0, 0, 1): 1, (0, 0, 0, 3): -1}),
+    **{f"dense{i}": _random_form(_rng, sparse=False) for i in range(3)},
+    **{f"sparse{i}": _random_form(_rng, sparse=True) for i in range(3)},
+}
+
+
+class TestEnumerationKernel:
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_FORMS))
+    def test_matches_brute_force_box(self, name):
+        surface = ENUMERATION_FORMS[name]
+        box = box_points(surface, 5)
+        for height in range(1, 6):
+            records = enumerate_rational(surface, height)
+            coords = [_primitive_key(r.point.rational_coords()) for r in records]
+            assert coords == sorted(v for v in box if max(map(abs, v)) <= height)
+            assert [r.height for r in records] == [max(map(abs, v)) for v in coords]
+
+
+def reference_residuals(surface, point, direction_height):
+    """Tangent residuals by Fraction evaluation at the normalized point."""
+    coords = point.normalized().rational_coords()
+    grad = surface.gradient_at(coords)
+    box = range(-direction_height, direction_height + 1)
+    for v in itertools.product(box, repeat=4):
+        if gcd(*v) != 1 or next(x for x in v if x) < 0:
+            continue
+        if sum(g * x for g, x in zip(grad, v)) != 0:
+            continue
+        pairs = itertools.combinations(range(4), 2)
+        if all(coords[i] * v[j] == coords[j] * v[i] for i, j in pairs):
+            continue
+        s0 = surface.value_at(coords)
+        plus = surface.value_at([a + b for a, b in zip(coords, v)])
+        minus = surface.value_at([a - b for a, b in zip(coords, v)])
+        c2 = (plus + minus) / 2 - s0
+        c3 = surface.value_at([Fraction(x) for x in v])
+        residual = [c3 * a - c2 * b for a, b in zip(coords, v)]
+        if any(residual):
+            yield ProjPoint.rational(residual)
+
+
+def _residual_cases():
+    """(surface, point, direction height): random secant surfaces, and
+    enumerated points on the enumeration forms, whose gradients have more
+    low-height tangent directions."""
+    rng = random.Random(32)
+    cases = []
+    while len(cases) < 24:
+        instance = secant_instance(rng)
+        if instance is not None:
+            surface, x, y = instance
+            cases += [(surface, x, 2), (surface, y, 2)]
+    for surface in ENUMERATION_FORMS.values():
+        cases += [(surface, r.point, 1) for r in enumerate_rational(surface, 2)[:6]]
+    return cases
+
+
+class TestTangentResidualKernel:
+    def test_matches_fraction_reference(self):
+        total = 0
+        for surface, point, height in _residual_cases():
+            p = _primitive_key(point.rational_coords())
+            residuals = _tangent_direction_residuals(surface.integer_terms(), p, height)
+            got = [r.key() for r in residuals]
+            want = [r.key() for r in reference_residuals(surface, point, height)]
+            assert got == want
+            total += len(got)
+        assert total > 100
+
+    @pytest.mark.parametrize("name", ["diagonal-rational", "sparse1"])
+    def test_saturation_agrees_with_fraction_reference(self, monkeypatch, name):
+        surface = ENUMERATION_FORMS[name]
+        seeds = enumerate_rational(surface, 2)[:3]
+        got = saturate(surface, seeds, rounds=2, max_points=80)
+        monkeypatch.setattr(
+            pointsearch,
+            "_tangent_direction_residuals",
+            lambda terms, p, h: reference_residuals(surface, ProjPoint.rational(p), h),
+        )
+        want = saturate(surface, seeds, rounds=2, max_points=80)
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        assert any(r.source == SOURCE_TANGENT for r in got)
 
 
 class TestDegree3FromLine:
