@@ -17,6 +17,8 @@ cannot share an arithmetic bug.
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -90,6 +92,11 @@ def genus_by_recurrence(d_S: int, l: int) -> int:
 def _require_object(obj, what: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+
+
+def _require_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,10 @@ class CycleState:
         _require_object(obj, "cycle state")
         coeffs = obj.get("coeffs", {})
         _require_object(coeffs, "coeffs")
+        _require_int(obj["sign"], "sign")
+        _require_int(obj["unknown_degree"], "unknown_degree")
+        for name, value in coeffs.items():
+            _require_int(value, f"coefficient of {name!r}")
         return cls.make(obj["sign"], obj["unknown_degree"], coeffs)
 
 
@@ -255,6 +266,9 @@ class Move:
         _require_object(obj, "move")
         combo = obj.get("target", obj.get("combo", {}))
         _require_object(combo, "move target/combo")
+        for key in ("l", "gamma"):
+            if obj.get(key) is not None:
+                _require_int(obj[key], key)
         return cls(
             kind=obj["kind"],
             l=obj.get("l"),
@@ -400,17 +414,15 @@ class Goal:
     degrees: Tuple[int, ...] = ()
     sign: Optional[int] = None
 
-    def satisfied(self, state: CycleState) -> bool:
-        ok = False
-        if self.max_degree is not None and state.unknown_degree <= self.max_degree:
-            ok = True
-        if state.unknown_degree in self.degrees:
-            ok = True
-        if not ok:
+    def admits(self, sign: int, degree: int) -> bool:
+        """The goal test on a (sign, unknown degree) pair; degree 0 has no sign."""
+        in_range = self.max_degree is not None and degree <= self.max_degree
+        if not (in_range or degree in self.degrees):
             return False
-        if self.sign is not None and state.unknown_degree > 0:
-            return state.sign == self.sign
-        return True
+        return self.sign is None or degree == 0 or sign == self.sign
+
+    def satisfied(self, state: CycleState) -> bool:
+        return self.admits(state.sign, state.unknown_degree)
 
     def describe(self) -> dict:
         out = {"name": self.name}
@@ -538,123 +550,239 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
 #: How far past the first admissible parameter the complement moves reach.
 _COMPLEMENT_WINDOW = 3
-_transition_cache: Dict[Tuple[int, bool, int], tuple] = {}
 
 
-def _transitions(surface: DelPezzo, degree: int) -> tuple:
+def _first_l(d_S: int, bound: int, lo: int) -> int:
+    """Smallest l >= lo with h0(d_S, l) >= bound, in closed form.
+
+    h0(l) >= bound  iff  l*(l+1) >= t := ceil(2*(bound-1)/d_S), since l*(l+1)
+    is an integer; l = (isqrt(4t+1)-1)//2 is the largest l with l*(l+1) <= t.
+    """
+    t = -(-2 * (bound - 1) // d_S)
+    if t <= 0:
+        return lo
+    l = (math.isqrt(4 * t + 1) - 1) // 2
+    if l * (l + 1) < t:
+        l += 1
+    return max(l, lo)
+
+
+def _menu(surface: DelPezzo, degree: int) -> list:
     """Deterministically ordered move menu at a given unknown degree.
 
-    Returns (flips_sign, new_degree, move) triples; move guards depend only
-    on the unknown degree, so the table is cached.  Order mirrors the
-    proofs' preference: subtract while the strict section inequality holds,
-    fall back to complements, then bookkeeping additions and the involution
-    flip.
+    Entries are plain tuples (flips_sign, new_degree, l or -1, kind, basis
+    name or None, multiple); `_move_of` turns one into a `Move`.  Move guards
+    depend only on the unknown degree.  Order mirrors the proofs' preference:
+    subtract while the strict section inequality holds, fall back to
+    complements, then bookkeeping additions and the involution flip.
     """
-    key = (surface.degree, surface.with_x4, degree)
-    cached = _transition_cache.get(key)
-    if cached is not None:
-        return cached
     d_S = surface.degree
     out = []
-    targets = [{BASIS_H: 1}, {BASIS_H: 2}]
-    if d_S == 1:
-        targets.append({BASIS_H: 3})
-    if surface.with_x4:
-        targets.append({BASIS_X4: 1})
+    # Only the last l with h0(l) < degree can subtract: for a smaller l,
+    # h0(l+1) <= h0(l_top) < degree, so h0(l+1) - degree >= 2s fails.
     l_lo = 0 if d_S == 3 else 1
-    l = l_lo
-    while h0(d_S, l) < degree:
-        for target in targets:
-            s = surface.combo_degree(target)
-            if h0(d_S, l + 1) - degree >= 2 * s and degree - s >= 0:
-                out.append((False, degree - s, Move.vb_subtract(l, target)))
-        l += 1
-    m = VERY_AMPLE_MIN[d_S]
-    while degree > h0(d_S, m) - 2:
-        m += 1
-    for mm in range(m, m + _COMPLEMENT_WINDOW + 1):
-        out.append((True, d_S * mm * mm - degree, Move.complement(mm - 1)))
-    l = GLOBALLY_GENERATED_MIN[d_S]
-    while h0(d_S, l) < degree + 1:
-        l += 1
-    for ll in range(l, l + _COMPLEMENT_WINDOW + 1):
-        if h0(d_S, ll + 1) - degree > h0(d_S, 1):
-            out.append((True, d_S * ll * (ll + 1) - degree, Move.variant_complement(ll)))
-    for k in (1, 2, 3):
-        out.append((False, degree + k * d_S, Move.add_basis({BASIS_H: k})))
+    l = _first_l(d_S, degree, l_lo) - 1
+    if l >= l_lo:
+        room = h0(d_S, l + 1) - degree
+        targets = [(BASIS_H, 1, d_S), (BASIS_H, 2, 2 * d_S)]
+        if d_S == 1:
+            targets.append((BASIS_H, 3, 3))
+        if surface.with_x4:
+            targets.append((BASIS_X4, 1, 4))
+        for name, mult, s in targets:
+            if room >= 2 * s and degree >= s:
+                out.append((False, degree - s, l, "VBSubtract", name, mult))
+    m = _first_l(d_S, degree + 2, VERY_AMPLE_MIN[d_S])
+    out += [
+        (True, d_S * mm * mm - degree, mm - 1, "Complement", None, 0)
+        for mm in range(m, m + _COMPLEMENT_WINDOW + 1)
+    ]
+    # With l >= 1 and h0(l) >= degree + 1, every ll >= l has
+    # h0(ll+1) - degree >= 1 + d_S*(l+1) > h0(1), so the whole window is legal.
+    l = _first_l(d_S, degree + 1, GLOBALLY_GENERATED_MIN[d_S])
+    out += [
+        (True, d_S * ll * (ll + 1) - degree, ll, "VariantComplement", None, 0)
+        for ll in range(l, l + _COMPLEMENT_WINDOW + 1)
+    ]
+    out += [(False, degree + k * d_S, -1, "AddBasis", BASIS_H, k) for k in (1, 2, 3)]
     if surface.with_x4:
-        out.append((False, degree + 4, Move.add_basis({BASIS_X4: 1})))
-        out.append((False, degree + 8, Move.add_basis({BASIS_X4: 2})))
+        out.append((False, degree + 4, -1, "AddBasis", BASIS_X4, 1))
+        out.append((False, degree + 8, -1, "AddBasis", BASIS_X4, 2))
     if d_S == 2:
-        out.append((True, degree, Move.involution_flip()))
-    cached = tuple(out)
-    _transition_cache[key] = cached
-    return cached
+        out.append((True, degree, -1, "InvolutionFlip", None, 0))
+    return out
 
 
-def find_certificate(
-    surface: DelPezzo,
-    start_degree: int,
-    goal: Goal,
-    degree_cap: Optional[int] = None,
-) -> Certificate:
-    """Shortest verified descent from an effective cycle of the start degree.
+def _move_of(entry: tuple) -> Move:
+    _, _, l, kind, name, mult = entry
+    return Move(kind=kind, l=None if l < 0 else l, combo=((name, mult),) if name else ())
 
-    Breadth-first search over (sign, unknown degree) states -- move guards
-    depend on nothing else -- with deterministic move ordering, so the
-    returned chain is reproducible.  Move parameters are capped at
-    start_degree + 4 and explored degrees at start_degree + 20.
+
+def _child(node: int, flips: bool, new_degree: int) -> int:
+    """Search nodes are sign * unknown degree, so degree 0 keeps sign +1."""
+    return -new_degree if (node < 0) != flips else new_degree
+
+
+def _bfs(surface: DelPezzo, start_degree: int, goal: Goal) -> list:
+    """Reference search: breadth-first from the start, menu entries of the chain.
+
+    Nodes are expanded in FIFO order and children in menu order, and each
+    node keeps the first parent that reaches it, so the chain is the
+    lexicographically least (by menu index) among the shortest chains in the
+    graph of degrees <= start_degree + 20 and parameters l <= start_degree + 4.
     """
-    if start_degree < 0:
-        raise ValueError("start degree must be nonnegative")
-    cap = degree_cap if degree_cap is not None else start_degree + 20
+    cap = start_degree + 20
     l_max = start_degree + 4
-
-    def node_of(sign: int, degree: int):
-        return (1 if degree == 0 else sign, degree)
-
-    def is_goal(node) -> bool:
-        return goal.satisfied(CycleState.make(node[0], node[1], {}))
-
-    start = (1, start_degree)
-    parents = {start: None}
-    queue = deque([start])
-    goal_node = start if is_goal(start) else None
+    parents = {start_degree: None}
+    queue = deque([start_degree])
+    goal_node = start_degree if goal.admits(1, start_degree) else None
     while queue and goal_node is None:
         node = queue.popleft()
-        sign, degree = node
-        for flips, new_degree, move in _transitions(surface, degree):
-            if new_degree > cap or (move.l is not None and move.l > l_max):
+        for entry in _menu(surface, abs(node)):
+            flips, new_degree, l = entry[:3]
+            if new_degree > cap or l > l_max:
                 continue
-            child = node_of(-sign if flips else sign, new_degree)
+            child = _child(node, flips, new_degree)
             if child in parents:
                 continue
-            parents[child] = (node, move)
-            if is_goal(child):
+            parents[child] = (node, entry)
+            if goal.admits(-1 if child < 0 else 1, new_degree):
                 goal_node = child
                 break
             queue.append(child)
 
     if goal_node is None:
         raise CertificateNotFound(surface, start_degree, goal, len(parents))
-
-    chain: List[Move] = []
+    chain = []
     node = goal_node
     while parents[node] is not None:
-        node, move = parents[node]
-        chain.append(move)
+        node, entry = parents[node]
+        chain.append(entry)
     chain.reverse()
+    return chain
+
+
+#: (surface degree, with_x4, goal) -> (R, distances to the goal of the nodes
+#: -R..R, stored at index node + R and -1 where the goal is out of reach,
+#: the first menu entry one step closer from each node walked so far).
+_tables: Dict[tuple, Tuple[int, array, Dict[int, tuple]]] = {}
+
+
+def _distance_table(surface: DelPezzo, goal: Goal, R: int) -> array:
+    """Exact distances to the goal in the move graph on degrees <= R, no l cap.
+
+    A reverse breadth-first search from the goal nodes over predecessor
+    lists kept in flat arrays (compressed rows), which are freed on return.
+    """
+    size = 2 * R + 1
+    sources, targets = array("i"), array("i")
+    for degree in range(R + 1):
+        nodes = (degree, -degree) if degree else (0,)
+        for flips, new_degree, *_ in _menu(surface, degree):
+            if new_degree <= R:
+                for node in nodes:
+                    sources.append(node + R)
+                    targets.append(_child(node, flips, new_degree) + R)
+    row = array("i", [0]) * (size + 1)
+    for t in targets:
+        row[t + 1] += 1
+    for i in range(size):
+        row[i + 1] += row[i]
+    fill = row[:-1]
+    preds = array("i", [0]) * len(sources)
+    for s, t in zip(sources, targets):
+        preds[fill[t]] = s
+        fill[t] += 1
+    del sources, targets, fill
+
+    dist = array("i", [-1]) * size
+    queue = deque(
+        node + R for node in range(-R, R + 1) if goal.admits(-1 if node < 0 else 1, abs(node))
+    )
+    for i in queue:
+        dist[i] = 0
+    while queue:
+        i = queue.popleft()
+        step = dist[i] + 1
+        for k in range(row[i], row[i + 1]):
+            p = preds[k]
+            if dist[p] < 0:
+                dist[p] = step
+                queue.append(p)
+    return dist
+
+
+def _walk(surface: DelPezzo, table: tuple, start_degree: int) -> Optional[list]:
+    """The lexicographically least shortest chain in the table's graph, if it
+    keeps to the start's caps (then it is exactly what `_bfs` returns)."""
+    R, dist, closer = table
+    remaining = dist[start_degree + R]
+    if remaining < 0:
+        return None
+    cap = start_degree + 20
+    l_max = start_degree + 4
+    node = start_degree
+    chain = []
+    while remaining:
+        remaining -= 1
+        entry = closer.get(node)
+        if entry is None:
+            for entry in _menu(surface, abs(node)):
+                flips, new_degree = entry[:2]
+                if new_degree <= R and dist[_child(node, flips, new_degree) + R] == remaining:
+                    break
+            closer[node] = entry
+        flips, new_degree, l = entry[:3]
+        if new_degree > cap or l > l_max:
+            return None
+        node = _child(node, flips, new_degree)
+        chain.append(entry)
+    return chain
+
+
+def find_certificate(surface: DelPezzo, start_degree: int, goal: Goal) -> Certificate:
+    """Shortest verified descent from an effective cycle of the start degree.
+
+    The search runs over (sign, unknown degree) nodes -- move guards depend
+    on nothing else -- with move parameters capped at start_degree + 4 and
+    degrees at start_degree + 20.  The answer is the chain `_bfs` returns:
+    the lexicographically least, by menu index, among the shortest chains.
+
+    Every call shares one table per (surface, goal) of exact distances to
+    the goal in the move graph on degrees <= R without the l cap.  With
+    R >= start_degree + 20 that graph contains the start's, so walking it
+    from the start by the first menu move one step closer gives `_bfs`'s
+    chain whenever every step keeps to the start's caps.  The first call
+    builds the table at R = cap; a later call with R < cap <= 2R rebuilds it
+    at 2R.  A call with cap > 2R -- an isolated start far above the earlier
+    ones, where one breadth-first search is cheaper than the table -- a walk
+    that leaves the caps, and an unreachable goal run `_bfs` itself.
+    """
+    if start_degree < 0:
+        raise ValueError("start degree must be nonnegative")
+    cap = start_degree + 20
+    key = (surface.degree, surface.with_x4, goal)
+    table = _tables.get(key)
+    chain = None
+    if table is None or cap <= 2 * table[0]:
+        if table is None or cap > table[0]:
+            R = cap if table is None else 2 * table[0]
+            table = _tables[key] = (R, _distance_table(surface, goal, R), {})
+        chain = _walk(surface, table, start_degree)
+    if chain is None:
+        chain = _bfs(surface, start_degree, goal)
 
     initial = CycleState.entry(start_degree)
     state = initial
+    moves = [_move_of(entry) for entry in chain]
     witnesses = []
-    for idx, move in enumerate(chain):
+    for idx, move in enumerate(moves):
         state, witness = apply_move(surface, state, move, is_entry=(idx == 0))
         witnesses.append(witness)
     return Certificate(
         surface=surface,
         initial=initial,
-        moves=chain,
+        moves=moves,
         witnesses=witnesses,
         final=state,
     )
@@ -822,9 +950,7 @@ def induction_step_moves(degree: int) -> List[Move]:
     """
     if degree < 20:
         raise ValueError("the induction step starts at degree 20")
-    l = 1
-    while h0(3, l + 1) < degree:
-        l += 1
+    l = _first_l(3, degree, 2) - 1
     # now h0(3, l) < degree <= h0(3, l + 1)
     if degree in (h0(3, l + 1), h0(3, l + 1) - 1):
         return [Move.add_basis({BASIS_H: 1}), Move.vb_subtract(l + 1, {BASIS_H: 2})]

@@ -273,8 +273,19 @@ class TestHostileInput:
             (("moves",), "AddBasis"),
             (("initial",), [1, 19]),
             (("initial", "coeffs"), [["h", 1]]),
+            (("initial", "unknown_degree"), "19"),
+            (("initial", "sign"), True),
+            (("initial", "coeffs"), {"h": "1"}),
+            (("final", "unknown_degree"), 17.0),
+            (("moves", 1, "l"), "3"),
+            (("moves", 1, "l"), True),
+            (("moves", 0, "gamma"), 1.5),
         ],
-        ids=["combo-list", "move-not-object", "moves-string", "initial-list", "coeffs-list"],
+        ids=[
+            "combo-list", "move-not-object", "moves-string", "initial-list", "coeffs-list",
+            "degree-string", "sign-bool", "coeff-string", "final-degree-float", "l-string",
+            "l-bool", "gamma-float",
+        ],
     )
     def test_verify_rejects_malformed_certificate_shapes(self, capsys, tmp_path, where, value):
         cert_path = tmp_path / "cert.json"

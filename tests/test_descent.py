@@ -1,12 +1,16 @@
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from zerocycles import descent
 from zerocycles.descent import (
     BASIS_H,
     BASIS_X4,
+    GLOBALLY_GENERATED_MIN,
+    VERY_AMPLE_MIN,
     Certificate,
     CertificateNotFound,
     CycleState,
@@ -345,3 +349,151 @@ class TestSurfaceModel:
         assert default_goal(CUBIC_X4).name == "cubic-x4"
         assert default_goal(DP2, refined=True).name == "dp2-refined"
         assert default_goal(DP1).name == "dp1"
+
+    def test_goal_test_on_sign_and_degree(self):
+        neg, refined = GOALS["cubic-neg"], GOALS["dp2-refined"]
+        assert neg.admits(-1, 18) and not neg.admits(1, 18) and not neg.admits(-1, 19)
+        assert neg.admits(1, 0)  # an empty cycle has no sign
+        assert refined.admits(1, 12) and refined.admits(1, 7) and not refined.admits(1, 10)
+        assert not refined.admits(-1, 13)
+        assert neg.satisfied(state(1, 0)) and not neg.satisfied(state(1, 5, {BASIS_H: 2}))
+
+
+def linear_menu(surface, degree):
+    """The move menu by linear searches over l: the reference for `descent._menu`."""
+    d_S = surface.degree
+    out = []
+    targets = [(BASIS_H, 1), (BASIS_H, 2)]
+    if d_S == 1:
+        targets.append((BASIS_H, 3))
+    if surface.with_x4:
+        targets.append((BASIS_X4, 1))
+    sized = [(name, mult, surface.combo_degree({name: mult})) for name, mult in targets]
+    l = 0 if d_S == 3 else 1
+    while h0(d_S, l) < degree:
+        for name, mult, s in sized:
+            if h0(d_S, l + 1) - degree >= 2 * s and degree - s >= 0:
+                out.append((False, degree - s, l, "VBSubtract", name, mult))
+        l += 1
+    m = VERY_AMPLE_MIN[d_S]
+    while degree > h0(d_S, m) - 2:
+        m += 1
+    for mm in range(m, m + descent._COMPLEMENT_WINDOW + 1):
+        out.append((True, d_S * mm * mm - degree, mm - 1, "Complement", None, 0))
+    l = GLOBALLY_GENERATED_MIN[d_S]
+    while h0(d_S, l) < degree + 1:
+        l += 1
+    for ll in range(l, l + descent._COMPLEMENT_WINDOW + 1):
+        if h0(d_S, ll + 1) - degree > h0(d_S, 1):
+            out.append((True, d_S * ll * (ll + 1) - degree, ll, "VariantComplement", None, 0))
+    for k in (1, 2, 3):
+        out.append((False, degree + k * d_S, -1, "AddBasis", BASIS_H, k))
+    if surface.with_x4:
+        out.append((False, degree + 4, -1, "AddBasis", BASIS_X4, 1))
+        out.append((False, degree + 8, -1, "AddBasis", BASIS_X4, 2))
+    if d_S == 2:
+        out.append((True, degree, -1, "InvolutionFlip", None, 0))
+    return out
+
+
+def linear_induction_step(degree):
+    """`induction_step_moves` with its linear search over l, as the reference."""
+    l = 1
+    while h0(3, l + 1) < degree:
+        l += 1
+    if degree in (h0(3, l + 1), h0(3, l + 1) - 1):
+        return [Move.add_basis({BASIS_H: 1}), Move.vb_subtract(l + 1, {BASIS_H: 2})]
+    if 2 * degree > 3 * (l + 1) ** 2:
+        return [Move.complement(l)]
+    return [Move.vb_subtract(l, {BASIS_H: 1})]
+
+
+HUGE_DEGREES = (10**6 + 7, 10**9 + 3)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("surface", [CUBIC, CUBIC_X4, DP2, DP1], ids=["dP3", "dP3+x4", "dP2", "dP1"])
+    def test_menus_match_linear_search(self, surface):
+        for degree in [*range(0, 6001), *HUGE_DEGREES]:
+            assert descent._menu(surface, degree) == linear_menu(surface, degree), degree
+
+    def test_menu_entries_become_the_named_moves(self):
+        entries = descent._menu(CUBIC_X4, 32) + descent._menu(DP2, 5)
+        moves = {descent._move_of(entry) for entry in entries}
+        assert Move.vb_subtract(4, {BASIS_X4: 1}) in moves
+        assert Move.complement(4) in moves and Move.variant_complement(5) in moves
+        assert Move.add_basis({BASIS_X4: 2}) in moves and Move.involution_flip() in moves
+
+    def test_induction_step_matches_linear_search(self):
+        for degree in [*range(20, 6001), *HUGE_DEGREES]:
+            assert induction_step_moves(degree) == linear_induction_step(degree), degree
+
+
+def goal_surface(name):
+    if name.startswith("dp2"):
+        return DP2
+    if name.startswith("dp1"):
+        return DP1
+    return CUBIC_X4 if name.startswith("cubic-x4") else CUBIC
+
+
+def outcome(search, surface, start, goal):
+    try:
+        return search(surface, start, goal)
+    except CertificateNotFound as exc:
+        return str(exc)
+
+
+class TestSharedTable:
+    """`find_certificate` walks a table shared across calls; `_bfs` is the reference."""
+
+    STARTS = range(0, 201)
+
+    def test_matches_bfs_in_any_call_order(self):
+        def bfs_moves(surface, start, goal):
+            return [descent._move_of(entry) for entry in descent._bfs(surface, start, goal)]
+
+        def found_moves(surface, start, goal):
+            cert = find_certificate(surface, start, goal)
+            assert goal.satisfied(cert.final)
+            return cert.moves
+
+        cases = [
+            (goal, goal_surface(name), start)
+            for name, goal in sorted(GOALS.items())
+            for start in self.STARTS
+        ]
+        expected = {case: outcome(bfs_moves, case[1], case[2], case[0]) for case in cases}
+        assert any(isinstance(v, str) for v in expected.values())  # unreachable goals too
+        shuffled = cases[:]
+        random.Random(7).shuffle(shuffled)
+        for order in (cases, cases[::-1], shuffled):
+            descent._tables.clear()
+            for goal, surface, start in order:
+                got = outcome(found_moves, surface, start, goal)
+                assert got == expected[goal, surface, start], (goal.name, surface, start)
+
+    def test_parameter_cap_alone_sends_the_start_to_bfs(self):
+        # From degree 0 on dP1 the table's shortest chain to degree 18 stays
+        # at degrees <= 20 but needs l = 5 > 0 + 4, so `_bfs` answers.
+        goal = Goal("eighteen-pos", degrees=(18,), sign=1)
+        table = (20, descent._distance_table(DP1, goal, 20), {})
+        assert descent._walk(DP1, table, 0) is None
+        descent._tables.clear()
+        expected = [descent._move_of(entry) for entry in descent._bfs(DP1, 0, goal)]
+        assert find_certificate(DP1, 0, goal).moves == expected
+
+    @pytest.mark.parametrize(
+        "goal, d_S, with_x4, sha256",
+        [
+            ("cubic", 3, False, "ee76e54e6e76137f8bfbb07141ec0f6025ddb8d7122a6e80ed6e816cc15d8e97"),
+            ("cubic-x4", 3, True, "aa2ac18777ca84e152f776d769dcd84d1d89fc1d025d6f99cbed8161bd063b44"),
+            ("dp2-refined", 2, False, "f6b6df844c102f451f53f1af12d97cd37a49e213c196d1a6a872e2db75e0dee7"),
+            ("dp1-refined", 1, False, "30f6001e803f6efff9ac9b03b50777d488b96821f4c6e1208c20c8e799b0e07b"),
+        ],
+    )
+    def test_suite_json_pinned_at_ceiling_1000(self, goal, d_S, with_x4, sha256):
+        # Pinned from the per-start breadth-first search before the shared table.
+        report = prove_bound_suite(DelPezzo(d_S, with_x4=with_x4), GOALS[goal], ceiling=1000)
+        text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
