@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Sequence, Tuple
 
 GENERATORS = ("x", "y", "z")
@@ -66,9 +67,6 @@ class TriClass:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def codimension_part(self, k: int) -> "TriClass":
-        return TriClass({s: v for s, v in self.coeffs.items() if len(s) == k})
 
     def is_homogeneous(self, k: int) -> bool:
         return all(len(s) == k for s in self.coeffs)
@@ -172,12 +170,6 @@ def segre_s2(a: TriClass = ALPHA, b: TriClass = BETA, c: TriClass = GAMMA) -> Tr
     return a * b + a * c + b * c
 
 
-def total_segre(a: TriClass = ALPHA, b: TriClass = BETA, c: TriClass = GAMMA) -> TriClass:
-    """Whitney product (1+a)(1+b)(1+c)."""
-    one = TriClass.one()
-    return (one + a) * (one + b) * (one + c)
-
-
 def degree_wrt_first(cls: TriClass, degs: CurveDegrees = CurveDegrees()) -> int:
     """Degree of a curve class measured against the first factor's hyperplane.
 
@@ -231,34 +223,42 @@ STANDARD_LINES = (
 )
 
 
-def _frac_rows(rows) -> list:
-    return [[Fraction(v) for v in row] for row in rows]
+def _eliminate(rows: Sequence[Sequence]) -> tuple:
+    """Exact fraction-free (Bareiss) Gauss-Jordan elimination: (pivot columns, rows).
+
+    Each row is first scaled to integers; every division below is exact.
+    The rank is the number of pivots, and row i of the result, divided by
+    its entry in column pivots[i], is row i of the reduced row echelon form.
+    On an augmented [M | I], M is invertible iff the pivots are M's columns.
+    """
+    m = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    pivots = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[top], m[pivot] = m[pivot], m[top]
+        lead, pivot_row = m[top][col], m[top]
+        for r in range(len(m)):
+            if r != top:
+                factor = m[r][col]
+                m[r] = [(lead * a - factor * b) // prev for a, b in zip(m[r], pivot_row)]
+        prev = lead
+        pivots.append(col)
+        if top + 1 == len(m):
+            break
+    return pivots, m
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank over Q by fraction-free-enough Gaussian elimination."""
-    m = _frac_rows(rows)
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / lead
-            m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Exact rank over Q."""
+    return len(_eliminate(rows)[0])
 
 
 def plane_rows(u: Tuple, v: Tuple, w: Tuple) -> list:
@@ -292,13 +292,8 @@ def diagonal_triple(param: Tuple) -> Tuple[Tuple, Tuple, Tuple]:
 
 
 def _span_matches(points, standard) -> bool:
-    std = _frac_rows(standard)
-    if matrix_rank(std) != 2:
-        return False
-    for point in points:
-        if matrix_rank(std + [[Fraction(c) for c in point]]) != 2:
-            return False
-    return True
+    std = [list(v) for v in standard]
+    return matrix_rank(std) == 2 and all(matrix_rank(std + [list(p)]) == 2 for p in points)
 
 
 def pencil_condition_solve(lines=STANDARD_LINES) -> dict:
@@ -309,8 +304,7 @@ def pencil_condition_solve(lines=STANDARD_LINES) -> dict:
     diagonal copy of P^1: parameters (u0:u1) = (v2:v3) = (w:w'); the result
     carries sample verifications at a few exact parameters.
     """
-    given = [tuple(tuple(Fraction(c) for c in p) for p in line) for line in lines]
-    for line, standard in zip(given, STANDARD_LINES):
+    for line, standard in zip(lines, STANDARD_LINES):
         if not _span_matches(line, standard):
             raise NotInStandardPosition(
                 "expected the lines X0=X1=0, X2=X3=0, X0-X2=X1-X3=0"
@@ -328,28 +322,6 @@ def pencil_condition_solve(lines=STANDARD_LINES) -> dict:
     }
 
 
-def _det4(rows) -> Fraction:
-    m = _frac_rows(rows)
-    det = Fraction(1)
-    for col in range(4):
-        pivot = None
-        for r in range(col, 4):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        lead = m[col][col]
-        for r in range(col + 1, 4):
-            factor = m[r][col] / lead
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def _mat_mul(a, b):
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
@@ -357,65 +329,46 @@ def _mat_mul(a, b):
     ]
 
 
+def _mat_vec(m, v) -> list:
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
 def _mat_inv(m):
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col]
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots, reduced = _eliminate([list(row) + e for row, e in zip(m, identity)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [[Fraction(v, row[i]) for v in row[n:]] for i, row in enumerate(reduced)]
 
 
 def standardize_skew_lines(lines) -> list:
     """A coordinate change carrying three pairwise skew lines to the standard triple.
 
     Each line is a pair of spanning 4-vectors.  Raises LinesIntersect when
-    two of the lines meet (the 4x4 spanning determinant vanishes); otherwise
+    two of the lines meet (their four spanning vectors have rank < 4); otherwise
     returns the 4x4 matrix T (new coordinates = T * old) and guarantees
     T maps the lines onto the spans of STANDARD_LINES.
     """
     pts = [[tuple(Fraction(c) for c in p) for p in line] for line in lines]
     for i, j in itertools.combinations(range(3), 2):
         stack = [list(pts[i][0]), list(pts[i][1]), list(pts[j][0]), list(pts[j][1])]
-        if _det4(stack) == 0:
+        if matrix_rank(stack) < 4:
             raise LinesIntersect(f"lines {i} and {j} intersect")
     # Columns (p2, q2, p1, q1) send line 2 to span(e0, e1), line 1 to span(e2, e3).
     basis = [
         [pts[1][0][r], pts[1][1][r], pts[0][0][r], pts[0][1][r]] for r in range(4)
     ]
     t0 = _mat_inv(basis)
-    r_new = _mat_mul(t0, [[c] for c in pts[2][0]])
-    s_new = _mat_mul(t0, [[c] for c in pts[2][1]])
-    r_new = [v[0] for v in r_new]
-    s_new = [v[0] for v in s_new]
-    bottom = [[r_new[2], s_new[2]], [r_new[3], s_new[3]]]
-    combo = _mat_inv(bottom)
-    # Re-span the third line so its lower half is the identity; the upper
-    # half is then an invertible 2x2 block A, and diag(A^-1, I) straightens
-    # the line onto the diagonal while preserving the first two.
+    r_new, s_new = (_mat_vec(t0, p) for p in pts[2])
+    # Re-spanned so its lower half is the identity, the third line has upper
+    # half A = top * bottom^-1; both halves are invertible because it meets
+    # neither other line, and diag(A^-1, I) straightens it onto the diagonal
+    # while preserving the first two.
     top = [[r_new[0], s_new[0]], [r_new[1], s_new[1]]]
-    a_block = _mat_mul(top, combo)
-    a_inv = _mat_inv(a_block)
-    block = [
-        [a_inv[0][0], a_inv[0][1], 0, 0],
-        [a_inv[1][0], a_inv[1][1], 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
-    transform = _mat_mul(_frac_rows(block), t0)
+    bottom = [[r_new[2], s_new[2]], [r_new[3], s_new[3]]]
+    transform = _mat_mul(_mat_mul(bottom, _mat_inv(top)), t0[:2]) + t0[2:]
     for line, standard in zip(pts, STANDARD_LINES):
-        image = [
-            [v[0] for v in _mat_mul(transform, [[c] for c in p])] for p in line
-        ]
-        if not _span_matches(image, standard):
+        if not _span_matches([_mat_vec(transform, p) for p in line], standard):
             raise AssertionError("standardization failed to reach the normal form")
     return transform

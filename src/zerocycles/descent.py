@@ -856,16 +856,15 @@ def prove_bound_suite(
     surface: DelPezzo,
     goal: Optional[Goal] = None,
     ceiling: int = 200,
-    start: int = 1,
 ) -> SuiteReport:
-    """Find and verify a descent certificate for every start degree in range.
+    """Find and verify a descent certificate for every start degree 1..ceiling.
 
     Raises CertificateNotFound if any degree fails; a sound suite is the
     machine-checked content of the effectivity bounds.
     """
     goal = goal or default_goal(surface)
     rows = []
-    for degree in range(start, ceiling + 1):
+    for degree in range(1, ceiling + 1):
         cert = find_certificate(surface, degree, goal)
         report = verify_certificate(cert)
         rows.append(
@@ -885,16 +884,16 @@ def effectivity_threshold_report(
     threshold: int,
     ceiling: int = 200,
     even_only: bool = False,
-    gamma: int = 1,
 ) -> dict:
     """Replay the sign-resolution argument behind an effectivity threshold.
 
     For every class degree D >= threshold (even degrees only, if requested),
-    wrap an abstract class via EntryRR, descend to the positive-sign goal,
-    and check that the leftover basis coefficient is nonnegative -- which is
-    what makes the original class effective.  With a mixed (h, x4) basis the
-    leftover combo is effective as soon as its degree is at least the genus
-    of a supporting quadric section, and that rule is reported instead.
+    wrap an abstract class via EntryRR with gamma = 1, descend to the
+    positive-sign goal, and check that the leftover basis coefficient is
+    nonnegative -- which is what makes the original class effective.  With
+    a mixed (h, x4) basis the leftover combo is effective as soon as its
+    degree is at least the genus of a supporting quadric section, and that
+    rule is reported instead.
     """
     goal = default_goal(surface)
     if surface.degree == 3:
@@ -909,7 +908,7 @@ def effectivity_threshold_report(
     for degree in range(threshold, ceiling + 1):
         if even_only and degree % 2 != 0:
             continue
-        cert = entry_certificate(surface, degree, gamma, goal)
+        cert = entry_certificate(surface, degree, 1, goal)
         verified = verify_certificate(cert).ok
         final = cert.final
         coeffs = final.coeff_dict()

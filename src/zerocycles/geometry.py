@@ -100,24 +100,28 @@ def _vscale(c, u):
     return tuple(c * a for a in u)
 
 
-def _scan_units(values: Sequence[AlgElement], algebra: EtaleAlgebra):
-    """Index of the last unit among `values`, or raise.
+#: Index pairs (i, j), i < j, of the 2x2 minors of a 4x2 matrix, in scan order.
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
-    Raises ZeroDivisorFound when nothing is a unit but something is nonzero
-    (the mixed split case), ValueError when everything vanishes.
+
+def _first_unit(values: Iterable[AlgElement]):
+    """The first unit among `values` as (index, value), reading them lazily.
+
+    Find a unit, else split, else fail: with no unit, ZeroDivisorFound is
+    raised from the first nonzero non-unit read (the mixed split case), and
+    None is returned when every value vanishes, for the caller to refuse.
     """
     witness = None
-    for i in range(len(values) - 1, -1, -1):
-        v = values[i]
+    for i, v in enumerate(values):
         if v.is_zero:
             continue
         if v.is_unit():
-            return i
+            return i, v
         if witness is None:
             witness = v
     if witness is not None:
-        raise ZeroDivisorFound(algebra, witness.zero_divisor_factor())
-    raise ValueError("all values are zero")
+        raise ZeroDivisorFound(witness.algebra, witness.zero_divisor_factor())
+    return None
 
 
 class ProjPoint:
@@ -156,8 +160,8 @@ class ProjPoint:
         """Scale the last unit coordinate to 1 (deterministic representative)."""
         if self._norm is not None:
             return self._norm
-        idx = _scan_units(self.coords, self.algebra)
-        inv = self.coords[idx].inverse()
+        _, unit = _first_unit(reversed(self.coords))  # the constructor rules out None
+        inv = unit.inverse()
         norm = ProjPoint(self.algebra, [inv * c for c in self.coords])
         object.__setattr__(norm, "_norm", norm)
         object.__setattr__(self, "_norm", norm)
@@ -207,11 +211,35 @@ class ProjPoint:
         }
 
 
+def _json_list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(obj).__name__}")
+    return obj
+
+
+def _rational_from_json(value) -> Fraction:
+    """A JSON integer or a "num/den" string; floats and booleans are refused."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(f'expected an integer or a "num/den" string, got {value!r}')
+
+
+def _poly_from_json(obj, what: str) -> Poly:
+    return Poly(_rational_from_json(c) for c in _json_list(obj, what))
+
+
 def point_from_json(obj) -> ProjPoint:
+    """A rational point [c0..c3], or {"modulus": [...], "coords": [[...] x 4]} over Q[t]/(f)."""
     if isinstance(obj, dict):
-        algebra = EtaleAlgebra(Poly.from_strings(obj["modulus"]))
-        return ProjPoint(algebra, [algebra.element(Poly.from_strings(c)) for c in obj["coords"]])
-    return ProjPoint.rational(obj)
+        algebra = EtaleAlgebra(_poly_from_json(obj.get("modulus"), "a modulus"))
+        coords = _json_list(obj.get("coords"), "point coordinates")
+        return ProjPoint(algebra, [_poly_from_json(c, "a coordinate") for c in coords])
+    return ProjPoint.rational([_rational_from_json(c) for c in _json_list(obj, "a point")])
 
 
 class Line:
@@ -222,7 +250,7 @@ class Line:
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.algebra != q.algebra:
             raise ValueError("basepoints over different algebras")
-        _check_spanning(p.coords, q.coords, p.algebra)
+        _check_spanning(p.coords, q.coords)
         object.__setattr__(self, "algebra", p.algebra)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -243,9 +271,6 @@ class Line:
             return self
         return Line(self.p.in_algebra(algebra), self.q.in_algebra(algebra))
 
-    def contains(self, point: ProjPoint) -> bool:
-        return collinear(self.p, self.q, point)
-
     def __repr__(self):
         return f"Line({self.p!r}, {self.q!r})"
 
@@ -254,23 +279,15 @@ class Line:
 
 
 def line_from_json(obj) -> Line:
+    if len(_json_list(obj, "a line")) != 2:
+        raise ValueError("a line is given by two points")
     return Line(point_from_json(obj[0]), point_from_json(obj[1]))
 
 
-def _check_spanning(u, v, algebra):
+def _check_spanning(u, v):
     """Require the 4x2 matrix [u v] to have a unit 2x2 minor."""
-    witness = None
-    for i, j in itertools.combinations(range(4), 2):
-        m = _det2(u[i], v[i], u[j], v[j])
-        if m.is_zero:
-            continue
-        if m.is_unit():
-            return
-        if witness is None:
-            witness = m
-    if witness is not None:
-        raise ZeroDivisorFound(algebra, witness.zero_divisor_factor())
-    raise EqualPoints("basepoints coincide as projective points")
+    if _first_unit(_det2(u[i], v[i], u[j], v[j]) for i, j in _PAIRS) is None:
+        raise EqualPoints("basepoints coincide as projective points")
 
 
 @dataclass(frozen=True)
@@ -371,9 +388,17 @@ class CubicForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CubicForm":
-        if obj.get("vars", 4) != 4 or obj.get("degree", 3) != 3:
+        if not isinstance(obj, dict) or obj.get("vars", 4) != 4 or obj.get("degree", 3) != 3:
             raise ValueError("expected a cubic form in 4 variables")
-        return cls({tuple(m["exp"]): Fraction(m["coeff"]) for m in obj["monomials"]})
+        terms = {}
+        for m in _json_list(obj.get("monomials"), "monomials"):
+            if not isinstance(m, dict):
+                raise ValueError("each monomial must be a JSON object")
+            exp = _json_list(m.get("exp"), "an exponent vector")
+            if not all(type(e) is int for e in exp):
+                raise ValueError(f"exponents must be JSON integers, got {exp!r}")
+            terms[tuple(exp)] = _rational_from_json(m.get("coeff"))
+        return cls(terms)
 
 
 def _monomial(powers: list, exp: tuple):
@@ -402,16 +427,6 @@ class BinaryCubic:
 
     def rational_coeffs(self) -> tuple:
         return tuple(c.constant_value() for c in self.coeffs)
-
-    def dehomogenized(self):
-        """(poly in the affine parameter t, multiplicity of the root at infinity).
-
-        Degree-1 algebras only; the root at infinity is the basepoint q.
-        """
-        c = self.rational_coeffs()
-        poly = Poly(c)
-        inf_mult = 0 if self.is_zero else 3 - poly.degree
-        return poly, inf_mult
 
     def value(self, s, t):
         c0, c1, c2, c3 = self.coeffs
@@ -447,7 +462,7 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     algebra = x.algebra
     if not surface.evaluate(x).is_zero or not surface.evaluate(y).is_zero:
         raise PointNotOnSurface("secant endpoints must lie on the surface")
-    _check_spanning(x.coords, y.coords, algebra)
+    _check_spanning(x.coords, y.coords)
     cubic = _restrict_coords(surface, algebra, x.coords, y.coords)
     _, c1, c2, _ = cubic.coeffs
     if c1.is_zero and c2.is_zero:
@@ -469,9 +484,8 @@ def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
         cols = [j for j in range(4) if j != i]
         minor = _det3([row[j] for j in cols] for row in rows)
         n.append(minor if i % 2 == 0 else -minor)
-    if all(c.is_zero for c in n):
+    if _first_unit(reversed(n)) is None:
         raise PointOnAxis("point lies on the pencil axis")
-    _scan_units(n, x.algebra)
     return tuple(n)
 
 
@@ -491,24 +505,12 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
 
     # Tangent direction: the plane form and the gradient cut out a rank-2
     # system whose kernel is spanned by x and the tangent direction.
-    pivot = None
-    witness = None
-    for i, j in itertools.combinations(range(4), 2):
-        minor = _det2(n[i], n[j], grad[i], grad[j])
-        if minor.is_zero:
-            continue
-        if minor.is_unit():
-            pivot = (i, j, minor)
-            break
-        if witness is None:
-            witness = minor
+    pivot = _first_unit(_det2(n[i], n[j], grad[i], grad[j]) for i, j in _PAIRS)
     if pivot is None:
-        if witness is not None:
-            raise ZeroDivisorFound(algebra, witness.zero_divisor_factor())
         raise SingularSectionPoint("gradient is proportional to the plane normal")
-
-    i, j, minor = pivot
-    free = [k for k in range(4) if k not in (i, j)]
+    index, minor = pivot
+    i, j = _PAIRS[index]
+    k, l = (c for c in range(4) if c not in (i, j))
     inv = minor.inverse()
 
     def kernel_vector(k: int) -> tuple:
@@ -519,18 +521,12 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
         v[i], v[j], v[k] = vi, vj, algebra.one
         return tuple(v)
 
-    k, l = free
-    xk, xl = x.coords[k], x.coords[l]
-    if xl.is_unit():
-        direction = kernel_vector(k)
-    elif xk.is_unit():
-        direction = kernel_vector(l)
-    elif not xl.is_zero:
-        raise ZeroDivisorFound(algebra, xl.zero_divisor_factor())
-    elif not xk.is_zero:
-        raise ZeroDivisorFound(algebra, xk.zero_divisor_factor())
-    else:  # x is supported on the pivot coordinates only, so x = 0: impossible
+    # With x_l a unit, the kernel vector with v_k = 1, v_l = 0 spans the kernel
+    # together with x; else try x_k with k and l swapped.
+    free = _first_unit((x.coords[l], x.coords[k]))
+    if free is None:  # x is supported on the pivot coordinates only, so x = 0: impossible
         raise InvariantViolated("point outside the kernel it must lie in")
+    direction = kernel_vector((k, l)[free[0]])
 
     cubic = _restrict_coords(surface, algebra, x.coords, direction)
     c0, c1, c2, c3 = cubic.coeffs

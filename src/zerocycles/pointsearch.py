@@ -194,12 +194,12 @@ def saturate(
     seeds: Sequence[PointRecord],
     rounds: int,
     max_points: int = 400,
-    direction_height: int = 1,
 ) -> List[PointRecord]:
     """Close a rational seed set under chords and tangent residuals.
 
     Runs the stated number of rounds, deduplicating normalized points, and
-    caps the result size.  Monotone in rounds: the seeds are always kept.
+    caps the result size.  Tangent directions have height at most 1.
+    Monotone in rounds: the seeds are always kept.
     """
     for record in seeds:
         if not surface.evaluate(record.point).is_zero:
@@ -222,7 +222,7 @@ def saturate(
             fresh.append(rational_record(new_point, SOURCE_THIRD))
         for record in current:
             p = _primitive_key(record.point.rational_coords())
-            for residual in _tangent_direction_residuals(terms, p, direction_height):
+            for residual in _tangent_direction_residuals(terms, p, 1):
                 check_invariant(
                     surface.evaluate(residual).is_zero, "a tangent residual must lie on the surface"
                 )

@@ -21,26 +21,14 @@ from zerocycles.chow import (
     pencil_rank,
     segre_s2,
     standardize_skew_lines,
-    total_segre,
 )
+from zerocycles.chow import _mat_inv
 
 
 class TestTriClass:
     def test_products(self):
         assert ALPHA * BETA == TriClass({frozenset({"x", "y"}): 1})
         assert (ALPHA * ALPHA).is_zero
-        full = total_segre()
-        expected = (
-            TriClass.one()
-            + ALPHA
-            + BETA
-            + GAMMA
-            + ALPHA * BETA
-            + ALPHA * GAMMA
-            + BETA * GAMMA
-            + ALPHA * BETA * GAMMA
-        )
-        assert full == expected
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(20)
@@ -63,12 +51,6 @@ class TestSegreDegrees:
     def test_zero_summands_give_zero(self):
         zero = TriClass.zero()
         assert segre_s2(zero, zero, zero).is_zero
-
-    def test_whitney_truncation_consistency(self):
-        full = total_segre()
-        assert full.codimension_part(0) == TriClass.one()
-        assert full.codimension_part(1) == ALPHA + BETA + GAMMA
-        assert full.codimension_part(2) == segre_s2()
 
     def test_degree_216(self):
         assert degree_wrt_first(segre_s2(), CurveDegrees(6, 6, 6)) == 216
@@ -205,3 +187,72 @@ class TestStandardization:
             out = pencil_condition_solve(images)
             assert out["family"] == "diagonal"
             done += 1
+
+    # The transform is not unique; these pin the one the library chooses.
+    PINNED = [
+        (
+            STANDARD_LINES,
+            [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        ),
+        (
+            [((1, 2, 0, 1), (0, 1, 3, -1)), ((2, 0, 1, 1), (1, -1, 0, 2)),
+             ((0, 1, 1, 1), (3, 0, -2, 1))],
+            [["3/152", "-25/76", "49/152", "97/152"], ["-39/76", "1/19", "9/76", "31/76"],
+             ["-2/19", "8/19", "-1/19", "5/19"], ["-5/19", "1/19", "7/19", "3/19"]],
+        ),
+        (
+            [((1, 0, 0, 1), (0, 1, 1, 0)), ((1, 1, 0, 0), (0, 0, 1, -1)),
+             ((2, -1, 3, 0), (1, 4, 0, -2))],
+            [["1/10", "-7/10", "7/10", "-1/10"], ["1/10", "1/20", "-1/20", "-1/10"],
+             ["1/2", "-1/2", "1/2", "1/2"], ["-1/2", "1/2", "1/2", "1/2"]],
+        ),
+        (
+            [((0, 0, 1, 2), (1, 3, 0, 0)), ((1, 0, -1, 0), (0, 2, 0, 5)),
+             ((1, 1, 1, 1), (1, -2, 4, -8))],
+            [["121/57", "-121/171", "2/171", "-1/171"], ["50/57", "-50/171", "-2/171", "1/171"],
+             ["15/19", "-5/19", "15/19", "2/19"], ["4/19", "5/19", "4/19", "-2/19"]],
+        ),
+    ]
+
+    @pytest.mark.parametrize("lines, expected", PINNED)
+    def test_pinned_transforms(self, lines, expected):
+        transform = standardize_skew_lines(lines)
+        assert transform == [[Fraction(v) for v in row] for row in expected]
+
+
+class TestElimination:
+    def test_rank_and_inverse_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(24)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            # small entries and a sparse mix make rank drops common
+            m = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * rng.randint(0, 1)
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            reference = sympy.Matrix(rows, cols, [sympy.Rational(v.numerator, v.denominator)
+                                                  for row in m for v in row])
+            assert matrix_rank(m) == reference.rank()
+            if rows != cols:
+                continue
+            if reference.rank() < rows:
+                with pytest.raises(ValueError):
+                    _mat_inv(m)
+                continue
+            inverse = reference.inv()
+            assert _mat_inv(m) == [
+                [Fraction(int(inverse[i, j].p), int(inverse[i, j].q)) for j in range(cols)]
+                for i in range(rows)
+            ]
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            _mat_inv([[1, 2], [2, 4]])
+        with pytest.raises(ValueError):
+            _mat_inv([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_empty_and_zero_rank(self):
+        assert matrix_rank([]) == 0
+        assert matrix_rank([[0, 0], [0, 0]]) == 0

@@ -241,6 +241,21 @@ class TestDeterminism:
         assert suite_one == suite_two
 
 
+#: Placeholder for the path of the Fermat surface file in parametrized argv lists.
+FERMAT = object()
+X, Y = '["1","-1","0","0"]', '["0","1","-1","0"]'
+LINE = f"[{X},{Y}]"
+
+
+def _fermat_with(exp=None, coeff=None) -> str:
+    """Fermat surface JSON with its first monomial's exponent or coefficient replaced."""
+    doc = CubicForm.fermat().to_json()
+    first = doc["monomials"][0]
+    first["exp"] = first["exp"] if exp is None else exp
+    first["coeff"] = first["coeff"] if coeff is None else coeff
+    return json.dumps(doc)
+
+
 class TestHostileInput:
     def test_long_inline_json_is_parsed_not_opened(self, capsys, fermat_path):
         # longer than a file name may be, so it must never reach the file system
@@ -301,6 +316,36 @@ class TestHostileInput:
         code, out = run_cli(capsys, "descent", "verify", str(cert_path))
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["third-point", "--surface", FERMAT, "--x", X, "--y", "5"],
+            ["delta", "--surface", FERMAT, "--line", "[[1,0,0,0]]"],
+            ["delta", "--surface", '{"monomials":5}', "--line", LINE],
+            ["delta", "--surface", "[1]", "--line", LINE],
+            ["delta", "--surface", '{"monomials":[[3,0,0,0]]}', "--line", LINE],
+            ["delta", "--surface", _fermat_with(exp=[1.0, 1, 1, 0]), "--line", LINE],
+            ["delta", "--surface", _fermat_with(coeff=0.1), "--line", LINE],
+            ["delta", "--surface", _fermat_with(coeff=True), "--line", LINE],
+            ["third-point", "--surface", FERMAT, "--x", "[1.5,-1,0,0]", "--y", X],
+            ["third-point", "--surface", FERMAT, "--x", "[true,-1,0,0]", "--y", Y],
+            ["third-point", "--surface", FERMAT, "--x", '["1/0","-1","0","0"]', "--y", Y],
+            ["third-point", "--surface", FERMAT, "--x", '{"modulus":[0,1],"coords":5}', "--y", Y],
+        ],
+        ids=[
+            "point-scalar", "line-one-point", "monomials-scalar", "surface-list",
+            "monomial-list", "exponent-float", "coeff-float", "coeff-bool", "coord-float",
+            "coord-bool", "coord-zero-denominator", "algebra-coords-scalar",
+        ],
+    )
+    def test_geometry_loaders_reject_malformed_json(self, capsys, fermat_path, argv):
+        argv = [fermat_path if a is FERMAT else a for a in argv]
+        code = run(["geom", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["kind"] == "ValueError"
+        assert "Traceback" not in captured.err
 
     def test_suite_ceiling_below_one_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

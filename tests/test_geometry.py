@@ -22,6 +22,7 @@ from zerocycles.geometry import (
     PointOnAxis,
     ProjPoint,
     RATIONALS,
+    _first_unit,
     _tangent_on_components,
     collinear,
     fiber_plane,
@@ -75,8 +76,8 @@ class TestRestrictToLine:
         cubic = restrict_to_line(FERMAT, line)
         # s^3 + (t-s)^3 - t^3 = 3*t*s*(s - t): coefficients (0, 3, -3, 0)
         assert cubic.rational_coeffs() == (0, 3, -3, 0)
-        poly, inf_mult = cubic.dehomogenized()
-        assert poly == Poly([0, 3, -3]) and inf_mult == 1
+        poly = Poly(cubic.rational_coeffs())  # in the affine parameter t, s = 1
+        assert poly == Poly([0, 3, -3]) and poly.degree == 2  # one root at infinity
 
     def test_both_basepoints_on_surface_divides_st(self):
         rng = random.Random(13)
@@ -269,7 +270,7 @@ class TestTangentResidual:
                 # the line through x and the residual is the tangent line:
                 # its restricted cubic has a double root at x's parameter
                 cubic = restrict_to_line(surface, Line(x, residual))
-                poly, _ = cubic.dehomogenized()
+                poly = Poly(cubic.rational_coeffs())
                 assert poly(Fraction(0)) == 0
                 assert poly.derivative()(Fraction(0)) == 0
             done += 1
@@ -420,10 +421,37 @@ class TestCollinear:
         assert collinear(a, b, ProjPoint.rational([1, 1, 0, 0]))
         assert not collinear(a, b, ProjPoint.rational([0, 0, 1, 0]))
 
-    def test_line_membership(self):
-        line = Line.rational([1, 0, 0, 0], [0, 1, 0, 0])
-        assert line.contains(ProjPoint.rational([3, -2, 0, 0]))
-        assert not line.contains(ProjPoint.rational([3, -2, 1, 0]))
+
+class TestFirstUnit:
+    """The unit-or-split scan over Q[t]/(t^2 - 1), which is Q x Q."""
+
+    SPLIT = EtaleAlgebra(Poly([-1, 0, 1]))
+    T = SPLIT.generator
+
+    def test_unit_after_zero_divisor_wins(self):
+        values = [self.SPLIT.zero, self.T - 1, self.T + 2]
+        assert _first_unit(values) == (2, self.T + 2)
+
+    def test_zero_divisor_without_unit_splits_at_first(self):
+        values = [self.SPLIT.zero, self.T - 1, self.SPLIT.zero, self.T + 1]
+        with pytest.raises(ZeroDivisorFound) as info:
+            _first_unit(values)
+        assert info.value.factor == Poly([-1, 1])
+
+    def test_all_zero_returns_none(self):
+        assert _first_unit([self.SPLIT.zero] * 3) is None
+        assert _first_unit([]) is None
+
+    def test_scan_stops_at_first_unit(self):
+        read = []
+
+        def values():
+            for v in (self.T + 1, self.SPLIT.one, None):
+                read.append(v)
+                yield v
+
+        assert _first_unit(values()) == (1, self.SPLIT.one)
+        assert len(read) == 2
 
 
 class TestNormalization:
