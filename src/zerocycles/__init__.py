@@ -32,11 +32,10 @@ from .geometry import (
     collinear,
     fiber_plane,
     line_section,
-    restrict_to_line,
     tangent_residual,
     tangent_triple,
     third_point,
 )
-from .pointsearch import PointRecord, degree3_from_line, enumerate_rational, saturate
+from .pointsearch import PointRecord, enumerate_rational, saturate
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .geometry import (
     CubicForm,
     GeometryError,
     PlanePencil,
+    _json_list,
     line_from_json,
     line_section,
     point_from_json,
@@ -280,7 +281,7 @@ def _cmd_points(args) -> str:
                 height=None,
                 source="seed",
             )
-            for p in _load_json_arg(args.seeds)
+            for p in _json_list(_load_json_arg(args.seeds), "seeds")
         ]
         records = saturate(surface, seeds, args.rounds, max_points=args.max_points)
         return _dump({"count": len(records), "points": [r.to_json() for r in records]})

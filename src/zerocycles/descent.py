@@ -132,7 +132,11 @@ class DelPezzo:
     @classmethod
     def from_json(cls, obj: dict) -> "DelPezzo":
         _require_object(obj, "surface")
-        return cls(degree=obj["dS"], with_x4=BASIS_X4 in obj.get("basis", []))
+        _require_int(obj["dS"], "dS")
+        basis = obj.get("basis", [])
+        if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+            raise ValueError("basis must be a JSON list of basis cycle names")
+        return cls(degree=obj["dS"], with_x4=BASIS_X4 in basis)
 
 
 @dataclass(frozen=True)
@@ -222,20 +226,8 @@ class Move:
         return cls(kind="Complement", l=l)
 
     @classmethod
-    def variant_complement(cls, l: int) -> "Move":
-        return cls(kind="VariantComplement", l=l)
-
-    @classmethod
     def vb_subtract(cls, l: int, target: Dict[str, int]) -> "Move":
         return cls(kind="VBSubtract", l=l, combo=tuple(sorted(target.items())))
-
-    @classmethod
-    def involution_flip(cls) -> "Move":
-        return cls(kind="InvolutionFlip")
-
-    @classmethod
-    def curve_rr(cls, l: int, combo: Dict[str, int]) -> "Move":
-        return cls(kind="CurveRR", l=l, combo=tuple(sorted(combo.items())))
 
     @classmethod
     def add_basis(cls, combo: Dict[str, int]) -> "Move":
@@ -420,9 +412,6 @@ class Goal:
         if not (in_range or degree in self.degrees):
             return False
         return self.sign is None or degree == 0 or sign == self.sign
-
-    def satisfied(self, state: CycleState) -> bool:
-        return self.admits(state.sign, state.unknown_degree)
 
     def describe(self) -> dict:
         out = {"name": self.name}

@@ -262,10 +262,6 @@ class Line:
     def rational(cls, p: Sequence, q: Sequence) -> "Line":
         return cls(ProjPoint.rational(p), ProjPoint.rational(q))
 
-    def at(self, s, t) -> tuple:
-        """Coordinates of s*p + t*q."""
-        return tuple(s * a + t * b for a, b in zip(self.p.coords, self.q.coords))
-
     def in_algebra(self, algebra: EtaleAlgebra) -> "Line":
         if algebra == self.algebra:
             return self
@@ -410,43 +406,17 @@ def _monomial(powers: list, exp: tuple):
     return term
 
 
-@dataclass(frozen=True)
-class BinaryCubic:
-    """Restriction of a cubic form to a line: sum of c[i] * s^(3-i) * t^i.
+def restrict(value, p, q) -> tuple:
+    """Twice the coefficients (c0, c1, c2, c3) of F(s*p + t*q) = sum c[i] s^(3-i) t^i.
 
-    The parametrization is s*p + t*q for the basepoints (p, q) used to build
-    it; c0 = value at p, c3 = value at q.
+    `value` evaluates F on 4 coordinates of one ring (ints, Fractions or
+    AlgElements).  From F at p, q, p + q and p - q, the doubled coefficients
+    need no division, so they stay exact in every ring; callers use them up
+    to a common factor.  All four vanish iff the line lies in the surface.
     """
-
-    algebra: EtaleAlgebra
-    coeffs: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def rational_coeffs(self) -> tuple:
-        return tuple(c.constant_value() for c in self.coeffs)
-
-    def value(self, s, t):
-        c0, c1, c2, c3 = self.coeffs
-        return ((c0 * s + c1 * t) * s + c2 * t * t) * s + c3 * t * t * t
-
-
-def _restrict_coords(surface: CubicForm, algebra: EtaleAlgebra, p, q) -> BinaryCubic:
-    c0 = algebra.element(surface.value_at(p))
-    c3 = algebra.element(surface.value_at(q))
-    plus = algebra.element(surface.value_at(_vadd(p, q)))
-    minus = algebra.element(surface.value_at(_vsub(p, q)))
-    half = Fraction(1, 2)
-    c2 = half * (plus + minus) - c0
-    c1 = half * (plus - minus) - c3
-    return BinaryCubic(algebra, (c0, c1, c2, c3))
-
-
-def restrict_to_line(surface: CubicForm, line: Line) -> BinaryCubic:
-    """Binary cubic cut on the line; identically zero iff the line lies in S."""
-    return _restrict_coords(surface, line.algebra, line.p.coords, line.q.coords)
+    c0, c3 = value(p), value(q)
+    plus, minus = value(_vadd(p, q)), value(_vsub(p, q))
+    return c0 + c0, plus - minus - c3 - c3, plus + minus - c0 - c0, c3 + c3
 
 
 def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
@@ -463,8 +433,7 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     if not surface.evaluate(x).is_zero or not surface.evaluate(y).is_zero:
         raise PointNotOnSurface("secant endpoints must lie on the surface")
     _check_spanning(x.coords, y.coords)
-    cubic = _restrict_coords(surface, algebra, x.coords, y.coords)
-    _, c1, c2, _ = cubic.coeffs
+    _, c1, c2, _ = restrict(surface.value_at, x.coords, y.coords)
     if c1.is_zero and c2.is_zero:
         raise LineInSurface("the secant is contained in the surface")
     residual = tuple(c2 * a - c1 * b for a, b in zip(x.coords, y.coords))
@@ -528,8 +497,7 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
         raise InvariantViolated("point outside the kernel it must lie in")
     direction = kernel_vector((k, l)[free[0]])
 
-    cubic = _restrict_coords(surface, algebra, x.coords, direction)
-    c0, c1, c2, c3 = cubic.coeffs
+    c0, c1, c2, c3 = restrict(surface.value_at, x.coords, direction)
     check_invariant(c0.is_zero and c1.is_zero, "tangency must force a double root")
     if c2.is_zero and c3.is_zero:
         raise TangentLineInSurface("tangent line is contained in the surface")
@@ -571,9 +539,6 @@ class LengthThreeScheme:
         coords = [c.at_root(tau) for c in self.point.coords]
         return ProjPoint.rational(coords).normalized()
 
-    def rational_points(self) -> list:
-        return [self.component_point(tau) for tau in self.known_parameters]
-
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
@@ -595,13 +560,11 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     """
     if line.algebra.degree != 1:
         raise ValueError("line sections are built from rational lines")
-    cubic = restrict_to_line(surface, line)
-    c = list(cubic.rational_coeffs())
-    if all(v == 0 for v in c):
-        raise LineInSurface("the line is contained in the surface")
-
     p = line.p.rational_coords()
     q = line.q.rational_coords()
+    c = restrict(surface.value_at, p, q)
+    if all(v == 0 for v in c):
+        raise LineInSurface("the line is contained in the surface")
 
     # Visible roots (s : t) of the binary cubic, found without factoring:
     # (1:0) and (0:1) are the basepoints, and stripping both may leave a
@@ -625,21 +588,12 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     # the surface; a nonzero binary cubic has at most 3 roots, so some k in
     # 0..3 works.
     for k in range(4):
-        if cubic.value(Fraction(k), Fraction(1)).constant_value() != 0:
+        q_new = _vadd(_vscale(k, p), q)
+        shifted = restrict(surface.value_at, p, q_new) if k else c
+        if shifted[3] != 0:
             break
     else:
         raise InvariantViolated("a nonzero binary cubic cannot vanish at 4 parameters")
-    q_new = _vadd(_vscale(Fraction(k), p), q)
-
-    # g'(s', t') = g(s' + k t', t'): expand (s' + k t')^(3-i) binomially.
-    shifted = [Fraction(0)] * 4
-    binom = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        for r in range(3 - i + 1):
-            shifted[i + r] += ci * binom[3 - i][r] * Fraction(k) ** r
-    check_invariant(shifted[3] != 0, "the new basepoint must lie off the surface")
     affine = Poly(shifted).monic()
     reduced = squarefree_part(affine)
     non_reduced = reduced.degree < 3

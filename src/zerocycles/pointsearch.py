@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence
@@ -18,15 +19,13 @@ from typing import Iterable, List, Optional, Sequence
 from .geometry import (
     CubicForm,
     GeometryError,
-    Line,
     ProjPoint,
     check_invariant,
-    line_section,
+    restrict,
     third_point,
 )
 
 SOURCE_ENUMERATED = "enumerated"
-SOURCE_LINE = "line_intersection"
 SOURCE_THIRD = "third_point"
 SOURCE_TANGENT = "tangent_process"
 
@@ -136,17 +135,6 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     return records
 
 
-def degree3_from_line(surface: CubicForm, line: Line) -> PointRecord:
-    """Package a line section as a point record of degree <= 3."""
-    scheme = line_section(surface, line)
-    return PointRecord(
-        point=scheme.point,
-        degree=scheme.degree,
-        height=None,
-        source=SOURCE_LINE,
-    )
-
-
 def _int_value(terms: list, x: Sequence[int]) -> int:
     x0, x1, x2, x3 = x
     return sum(k * x0**e0 * x1**e1 * x2**e2 * x3**e3 for (e0, e1, e2, e3), k in terms)
@@ -159,15 +147,16 @@ def _tangent_direction_residuals(
 
     `terms` is the integer form and `p` the point's primitive coordinates.
     Directions are primitive integer vectors (first nonzero entry positive)
-    in the tangent plane at `p`; along each, F(p + t*v) = s0 + c2*t^2 +
-    c3*t^3 has integer coefficients, and the residual c3*p - c2*v is
-    returned when it is a genuine point.  Rescaling p or F only rescales it.
+    in the tangent plane at `p`; along each, `restrict` gives twice the
+    integer coefficients of F(p + t*v) = c2*t^2 + c3*t^3, and the residual
+    c3*p - c2*v is returned when it is a genuine point.  Rescaling p, F or
+    the coefficients only rescales it.
     """
     grad = [
         _int_value([(e[:i] + (e[i] - 1,) + e[i + 1 :], k * e[i]) for e, k in terms if e[i]], p)
         for i in range(4)
     ]
-    s0 = _int_value(terms, p)
+    value = partial(_int_value, terms)
     box = range(-direction_height, direction_height + 1)
     for v in product(box, repeat=4):
         if gcd(*v) != 1 or next(x for x in v if x) < 0:
@@ -177,10 +166,7 @@ def _tangent_direction_residuals(
         # skip directions proportional to the point itself
         if all(p[i] * v[j] == p[j] * v[i] for i, j in combinations(range(4), 2)):
             continue
-        plus = _int_value(terms, [a + b for a, b in zip(p, v)])
-        minus = _int_value(terms, [a - b for a, b in zip(p, v)])
-        c2 = (plus + minus) // 2 - s0
-        c3 = _int_value(terms, v)
+        _, _, c2, c3 = restrict(value, p, v)
         if c2 == 0 and c3 == 0:
             continue  # tangent line inside the surface
         residual = tuple(c3 * a - c2 * b for a, b in zip(p, v))

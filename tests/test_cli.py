@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -241,6 +242,88 @@ class TestDeterminism:
         assert suite_one == suite_two
 
 
+def _surface(terms) -> str:
+    return json.dumps(CubicForm(terms).to_json())
+
+
+_WEIERSTRASS = _surface({(0, 2, 1, 0): 1, (3, 0, 0, 0): -1, (1, 0, 2, 0): 1, (0, 0, 0, 3): 1})
+_CUBE_ROOT_2 = _surface({(3, 0, 0, 0): 1, (0, 3, 0, 0): -2, (0, 0, 0, 3): 1})
+#: A point of degree 3 on the Fermat cubic (its section by a generic line).
+_DEGREE3 = json.dumps(
+    {
+        "modulus": ["36", "-15", "15", "1"],
+        "coords": [
+            ["13/51", "2/17", "1/153"], ["14/51", "10/17", "5/153"], ["-4/17", "6/17", "1/51"], ["1"],
+        ],
+    }
+)
+_SPLIT_LINE = '[["1","-1","0","0"],["0","1","-1","0"]]'
+_AXIS = '[["1","1","1","1"],["1","2","4","8"]]'
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["geom", "third-point", "--x", '["1","-1","0","0"]', "--y", '["0","1","-1","0"]'],
+            "6069450643a5afe60dc5f5b6c6f2eaf146bc1b57e4ab7fad40467ea13dc13ec7",
+        ),
+        (
+            ["geom", "third-point", "--x", _DEGREE3,
+             "--y", json.dumps({"modulus": ["36", "-15", "15", "1"], "coords": [["1"], ["-1"], ["0"], ["0"]]})],
+            "b0d3ede9a940a01adaae6b737c70dbe581289530f4d4d6a0daf9212250f13a61",
+        ),
+        (
+            ["geom", "tangent-residual", "--surface", _WEIERSTRASS,
+             "--axis", '[["0","1","0","0"],["0","0","1","0"]]', "--point", '["-1","0","1","0"]'],
+            "34e183f52cae27a4193f6e49ee61fee757ed6fc5e8c6a27cac0692e66a2215e8",
+        ),
+        (
+            ["geom", "tangent-residual", "--axis", _AXIS, "--point", _DEGREE3],
+            "ad62b9ef4d1bba385aaea308ae37a2e6a0b8c02abfafdc757da71923e42d1c6e",
+        ),
+        (
+            ["geom", "delta", "--line", _SPLIT_LINE],
+            "22fa6ab3364d6b3a497098beb5b29fcf04191e95a66135084f343297b7feabaf",
+        ),
+        (
+            ["geom", "delta", "--surface", _CUBE_ROOT_2, "--line", '[["0","1","0","0"],["1","0","0","0"]]'],
+            "21d43796f49114e772770b53451638325c1ef6008852bd8591f14d68a2284937",
+        ),
+        (
+            ["geom", "delta", "--line", '[["1","2","0","3"],["0","1","1","-1"]]'],
+            "cf68546e8dfcecd76b93bcb49ad80079ed8ec5d277fc8c73ac168966ec4e5266",
+        ),
+        (
+            ["geom", "delta", "--surface", _WEIERSTRASS, "--line", '[["-1","0","1","0"],["0","1","0","0"]]'],
+            "29566d75b8473da13dc85c9ae0ce118667da9e5865241d6ae632097963d0d2fc",
+        ),
+        (
+            ["geom", "psi", "--axis", _AXIS, "--line", _SPLIT_LINE],
+            "b17b775d076754688239d8f2be946ae7137984599ac8125a66329e0e64f6e612",
+        ),
+        (
+            ["points", "saturate", "--surface", json.dumps(CubicForm.diagonal(1, 1, 2, -4).to_json()),
+             "--seeds", "[[-1,1,0,0],[-1,-1,1,0],[1,1,1,1]]", "--rounds", "2"],
+            "f620f5470435a0089561f7076af8df42559e4be6916cb12c405e535042a22c14",
+        ),
+    ],
+    ids=[
+        "third-point", "third-point-degree3", "tangent-residual", "tangent-residual-degree3",
+        "delta-split", "delta-irreducible", "delta-generic", "delta-non-reduced",
+        "psi-forced-split", "saturate-rounds-2",
+    ],
+)
+def test_construction_outputs_pinned(capsys, argv, sha256):
+    # Pinned from the canonical outputs of the per-construction restriction code;
+    # the surface defaults to the Fermat cubic.  psi-forced-split splits its algebra once.
+    if "--surface" not in argv:
+        argv = [*argv[:2], "--surface", json.dumps(CubicForm.fermat().to_json()), *argv[2:]]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 #: Placeholder for the path of the Fermat surface file in parametrized argv lists.
 FERMAT = object()
 X, Y = '["1","-1","0","0"]', '["0","1","-1","0"]'
@@ -295,11 +378,14 @@ class TestHostileInput:
             (("moves", 1, "l"), "3"),
             (("moves", 1, "l"), True),
             (("moves", 0, "gamma"), 1.5),
+            (("surface", "basis"), 5),
+            (("surface", "basis"), [4]),
+            (("surface", "dS"), True),
         ],
         ids=[
             "combo-list", "move-not-object", "moves-string", "initial-list", "coeffs-list",
             "degree-string", "sign-bool", "coeff-string", "final-degree-float", "l-string",
-            "l-bool", "gamma-float",
+            "l-bool", "gamma-float", "basis-scalar", "basis-not-names", "dS-bool",
         ],
     )
     def test_verify_rejects_malformed_certificate_shapes(self, capsys, tmp_path, where, value):
@@ -342,6 +428,14 @@ class TestHostileInput:
     def test_geometry_loaders_reject_malformed_json(self, capsys, fermat_path, argv):
         argv = [fermat_path if a is FERMAT else a for a in argv]
         code = run(["geom", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["kind"] == "ValueError"
+        assert "Traceback" not in captured.err
+
+    def test_saturate_rejects_seeds_that_are_not_a_list(self, capsys, fermat_path):
+        argv = ["points", "saturate", "--surface", fermat_path, "--seeds", "5", "--rounds", "1"]
+        code = run(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.out)["error"]["kind"] == "ValueError"

@@ -92,14 +92,14 @@ class TestApplyMove:
 
     def test_involution_flip(self):
         st = state(1, 9, {BASIS_H: 2})
-        new, _ = apply_move(DP2, st, Move.involution_flip())
+        new, _ = apply_move(DP2, st, Move(kind="InvolutionFlip"))
         assert new == state(-1, 9, {BASIS_H: 11})
-        back, _ = apply_move(DP2, new, Move.involution_flip())
+        back, _ = apply_move(DP2, new, Move(kind="InvolutionFlip"))
         assert back == st  # self-inverse
 
     def test_involution_only_on_dp2(self):
         with pytest.raises(PreconditionFailed):
-            apply_move(CUBIC, state(1, 5), Move.involution_flip())
+            apply_move(CUBIC, state(1, 5), Move(kind="InvolutionFlip"))
 
     def test_add_basis_bookkeeping(self):
         st = state(-1, 4, {BASIS_H: 1})
@@ -109,7 +109,7 @@ class TestApplyMove:
     def test_curve_rr_sign_resolution(self):
         # -z' of degree 4 rewrites through 4h - x4 - z' on a genus-4 curve
         st = state(-1, 4, {BASIS_H: 2, BASIS_X4: 1})
-        move = Move.curve_rr(2, {BASIS_H: 4, BASIS_X4: -1})
+        move = Move(kind="CurveRR", l=2, combo=((BASIS_H, 4), (BASIS_X4, -1)))
         new, witness = apply_move(CUBIC_X4, st, move)
         assert witness == {"h0_l": 10, "genus_l": 4}
         assert new.sign == 1 and new.unknown_degree == 4
@@ -118,7 +118,7 @@ class TestApplyMove:
     def test_curve_rr_support_bound(self):
         st = state(-1, 5, {})
         with pytest.raises(PreconditionFailed):
-            apply_move(CUBIC_X4, st, Move.curve_rr(2, {BASIS_H: 4, BASIS_X4: -1}))
+            apply_move(CUBIC_X4, st, Move(kind="CurveRR", l=2, combo=((BASIS_H, 4), (BASIS_X4, -1))))
 
     def test_entry_rr_only_first(self):
         st = state(1, 9)
@@ -145,11 +145,11 @@ class TestApplyMove:
                     moves.extend(
                         [
                             Move.complement(l),
-                            Move.variant_complement(l),
+                            Move(kind="VariantComplement", l=l),
                             Move.vb_subtract(l, {BASIS_H: 1}),
                         ]
                     )
-                moves.extend([Move.add_basis({BASIS_H: 1}), Move.involution_flip()])
+                moves.extend([Move.add_basis({BASIS_H: 1}), Move(kind="InvolutionFlip")])
                 move = rng.choice(moves)
                 try:
                     st, _ = apply_move(surface, st, move)
@@ -356,7 +356,6 @@ class TestSurfaceModel:
         assert neg.admits(1, 0)  # an empty cycle has no sign
         assert refined.admits(1, 12) and refined.admits(1, 7) and not refined.admits(1, 10)
         assert not refined.admits(-1, 13)
-        assert neg.satisfied(state(1, 0)) and not neg.satisfied(state(1, 5, {BASIS_H: 2}))
 
 
 def linear_menu(surface, degree):
@@ -421,8 +420,8 @@ class TestClosedForms:
         entries = descent._menu(CUBIC_X4, 32) + descent._menu(DP2, 5)
         moves = {descent._move_of(entry) for entry in entries}
         assert Move.vb_subtract(4, {BASIS_X4: 1}) in moves
-        assert Move.complement(4) in moves and Move.variant_complement(5) in moves
-        assert Move.add_basis({BASIS_X4: 2}) in moves and Move.involution_flip() in moves
+        assert Move.complement(4) in moves and Move(kind="VariantComplement", l=5) in moves
+        assert Move.add_basis({BASIS_X4: 2}) in moves and Move(kind="InvolutionFlip") in moves
 
     def test_induction_step_matches_linear_search(self):
         for degree in [*range(20, 6001), *HUGE_DEGREES]:
@@ -455,7 +454,7 @@ class TestSharedTable:
 
         def found_moves(surface, start, goal):
             cert = find_certificate(surface, start, goal)
-            assert goal.satisfied(cert.final)
+            assert goal.admits(cert.final.sign, cert.final.unknown_degree)
             return cert.moves
 
         cases = [

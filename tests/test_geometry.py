@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import (
     secant_instance,
     weierstrass_surface,
 )
-from zerocycles.algebra import EtaleAlgebra, Poly, ZeroDivisorFound
+from zerocycles.algebra import AlgElement, EtaleAlgebra, Poly, ZeroDivisorFound
 from zerocycles.geometry import (
     CubicForm,
     EqualPoints,
@@ -29,11 +30,12 @@ from zerocycles.geometry import (
     line_from_json,
     line_section,
     point_from_json,
-    restrict_to_line,
+    restrict,
     tangent_residual,
     tangent_triple,
     third_point,
 )
+from zerocycles.pointsearch import _int_value
 
 FERMAT = CubicForm.fermat()
 
@@ -64,19 +66,47 @@ class TestEvaluate:
             assert sum(g * v for g, v in zip(grad, pt)) == 3 * surface.value_at(pt)
 
 
+def restricted(surface, line):
+    """The restriction to a rational line as a Poly in t (s = 1), halved back."""
+    p, q = line.p.rational_coords(), line.q.rational_coords()
+    return Poly(c / 2 for c in restrict(surface.value_at, p, q))
+
+
+def expand_over(algebra, surface, p, q):
+    """`expand_along_line` over an algebra: the coefficients of F(p + t*q) as algebra elements.
+
+    Coordinates are polynomials of degree <= 2 in the generator u, so each
+    coefficient of the expansion is a polynomial of degree <= 6 in u.  It is
+    interpolated from the rational expansions at u = 0..6 and then reduced.
+    """
+    nodes = range(7)
+    rows = [expand_along_line(surface, [c.rep(u) for c in p], [c.rep(u) for c in q]) for u in nodes]
+    out = []
+    for j in range(4):
+        coeff = Poly.zero()
+        for xk, row in zip(nodes, rows):
+            term = Poly([row.coeff(j)])
+            for xm in nodes:
+                if xm != xk:
+                    term = term * Poly([Fraction(-xm, xk - xm), Fraction(1, xk - xm)])
+            coeff = coeff + term
+        out.append(algebra.element(coeff))
+    return out
+
+
 class TestRestrictToLine:
     def test_line_inside_fermat(self):
         line = Line.rational([1, -1, 0, 0], [0, 0, 1, -1])
-        assert restrict_to_line(FERMAT, line).is_zero
+        assert restricted(FERMAT, line).is_zero
         with pytest.raises(LineInSurface):
             line_section(FERMAT, line)
 
     def test_fermat_secant_form(self):
         line = Line.rational([1, -1, 0, 0], [0, 1, -1, 0])
-        cubic = restrict_to_line(FERMAT, line)
-        # s^3 + (t-s)^3 - t^3 = 3*t*s*(s - t): coefficients (0, 3, -3, 0)
-        assert cubic.rational_coeffs() == (0, 3, -3, 0)
-        poly = Poly(cubic.rational_coeffs())  # in the affine parameter t, s = 1
+        # s^3 + (t-s)^3 - t^3 = 3*t*s*(s - t): coefficients (0, 3, -3, 0), doubled
+        p, q = line.p.rational_coords(), line.q.rational_coords()
+        assert restrict(FERMAT.value_at, p, q) == (0, 6, -6, 0)
+        poly = restricted(FERMAT, line)  # in the affine parameter t, s = 1
         assert poly == Poly([0, 3, -3]) and poly.degree == 2  # one root at infinity
 
     def test_both_basepoints_on_surface_divides_st(self):
@@ -86,9 +116,8 @@ class TestRestrictToLine:
             if instance is None:
                 continue
             surface, x, y = instance
-            cubic = restrict_to_line(surface, Line(x, y))
-            c = cubic.rational_coeffs()
-            assert c[0] == 0 and c[3] == 0
+            c = restrict(surface.value_at, x.coords, y.coords)
+            assert c[0].is_zero and c[3].is_zero
 
     def test_matches_expansion_oracle(self):
         rng = random.Random(14)
@@ -99,9 +128,37 @@ class TestRestrictToLine:
                 line = Line.rational(p, q)
             except EqualPoints:
                 continue
-            got = restrict_to_line(surface, line).rational_coeffs()
-            oracle = expand_along_line(surface, p, q)
-            assert Poly(got) == oracle
+            assert restricted(surface, line) == expand_along_line(surface, p, q)
+
+    @pytest.mark.parametrize(
+        "ring", ["int", "Fraction", "t^3 - 2", "t^3 - t", "(t^2 + 1)(t - 2)"]
+    )
+    def test_every_ring_matches_expansion_oracle(self, ring):
+        # one routine serves the integer kernel, rational lines and algebra points
+        rng = random.Random(16)
+        moduli = {"t^3 - 2": [-2, 0, 0, 1], "t^3 - t": [0, -1, 0, 1], "(t^2 + 1)(t - 2)": [-2, 1, -2, 1]}
+        for _ in range(30):
+            surface = random_surface_through(rng, [])
+            if ring == "int":
+                p, q = random_point(rng), random_point(rng)
+                value = partial(_int_value, surface.integer_terms())
+                got = restrict(value, p, q)
+                assert all(type(c) is int for c in got)
+                assert Poly(Fraction(c, 2) for c in got) == expand_along_line(surface, p, q)
+            elif ring == "Fraction":
+                surface = random_surface_through(rng, [random_point(rng)]) or surface
+                p, q = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in "pq")
+                got = restrict(surface.value_at, p, q)
+                assert Poly(c / 2 for c in got) == expand_along_line(surface, p, q)
+            else:
+                algebra = EtaleAlgebra(Poly(moduli[ring]))
+                p, q = (
+                    [algebra.element(Poly(rng.randint(-3, 3) for _ in range(3))) for _ in range(4)]
+                    for _ in "pq"
+                )
+                got = restrict(surface.value_at, p, q)
+                assert all(isinstance(c, AlgElement) for c in got)
+                assert [c * Fraction(1, 2) for c in got] == expand_over(algebra, surface, p, q)
 
 
 class TestThirdPoint:
@@ -269,8 +326,7 @@ class TestTangentResidual:
             if residual != x:
                 # the line through x and the residual is the tangent line:
                 # its restricted cubic has a double root at x's parameter
-                cubic = restrict_to_line(surface, Line(x, residual))
-                poly = Poly(cubic.rational_coeffs())
+                poly = expand_along_line(surface, x.rational_coords(), residual.rational_coords())
                 assert poly(Fraction(0)) == 0
                 assert poly.derivative()(Fraction(0)) == 0
             done += 1
@@ -294,23 +350,24 @@ class TestLineSection:
         scheme = line_section(FERMAT, line)
         assert scheme.degree == 3
         assert scheme.fully_split and not scheme.non_reduced
-        pts = {p.key() for p in scheme.rational_points()}
+        pts = {scheme.component_point(tau).key() for tau in scheme.known_parameters}
         expected = {
             ProjPoint.rational(v).key()
             for v in ([1, -1, 0, 0], [0, 1, -1, 0], [1, 0, -1, 0])
         }
         assert pts == expected
 
+    def test_generic_fermat_line(self):
+        scheme = line_section(FERMAT, Line.rational([1, 2, 0, 3], [0, 1, 1, -1]))
+        assert scheme.degree == 3 and not scheme.known_parameters
+        assert FERMAT.evaluate(scheme.point).is_zero
+
     def test_non_reduced_flagged(self):
         # tangent line at (-1, 0, 1) inside the Weierstrass plane: double contact
         surface = weierstrass_surface(-1, 0)
-        line = Line.rational([-1, 0, 1, 0], [1, 0, -1, 1])
-        cubic = restrict_to_line(surface, line)
-        line2 = Line.rational([-1, 0, 1, 0], [0, 1, 0, 0])
-        scheme = line_section(surface, line2)
+        scheme = line_section(surface, Line.rational([-1, 0, 1, 0], [0, 1, 0, 0]))
         assert scheme.non_reduced
         assert scheme.degree == 2
-        assert cubic is not None
 
     def test_reparametrization_stability(self):
         rng = random.Random(18)

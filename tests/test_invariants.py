@@ -13,13 +13,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = """
 import contextlib, io, json, sys
 from zerocycles import cli
+from zerocycles.algebra import AlgElement
 from zerocycles.geometry import CubicForm, InvariantViolated, Line, line_section
 
 original = CubicForm.value_at
 
 def skewed(self, coords):
     value = original(self, coords)
-    return value + 1 if value.algebra.degree > 1 else value
+    return value + 1 if isinstance(value, AlgElement) and value.algebra.degree > 1 else value
 
 CubicForm.value_at = skewed
 line = Line.rational([1, 2, 0, 0], [0, 0, 1, 3])

@@ -7,14 +7,13 @@ import pytest
 
 import zerocycles.pointsearch as pointsearch
 from conftest import MONOMIALS, random_surface_through, secant_instance
-from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint
+from zerocycles.geometry import CubicForm, ProjPoint
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
     SOURCE_TANGENT,
     SOURCE_THIRD,
     _primitive_key,
     _tangent_direction_residuals,
-    degree3_from_line,
     enumerate_rational,
     rational_record,
     saturate,
@@ -200,29 +199,6 @@ class TestTangentResidualKernel:
         want = saturate(surface, seeds, rounds=2, max_points=80)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
         assert any(r.source == SOURCE_TANGENT for r in got)
-
-
-class TestDegree3FromLine:
-    def test_generic_line(self):
-        record = degree3_from_line(FERMAT, Line.rational([1, 2, 0, 3], [0, 1, 1, -1]))
-        assert record.degree == 3
-        assert FERMAT.evaluate(record.point).is_zero
-
-    def test_secant_line_is_split(self):
-        record = degree3_from_line(FERMAT, Line.rational([1, -1, 0, 0], [0, 1, -1, 0]))
-        assert record.degree == 3
-
-    def test_line_in_surface_rejected(self):
-        with pytest.raises(LineInSurface):
-            degree3_from_line(FERMAT, Line.rational([1, -1, 0, 0], [0, 0, 1, -1]))
-
-    def test_tangent_line_gives_short_record(self):
-        # tangent line at a surface point: double contact, residual degree <= 2
-        from conftest import weierstrass_surface
-
-        surface = weierstrass_surface(-1, 0)
-        record = degree3_from_line(surface, Line.rational([-1, 0, 1, 0], [0, 1, 0, 0]))
-        assert record.degree <= 2
 
 
 class TestSaturate:
