@@ -7,7 +7,7 @@ import pytest
 
 import zerocycles.pointsearch as pointsearch
 from conftest import MONOMIALS, random_surface_through, secant_instance
-from zerocycles.geometry import CubicForm, ProjPoint
+from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
     SOURCE_TANGENT,
@@ -199,6 +199,26 @@ class TestTangentResidualKernel:
         want = saturate(surface, seeds, rounds=2, max_points=80)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
         assert any(r.source == SOURCE_TANGENT for r in got)
+
+
+class TestDegree3FromLine:
+    """A rational line cuts a point of degree <= 3 out of the surface."""
+
+    def test_secant_line_is_split(self):
+        scheme = line_section(FERMAT, Line.rational([1, -1, 0, 0], [0, 1, -1, 0]))
+        assert scheme.degree == 3
+
+    def test_line_in_surface_rejected(self):
+        with pytest.raises(LineInSurface):
+            line_section(FERMAT, Line.rational([1, -1, 0, 0], [0, 0, 1, -1]))
+
+    def test_tangent_line_gives_short_record(self):
+        # tangent line at a surface point: double contact, residual degree <= 2
+        from conftest import weierstrass_surface
+
+        surface = weierstrass_surface(-1, 0)
+        scheme = line_section(surface, Line.rational([-1, 0, 1, 0], [0, 1, 0, 0]))
+        assert scheme.degree <= 2
 
 
 class TestSaturate:
