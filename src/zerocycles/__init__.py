@@ -29,7 +29,6 @@ from .geometry import (
     Line,
     PlanePencil,
     ProjPoint,
-    collinear,
     fiber_plane,
     line_section,
     tangent_residual,

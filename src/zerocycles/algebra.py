@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 
 def _to_fraction(value) -> Fraction:
@@ -66,17 +64,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable) -> "Poly":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-_to_fraction(r), 1))
-        return p
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Poly":
-        return cls(Fraction(s) for s in items)
 
     def to_strings(self) -> list:
         return [fraction_to_string(c) for c in self.coeffs]
@@ -456,6 +443,9 @@ class AlgElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     def is_unit(self) -> bool:
         if self.is_zero:
             return False
@@ -525,30 +515,6 @@ class AlgElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.algebra.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def reduce_mod(self, sub: EtaleAlgebra) -> "AlgElement":
         """Image in a component algebra whose modulus divides this one's."""
         if not sub.modulus.divides(self.algebra.modulus):
@@ -586,11 +552,6 @@ class AlgElement:
 
     def to_json(self) -> dict:
         return {"modulus": self.algebra.modulus.to_strings(), "rep": self.rep.to_strings()}
-
-
-def alg_element_from_json(obj: dict) -> AlgElement:
-    algebra = EtaleAlgebra(Poly.from_strings(obj["modulus"]))
-    return algebra.element(Poly.from_strings(obj["rep"]))
 
 
 def crt_combine(algebra: EtaleAlgebra, a: AlgElement, b: AlgElement) -> AlgElement:

@@ -192,7 +192,7 @@ def _cmd_geom(args) -> str:
     if args.subcommand == "check-smooth":
         singular = []
         for record in enumerate_rational(surface, args.height):
-            grad = surface.gradient_at(record.point.rational_coords())
+            grad = surface.gradient_at(record.point.primitive())
             if all(g == 0 for g in grad):
                 singular.append(record.point.to_json())
         return _dump(

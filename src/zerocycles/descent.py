@@ -45,6 +45,10 @@ class PreconditionFailed(DescentError):
         self.condition = condition
 
 
+class DegreeOutOfRange(DescentError, ValueError):
+    """A start degree whose search caps reach past `R_MAX`; nothing is searched."""
+
+
 class CertificateNotFound(DescentError):
     def __init__(self, surface, start_degree, goal, explored):
         super().__init__(
@@ -651,6 +655,10 @@ def _bfs(surface: DelPezzo, start_degree: int, goal: Goal) -> list:
     return chain
 
 
+#: Largest degree a distance table covers, so every start up to 10**6 gets one
+#: (its caps reach start + 20).  A start above R_MAX - 20 is refused.
+R_MAX = 10**6 + 20
+
 #: (surface degree, with_x4, goal) -> (R, distances to the goal of the nodes
 #: -R..R, stored at index node + R and -1 where the goal is out of reach,
 #: the first menu entry one step closer from each node walked so far).
@@ -743,19 +751,21 @@ def find_certificate(surface: DelPezzo, start_degree: int, goal: Goal) -> Certif
     from the start by the first menu move one step closer gives `_bfs`'s
     chain whenever every step keeps to the start's caps.  The first call
     builds the table at R = cap; a later call with R < cap <= 2R rebuilds it
-    at 2R.  A call with cap > 2R -- an isolated start far above the earlier
-    ones, where one breadth-first search is cheaper than the table -- a walk
-    that leaves the caps, and an unreachable goal run `_bfs` itself.
+    at min(2R, R_MAX).  A call with cap > 2R -- an isolated start far above
+    the earlier ones -- a walk that leaves the caps, and an unreachable goal
+    run `_bfs` itself.  A start with cap > R_MAX raises DegreeOutOfRange.
     """
     if start_degree < 0:
         raise ValueError("start degree must be nonnegative")
     cap = start_degree + 20
+    if cap > R_MAX:
+        raise DegreeOutOfRange(f"start degree {start_degree} reaches {cap} > R_MAX = {R_MAX}")
     key = (surface.degree, surface.with_x4, goal)
     table = _tables.get(key)
     chain = None
     if table is None or cap <= 2 * table[0]:
         if table is None or cap > table[0]:
-            R = cap if table is None else 2 * table[0]
+            R = cap if table is None else min(2 * table[0], R_MAX)
             table = _tables[key] = (R, _distance_table(surface, goal, R), {})
         chain = _walk(surface, table, start_degree)
     if chain is None:

@@ -8,7 +8,8 @@ composite map sending a plane pencil and a line to the tangent-process image
 of the line's intersection triple.
 
 Coordinates live in an etale algebra so that points of degree up to 3 are
-first-class values.  Whenever a computation over a reducible algebra hits a
+first-class values.  Rational points compute on their primitive integer
+vectors, and only the normalized output point is built in the algebra.  Whenever a computation over a reducible algebra hits a
 zero divisor, `ZeroDivisorFound` escapes and the caller (see
 `tangent_triple`) splits the algebra and retries componentwise.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -104,18 +105,19 @@ def _vscale(c, u):
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-def _first_unit(values: Iterable[AlgElement]):
+def _first_unit(values: Iterable):
     """The first unit among `values` as (index, value), reading them lazily.
 
     Find a unit, else split, else fail: with no unit, ZeroDivisorFound is
     raised from the first nonzero non-unit read (the mixed split case), and
     None is returned when every value vanishes, for the caller to refuse.
+    On ints and Fractions a unit is any nonzero value.
     """
     witness = None
     for i, v in enumerate(values):
-        if v.is_zero:
+        if not v:
             continue
-        if v.is_unit():
+        if not isinstance(v, AlgElement) or v.is_unit():
             return i, v
         if witness is None:
             witness = v
@@ -124,16 +126,31 @@ def _first_unit(values: Iterable[AlgElement]):
     return None
 
 
+def _primitive(values: Sequence) -> tuple:
+    """The primitive integer vector proportional to a nonzero vector of ints
+    or Fractions, with its first nonzero entry positive."""
+    if not all(type(v) is int for v in values):
+        den = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*values)
+    if not g:
+        raise ValueError("all coordinates are zero")
+    if next(v for v in values if v) < 0:
+        g = -g
+    return tuple(v // g for v in values)
+
+
 class ProjPoint:
     """Point of P^3 with coordinates in an etale algebra, up to unit scalars.
 
     Comparison and serialization normalize by scaling the last unit
     coordinate to 1; a point over a reducible algebra may have no unit
     coordinate at all, in which case normalization raises ZeroDivisorFound
-    and equality falls back to raw representatives.
+    and equality falls back to raw representatives.  A rational point also
+    caches its primitive integer vector, on which the integer kernel runs.
     """
 
-    __slots__ = ("algebra", "coords", "_norm")
+    __slots__ = ("algebra", "coords", "_norm", "_ints")
 
     def __init__(self, algebra: EtaleAlgebra, coords: Iterable):
         coords = tuple(algebra.element(c) for c in coords)
@@ -144,6 +161,7 @@ class ProjPoint:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_norm", None)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -151,6 +169,20 @@ class ProjPoint:
     @classmethod
     def rational(cls, values: Sequence) -> "ProjPoint":
         return cls(RATIONALS, [RATIONALS.element(v) for v in values])
+
+    @classmethod
+    def from_integers(cls, values: Sequence, algebra: EtaleAlgebra = RATIONALS) -> "ProjPoint":
+        """The normalized point of a nonzero vector of ints (or Fractions) over a
+        degree-1 algebra, built with no algebra arithmetic; it is its own `_norm`."""
+        ints = _primitive(values)
+        last = next(v for v in reversed(ints) if v)
+        coords = tuple(AlgElement(algebra, (v if last > 0 else -v,), abs(last)) for v in ints)
+        point = object.__new__(cls)  # nonzero, with exact coordinates: nothing to check
+        object.__setattr__(point, "algebra", algebra)
+        object.__setattr__(point, "coords", coords)
+        object.__setattr__(point, "_norm", point)
+        object.__setattr__(point, "_ints", ints)
+        return point
 
     @property
     def is_rational(self) -> bool:
@@ -160,12 +192,21 @@ class ProjPoint:
         """Scale the last unit coordinate to 1 (deterministic representative)."""
         if self._norm is not None:
             return self._norm
-        _, unit = _first_unit(reversed(self.coords))  # the constructor rules out None
-        inv = unit.inverse()
-        norm = ProjPoint(self.algebra, [inv * c for c in self.coords])
-        object.__setattr__(norm, "_norm", norm)
+        if self.is_rational:
+            norm = ProjPoint.from_integers(self.primitive(), self.algebra)
+        else:
+            _, unit = _first_unit(reversed(self.coords))  # the constructor rules out None
+            inv = unit.inverse()
+            norm = ProjPoint(self.algebra, [inv * c for c in self.coords])
+            object.__setattr__(norm, "_norm", norm)
         object.__setattr__(self, "_norm", norm)
         return norm
+
+    def primitive(self) -> tuple:
+        """Primitive integer coordinates, first nonzero one positive (degree-1 algebras only)."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _primitive(self.rational_coords()))
+        return self._ints
 
     def key(self):
         """Canonical hashable key; normalized when possible."""
@@ -296,7 +337,7 @@ class PlanePencil:
 class CubicForm:
     """Homogeneous cubic form in X0..X3 with exact rational coefficients."""
 
-    __slots__ = ("terms", "_max_exp")
+    __slots__ = ("terms", "_max_exp", "_kernel")
 
     def __init__(self, terms):
         clean = {}
@@ -312,6 +353,7 @@ class CubicForm:
             raise ValueError("the zero form is not a cubic surface")
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
         object.__setattr__(self, "_max_exp", tuple(max(e[i] for e in clean) for i in range(4)))
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicForm is immutable")
@@ -325,6 +367,15 @@ class CubicForm:
         exps = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
         return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
 
+    def _integer_kernel(self) -> tuple:
+        """(den, terms): den*F as (exponents, integer coefficient) pairs, den the
+        least common denominator of the coefficients; built on first use."""
+        if self._kernel is None:
+            den = lcm(*(coeff.denominator for coeff in self.terms.values()))
+            terms = tuple((exp, int(coeff * den)) for exp, coeff in self.terms.items())
+            object.__setattr__(self, "_kernel", (den, terms))
+        return self._kernel
+
     def _powers(self, coords: Sequence) -> list:
         """Per coordinate c, the row (None, c, c^2, c^3) up to the power the form uses."""
         table = []
@@ -336,7 +387,12 @@ class CubicForm:
         return table
 
     def value_at(self, coords: Sequence):
-        """Evaluate at any 4 ring elements (Fractions or AlgElements)."""
+        """F at 4 coordinates of one ring: ints, Fractions or AlgElements.  On ints
+        it runs on the integer terms and returns F exactly: an int, or a Fraction
+        when F has non-integral coefficients."""
+        if all(type(c) is int for c in coords):
+            den, terms = self._integer_kernel()
+            return _scaled_value(terms, den, coords)
         powers = self._powers(coords)
         total = None
         for exp, coeff in self.terms.items():
@@ -345,23 +401,26 @@ class CubicForm:
         return total
 
     def evaluate(self, point: ProjPoint) -> AlgElement:
-        """Value at the point's coordinates; zero iff the point lies on the surface."""
-        return point.algebra.element(self.value_at(point.coords))
+        """F at a rational point's primitive integer vector, else at the point's
+        coordinates; zero iff the point lies on the surface."""
+        return point.algebra.element(self.value_at(_kernel_coords(point)))
 
     def gradient_at(self, coords: Sequence) -> tuple:
+        """The partial derivatives at `coords`, exactly, in the coordinates' ring;
+        on ints they run on the integer terms like `value_at`."""
+        ints = all(type(c) is int for c in coords)
+        den, terms = self._integer_kernel() if ints else (1, self.terms.items())
         powers = self._powers(coords)
-        out = [None] * 4
-        for exp, coeff in self.terms.items():
+        out = [coords[0] * 0] * 4
+        for exp, coeff in terms:
             for i, e in enumerate(exp):
                 if e:
-                    term = _monomial(powers, exp[:i] + (e - 1,) + exp[i + 1 :]) * (coeff * e)
-                    out[i] = term if out[i] is None else out[i] + term
-        return tuple(Fraction(0) if part is None else part for part in out)
+                    out[i] += _monomial(powers, exp[:i] + (e - 1,) + exp[i + 1 :]) * (coeff * e)
+        return tuple(out) if den == 1 else tuple(Fraction(v, den) for v in out)
 
     def integer_terms(self) -> list:
         """Terms with denominators cleared, for integer-kernel evaluation."""
-        denom = lcm(*(coeff.denominator for coeff in self.terms.values()))
-        return [(exp, int(coeff * denom)) for exp, coeff in self.terms.items()]
+        return list(self._integer_kernel()[1])
 
     def __eq__(self, other):
         return isinstance(other, CubicForm) and self.terms == other.terms
@@ -397,6 +456,30 @@ class CubicForm:
         return cls(terms)
 
 
+def _scaled_value(terms: tuple, den: int, x: Sequence[int]):
+    """sum(k * x^e for e, k in terms) / den, exactly; an int when den is 1."""
+    x0, x1, x2, x3 = x
+    p0 = (1, x0, x0 * x0, x0 * x0 * x0)
+    p1 = (1, x1, x1 * x1, x1 * x1 * x1)
+    p2 = (1, x2, x2 * x2, x2 * x2 * x2)
+    p3 = (1, x3, x3 * x3, x3 * x3 * x3)
+    total = sum(k * p0[a] * p1[b] * p2[c] * p3[d] for (a, b, c, d), k in terms)
+    return total if den == 1 else Fraction(total, den)
+
+
+def _kernel_coords(point: ProjPoint) -> tuple:
+    """The coordinates constructions compute with: a rational point's primitive
+    integer vector, else its algebra coordinates."""
+    return point.primitive() if point.is_rational else point.coords
+
+
+def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
+    """The normalized point with kernel coordinates `coords` over `algebra`."""
+    if algebra.degree == 1:
+        return ProjPoint.from_integers(coords, algebra)
+    return ProjPoint(algebra, coords).normalized()
+
+
 def _monomial(powers: list, exp: tuple):
     """Product of power-table entries; `exp` has at least one nonzero entry."""
     term = None
@@ -425,29 +508,30 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     Both points must lie on the surface and differ projectively; the secant
     must not be contained in the surface.  With basepoints on S the
     restricted cubic is s*t*(c1*s + c2*t), so the third root is (c2 : -c1)
-    and no division is needed.
+    and no division is needed.  Rational points run on their primitive
+    integer vectors.
     """
     if x.algebra != y.algebra:
         raise ValueError("points over different algebras")
-    algebra = x.algebra
     if not surface.evaluate(x).is_zero or not surface.evaluate(y).is_zero:
         raise PointNotOnSurface("secant endpoints must lie on the surface")
-    _check_spanning(x.coords, y.coords)
-    _, c1, c2, _ = restrict(surface.value_at, x.coords, y.coords)
-    if c1.is_zero and c2.is_zero:
+    xs, ys = _kernel_coords(x), _kernel_coords(y)
+    _check_spanning(xs, ys)
+    _, c1, c2, _ = restrict(surface.value_at, xs, ys)
+    if not c1 and not c2:
         raise LineInSurface("the secant is contained in the surface")
-    residual = tuple(c2 * a - c1 * b for a, b in zip(x.coords, y.coords))
-    return ProjPoint(algebra, residual).normalized()
+    return _point(x.algebra, tuple(c2 * a - c1 * b for a, b in zip(xs, ys)))
 
 
 def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
     """The unique plane of the pencil through x, as a linear form on X0..X3.
 
-    Computed as the signed 3x3 minors of the rows (axis basepoints, x); all
-    minors vanishing means x lies on the axis.
+    Computed as the signed 3x3 minors of the rows (axis basepoints, x), on
+    kernel coordinates: integers for a rational x, algebra elements
+    otherwise.  All minors vanishing means x lies on the axis.
     """
     axis = pencil.axis.in_algebra(x.algebra)
-    rows = [axis.p.coords, axis.q.coords, x.coords]
+    rows = [_kernel_coords(axis.p), _kernel_coords(axis.q), _kernel_coords(x)]
     n = []
     for i in range(4):
         cols = [j for j in range(4) if j != i]
@@ -464,13 +548,14 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     x must be on the surface, off the pencil axis, and a smooth point of the
     section E = S ∩ (plane of the pencil through x).  The tangent line meets
     S doubly at x; the output is the remaining intersection point, which on
-    an elliptic section realizes multiplication by -2.
+    an elliptic section realizes multiplication by -2.  Rational points run
+    on their primitive integer vectors.
     """
-    algebra = x.algebra
     if not surface.evaluate(x).is_zero:
         raise PointNotOnSurface("tangent process needs a surface point")
     n = fiber_plane(pencil, x)
-    grad = tuple(algebra.element(g) for g in surface.gradient_at(x.coords))
+    xs = _kernel_coords(x)
+    grad = surface.gradient_at(xs)
 
     # Tangent direction: the plane form and the gradient cut out a rank-2
     # system whose kernel is spanned by x and the tangent direction.
@@ -480,31 +565,27 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     index, minor = pivot
     i, j = _PAIRS[index]
     k, l = (c for c in range(4) if c not in (i, j))
-    inv = minor.inverse()
-
-    def kernel_vector(k: int) -> tuple:
-        # Solve [n_i n_j; g_i g_j] (v_i, v_j) = -(n_k, g_k); free coord k = 1.
-        vi = inv * (n[j] * grad[k] - n[k] * grad[j])
-        vj = inv * (n[k] * grad[i] - n[i] * grad[k])
-        v = [algebra.zero] * 4
-        v[i], v[j], v[k] = vi, vj, algebra.one
-        return tuple(v)
-
-    # With x_l a unit, the kernel vector with v_k = 1, v_l = 0 spans the kernel
-    # together with x; else try x_k with k and l swapped.
-    free = _first_unit((x.coords[l], x.coords[k]))
+    # With x_l a unit, the kernel vector with v_k != 0, v_l = 0 spans the
+    # kernel together with x; else try x_k with k and l swapped.
+    free = _first_unit((xs[l], xs[k]))
     if free is None:  # x is supported on the pivot coordinates only, so x = 0: impossible
         raise InvariantViolated("point outside the kernel it must lie in")
-    direction = kernel_vector((k, l)[free[0]])
+    k = (k, l)[free[0]]
+    # Solve [n_i n_j; g_i g_j] (v_i, v_j) = -v_k (n_k, g_k) with v_k = minor,
+    # so Cramer's rule needs no division.
+    direction = [minor * 0] * 4
+    direction[i] = n[j] * grad[k] - n[k] * grad[j]
+    direction[j] = n[k] * grad[i] - n[i] * grad[k]
+    direction[k] = minor
 
-    c0, c1, c2, c3 = restrict(surface.value_at, x.coords, direction)
-    check_invariant(c0.is_zero and c1.is_zero, "tangency must force a double root")
-    if c2.is_zero and c3.is_zero:
+    c0, c1, c2, c3 = restrict(surface.value_at, xs, direction)
+    check_invariant(not c0 and not c1, "tangency must force a double root")
+    if not c2 and not c3:
         raise TangentLineInSurface("tangent line is contained in the surface")
-    residual = tuple(c3 * a - c2 * b for a, b in zip(x.coords, direction))
-    if all(c.is_zero for c in residual):
+    residual = tuple(c3 * a - c2 * b for a, b in zip(xs, direction))
+    if not any(residual):
         raise TangentLineInSurface("tangent line is contained in the surface")
-    return ProjPoint(algebra, residual).normalized()
+    return _point(x.algebra, residual)
 
 
 @dataclass(frozen=True)
@@ -533,11 +614,6 @@ class LengthThreeScheme:
     @property
     def fully_split(self) -> bool:
         return len(self.known_parameters) == self.algebra.degree
-
-    def component_point(self, tau) -> ProjPoint:
-        """Rational point obtained by evaluating coordinates at a known parameter."""
-        coords = [c.at_root(tau) for c in self.point.coords]
-        return ProjPoint.rational(coords).normalized()
 
     def to_json(self) -> dict:
         return {
@@ -666,15 +742,3 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
         known_parameters=scheme.known_parameters,
     )
 
-
-def collinear(x: ProjPoint, y: ProjPoint, z: ProjPoint) -> bool:
-    """True iff the 3x4 coordinate matrix has all 3x3 minors zero."""
-    algebras = {p.algebra for p in (x, y, z)}
-    if len(algebras) > 1:
-        big = max(algebras, key=lambda a: a.degree)
-        x, y, z = (p.in_algebra(big) for p in (x, y, z))
-    rows = [x.coords, y.coords, z.coords]
-    return all(
-        _det3([row[j] for j in cols] for row in rows).is_zero
-        for cols in itertools.combinations(range(4), 3)
-    )

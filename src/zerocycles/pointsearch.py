@@ -1,17 +1,15 @@
 """Height-bounded point enumeration and secant/tangent saturation on cubic surfaces.
 
-Both hot loops run on integers, with the form's denominators cleared.
-Enumeration scans the last coordinate of each fibre cubic in the height box;
+Both hot loops run on integers.  Enumeration scans the last coordinate of
+each fibre cubic in the height box, with the form's denominators cleared;
 every emitted point is rechecked exactly.  Saturation closes a seed set under
 the chord construction and under residuals of low-height tangent directions,
-computed on each point's primitive integer coordinates.
+in geometry's integer kernel on each point's primitive integer coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
 from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence
@@ -48,29 +46,10 @@ class PointRecord:
         }
 
 
-def _primitive_key(coords: Sequence[Fraction]) -> Optional[tuple]:
-    """Primitive integer representative with positive first nonzero entry."""
-    denom = lcm(*(c.denominator for c in coords))
-    ints = [int(c * denom) for c in coords]
-    g = gcd(*ints)
-    if g == 0:
-        return None
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
-
-
 def rational_record(point: ProjPoint, source: str) -> PointRecord:
-    key = _primitive_key(point.rational_coords())
+    point = point.normalized()
     return PointRecord(
-        point=ProjPoint.rational(key).normalized(),
-        degree=1,
-        height=max(abs(v) for v in key),
-        source=source,
+        point=point, degree=1, height=max(abs(v) for v in point.primitive()), source=source
     )
 
 
@@ -96,7 +75,7 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     for a in range(0, h + 1):
         over_a = [(e[1], e[2], e[3], k * a ** e[0]) for e, k in terms]
         for b in range(0, h + 1) if a == 0 else full:
-            rows = [[0] * (4 - k) for k in range(4)]  # rows[k][j]: coefficient of c^j d^k
+            rows = [[0, 0, 0, 0], [0, 0, 0], [0, 0], [0]]  # rows[k][j]: coefficient of c^j d^k
             for eb, ec, ed, k in over_a:
                 rows[ed][ec] += k * b**eb
             (k00, k01, k02, k03), (k10, k11, k12), (k20, k21), (c3,) = rows
@@ -122,41 +101,27 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     found.sort()
     records = []
     for coords in found:
-        point = ProjPoint.rational(coords)
+        point = ProjPoint.from_integers(coords)
         check_invariant(surface.evaluate(point).is_zero, "an enumerated point must lie on the surface")
-        records.append(
-            PointRecord(
-                point=point.normalized(),
-                degree=1,
-                height=max(abs(v) for v in coords),
-                source=SOURCE_ENUMERATED,
-            )
-        )
+        records.append(rational_record(point, SOURCE_ENUMERATED))
     return records
 
 
-def _int_value(terms: list, x: Sequence[int]) -> int:
-    x0, x1, x2, x3 = x
-    return sum(k * x0**e0 * x1**e1 * x2**e2 * x3**e3 for (e0, e1, e2, e3), k in terms)
-
-
 def _tangent_direction_residuals(
-    terms: list, p: Sequence[int], direction_height: int
+    surface: CubicForm, p: Sequence[int], direction_height: int
 ) -> Iterable[ProjPoint]:
     """Residual points of low-height tangent lines at a rational surface point.
 
-    `terms` is the integer form and `p` the point's primitive coordinates.
-    Directions are primitive integer vectors (first nonzero entry positive)
-    in the tangent plane at `p`; along each, `restrict` gives twice the
-    integer coefficients of F(p + t*v) = c2*t^2 + c3*t^3, and the residual
-    c3*p - c2*v is returned when it is a genuine point.  Rescaling p, F or
-    the coefficients only rescales it.
+    `p` is the point's primitive integer vector.  Directions are primitive
+    integer vectors (first nonzero entry positive) in the tangent plane at
+    `p`; along each, `restrict` gives twice the coefficients of
+    F(p + t*v) = c2*t^2 + c3*t^3, and the residual c3*p - c2*v is returned,
+    normalized, when it is a genuine point.
     """
-    grad = [
-        _int_value([(e[:i] + (e[i] - 1,) + e[i + 1 :], k * e[i]) for e, k in terms if e[i]], p)
-        for i in range(4)
-    ]
-    value = partial(_int_value, terms)
+    # the tangent test needs the gradient only up to scale: clear its denominators
+    grad = surface.gradient_at(p)
+    den = lcm(*(g.denominator for g in grad))
+    grad = [g.numerator * (den // g.denominator) for g in grad]
     box = range(-direction_height, direction_height + 1)
     for v in product(box, repeat=4):
         if gcd(*v) != 1 or next(x for x in v if x) < 0:
@@ -166,13 +131,12 @@ def _tangent_direction_residuals(
         # skip directions proportional to the point itself
         if all(p[i] * v[j] == p[j] * v[i] for i, j in combinations(range(4), 2)):
             continue
-        _, _, c2, c3 = restrict(value, p, v)
-        if c2 == 0 and c3 == 0:
+        _, _, c2, c3 = restrict(surface.value_at, p, v)
+        if not c2 and not c3:
             continue  # tangent line inside the surface
         residual = tuple(c3 * a - c2 * b for a, b in zip(p, v))
-        if all(x == 0 for x in residual):
-            continue
-        yield ProjPoint.rational(residual)
+        if any(residual):
+            yield ProjPoint.from_integers(residual)
 
 
 def saturate(
@@ -190,7 +154,6 @@ def saturate(
     for record in seeds:
         if not surface.evaluate(record.point).is_zero:
             raise ValueError("seed point is not on the surface")
-    terms = surface.integer_terms()
     known = {}
     for record in seeds:
         fixed = rational_record(record.point, record.source)
@@ -207,8 +170,7 @@ def saturate(
                 continue
             fresh.append(rational_record(new_point, SOURCE_THIRD))
         for record in current:
-            p = _primitive_key(record.point.rational_coords())
-            for residual in _tangent_direction_residuals(terms, p, 1):
+            for residual in _tangent_direction_residuals(surface, record.point.primitive(), 1):
                 check_invariant(
                     surface.evaluate(residual).is_zero, "a tangent residual must lie on the surface"
                 )

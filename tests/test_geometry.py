@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
-from functools import partial
+from math import gcd
 
 import pytest
 
 from conftest import (
+    MONOMIALS,
+    collinear,
+    component_point,
     expand_along_line,
+    from_roots,
     monomial_value,
     random_point,
     random_surface_through,
@@ -16,6 +20,7 @@ from zerocycles.algebra import AlgElement, EtaleAlgebra, Poly, ZeroDivisorFound
 from zerocycles.geometry import (
     CubicForm,
     EqualPoints,
+    GeometryError,
     Line,
     LineInSurface,
     PlanePencil,
@@ -25,7 +30,6 @@ from zerocycles.geometry import (
     RATIONALS,
     _first_unit,
     _tangent_on_components,
-    collinear,
     fiber_plane,
     line_from_json,
     line_section,
@@ -35,7 +39,6 @@ from zerocycles.geometry import (
     tangent_triple,
     third_point,
 )
-from zerocycles.pointsearch import _int_value
 
 FERMAT = CubicForm.fermat()
 
@@ -141,8 +144,7 @@ class TestRestrictToLine:
             surface = random_surface_through(rng, [])
             if ring == "int":
                 p, q = random_point(rng), random_point(rng)
-                value = partial(_int_value, surface.integer_terms())
-                got = restrict(value, p, q)
+                got = restrict(surface.value_at, p, q)
                 assert all(type(c) is int for c in got)
                 assert Poly(Fraction(c, 2) for c in got) == expand_along_line(surface, p, q)
             elif ring == "Fraction":
@@ -210,10 +212,9 @@ class TestFiberPlane:
         return fiber_plane(PlanePencil(self.AXIS), ProjPoint.rational(x))
 
     def test_containment_forces_plane(self):
-        n = self.normal([1, 0, 0, 0])
-        assert [v.constant_value() for v in n] == [0, -1, 0, 0]  # plane X1 = 0
-        n = self.normal([1, 1, 0, 0])
-        assert [v.constant_value() for v in n] == [1, -1, 0, 0]  # plane X0 - X1 = 0
+        # rational points give the plane on their primitive integer vectors
+        assert self.normal([1, 0, 0, 0]) == (0, -1, 0, 0)  # plane X1 = 0
+        assert self.normal([1, 1, 0, 0]) == (1, -1, 0, 0)  # plane X0 - X1 = 0
 
     def test_point_on_axis_rejected(self):
         with pytest.raises(PointOnAxis):
@@ -228,9 +229,8 @@ class TestFiberPlane:
                 n = fiber_plane(PlanePencil(axis), ProjPoint.rational(x))
             except (EqualPoints, PointOnAxis):
                 continue
-            nf = [v.constant_value() for v in n]
             for pt in (p, q, x):
-                assert sum(a * b for a, b in zip(nf, pt)) == 0
+                assert sum(a * b for a, b in zip(n, pt)) == 0
 
 
 class TestTangentResidual:
@@ -321,8 +321,7 @@ class TestTangentResidual:
             except (GeometryError, ZeroDivisorFound, ValueError):
                 continue
             assert surface.evaluate(residual).is_zero
-            nf = [v.constant_value() for v in n]
-            assert sum(a * b for a, b in zip(nf, residual.rational_coords())) == 0
+            assert sum(a * b for a, b in zip(n, residual.rational_coords())) == 0
             if residual != x:
                 # the line through x and the residual is the tangent line:
                 # its restricted cubic has a double root at x's parameter
@@ -350,7 +349,7 @@ class TestLineSection:
         scheme = line_section(FERMAT, line)
         assert scheme.degree == 3
         assert scheme.fully_split and not scheme.non_reduced
-        pts = {scheme.component_point(tau).key() for tau in scheme.known_parameters}
+        pts = {component_point(scheme.point, tau).key() for tau in scheme.known_parameters}
         expected = {
             ProjPoint.rational(v).key()
             for v in ([1, -1, 0, 0], [0, 1, -1, 0], [1, 0, -1, 0])
@@ -417,8 +416,8 @@ class TestTangentTriple:
         source = line_section(FERMAT, line)
         assert triple.fully_split
         for tau in source.known_parameters:
-            direct = tangent_residual(FERMAT, pencil, source.component_point(tau))
-            assert triple.component_point(tau) == direct
+            direct = tangent_residual(FERMAT, pencil, component_point(source.point, tau))
+            assert component_point(triple.point, tau) == direct
 
     def test_irreducible_case_on_surface(self):
         surface = CubicForm({(3, 0, 0, 0): 1, (0, 3, 0, 0): -Fraction(1, 2), (0, 0, 0, 3): 1})
@@ -533,3 +532,107 @@ class TestNormalization:
         line = Line.rational([1, 0, 0, 0], [0, 1, 2, 3])
         round_tripped = line_from_json(line.to_json())
         assert round_tripped.p == line.p and round_tripped.q == line.q
+
+
+class TestIntegerKernel:
+    """Rational points run on primitive integer vectors; the algebra path is the reference.
+
+    A point over Q[t]/(t(t - 1)) = Q x Q is a pair of rational points, one
+    at t = 0 and one at t = 1, and its constructions run the generic
+    `AlgElement` code.  Each component must equal the integer-path output.
+    """
+
+    SPLIT = EtaleAlgebra(from_roots([0, 1]))
+
+    def lift(self, a, b):
+        """The point over SPLIT with the integer vectors a at t = 0 and b at t = 1."""
+        return ProjPoint(self.SPLIT, [Poly([u, v - u]) for u, v in zip(a, b)])
+
+    @staticmethod
+    def scaled(rng, point):
+        k = rng.choice([-3, -2, 2, 5])
+        return [k * v for v in point.primitive()]
+
+    def test_value_at_on_ints_is_exact(self):
+        rng = random.Random(51)
+        for case in range(120):
+            if case % 2:
+                terms = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in MONOMIALS}
+                terms[MONOMIALS[case % 20]] = Fraction(1, 7)
+                surface = CubicForm(terms)
+            else:
+                surface = random_surface_through(rng, [])
+            pt = [rng.randint(-10**6, 10**6) for _ in range(4)]
+            fractions = [Fraction(v) for v in pt]
+            value = surface.value_at(pt)
+            assert value == surface.value_at(fractions)
+            grad = surface.gradient_at(pt)
+            assert grad == surface.gradient_at(fractions)
+            assert sum(g * v for g, v in zip(grad, pt)) == 3 * value  # Euler's relation
+            if not case % 2:  # integral coefficients give plain ints
+                assert type(value) is int
+
+    def test_third_point_matches_split_algebra(self):
+        # two different secants of one surface: (x, y), and (z, r) with z
+        # their third point and r a tangent residual off the line xy
+        rng = random.Random(52)
+        done = 0
+        for _ in range(100):
+            instance = secant_instance(rng)
+            if instance is None:
+                continue
+            surface, x, y = instance
+            axis = Line.rational(random_point(rng), random_point(rng))
+            try:
+                z = third_point(surface, x, y)
+                r = tangent_residual(surface, PlanePencil(axis), x)
+                w = third_point(surface, z, r)
+                lifted = third_point(
+                    surface,
+                    self.lift(self.scaled(rng, x), self.scaled(rng, z)),
+                    self.lift(self.scaled(rng, y), self.scaled(rng, r)),
+                )
+            except (GeometryError, ZeroDivisorFound, ValueError):
+                continue
+            assert component_point(lifted, 0) == z
+            assert component_point(lifted, 1) == w
+            assert z.normalized() is z and z.primitive() == z.normalized().primitive()
+            done += 1
+        assert done >= 90
+
+    def test_tangent_residual_matches_split_algebra(self):
+        rng = random.Random(53)
+        done = 0
+        for _ in range(100):
+            instance = secant_instance(rng)
+            if instance is None:
+                continue
+            surface, x, y = instance
+            pencil = PlanePencil(Line.rational(random_point(rng), random_point(rng)))
+            try:
+                want = [tangent_residual(surface, pencil, p) for p in (x, y)]
+                lifted = tangent_residual(
+                    surface, pencil, self.lift(self.scaled(rng, x), self.scaled(rng, y))
+                )
+            except (GeometryError, ZeroDivisorFound, ValueError):
+                continue
+            assert [component_point(lifted, tau) for tau in (0, 1)] == want
+            done += 1
+        assert done >= 90
+
+    def test_from_integers_is_the_normalized_point(self):
+        rng = random.Random(54)
+        for _ in range(100):
+            v = random_point(rng, height=50)
+            k = rng.choice([-6, -1, 3])
+            point = ProjPoint.from_integers([k * c for c in v])
+            assert point.normalized() is point
+            coords = point.rational_coords()
+            last = max(i for i in range(4) if v[i])
+            assert coords[last] == 1 and all(c * v[last] == vi for c, vi in zip(coords, v))
+            assert point.key() == ProjPoint.rational(v).normalized().key()
+            assert point.to_json() == ProjPoint.rational(v).to_json()
+            g = gcd(*v) * (1 if next(c for c in v if c) > 0 else -1)
+            assert point.primitive() == tuple(c // g for c in v)
+        with pytest.raises(ValueError):
+            ProjPoint.from_integers([0, 0, 0, 0])

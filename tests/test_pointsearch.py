@@ -12,7 +12,6 @@ from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
     SOURCE_TANGENT,
     SOURCE_THIRD,
-    _primitive_key,
     _tangent_direction_residuals,
     enumerate_rational,
     rational_record,
@@ -52,15 +51,13 @@ class TestEnumerate:
         assert enumerate_rational(surface, 2) == []
 
     def test_every_point_rechecked_by_evaluation(self):
-        from zerocycles.pointsearch import _primitive_key
-
         rng = random.Random(25)
         for _ in range(20):
             a, b, c, d = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4))
             surface = CubicForm.diagonal(a, b, c, d)
             for record in enumerate_rational(surface, 3):
                 assert surface.evaluate(record.point).is_zero
-                primitive = _primitive_key(record.point.rational_coords())
+                primitive = record.point.primitive()
                 assert record.height == max(abs(v) for v in primitive)
 
     def test_deterministic_order(self):
@@ -130,7 +127,7 @@ class TestEnumerationKernel:
         box = box_points(surface, 5)
         for height in range(1, 6):
             records = enumerate_rational(surface, height)
-            coords = [_primitive_key(r.point.rational_coords()) for r in records]
+            coords = [r.point.primitive() for r in records]
             assert coords == sorted(v for v in box if max(map(abs, v)) <= height)
             assert [r.height for r in records] == [max(map(abs, v)) for v in coords]
 
@@ -178,8 +175,7 @@ class TestTangentResidualKernel:
     def test_matches_fraction_reference(self):
         total = 0
         for surface, point, height in _residual_cases():
-            p = _primitive_key(point.rational_coords())
-            residuals = _tangent_direction_residuals(surface.integer_terms(), p, height)
+            residuals = _tangent_direction_residuals(surface, point.primitive(), height)
             got = [r.key() for r in residuals]
             want = [r.key() for r in reference_residuals(surface, point, height)]
             assert got == want
@@ -194,7 +190,7 @@ class TestTangentResidualKernel:
         monkeypatch.setattr(
             pointsearch,
             "_tangent_direction_residuals",
-            lambda terms, p, h: reference_residuals(surface, ProjPoint.rational(p), h),
+            lambda form, p, h: reference_residuals(form, ProjPoint.rational(p), h),
         )
         want = saturate(surface, seeds, rounds=2, max_points=80)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
