@@ -3,18 +3,22 @@
 Everything is immutable and exact: scalars are `fractions.Fraction`,
 univariate polynomials are coefficient tuples over Q, and an etale algebra
 is a quotient Q[t]/(f) with f monic and squarefree.  Algebra elements are
-integer numerators over one reduced positive denominator and multiply
-fraction-free; `Poly` serves moduli, gcd/xgcd, splitting and CRT.  No polynomial
-factorization is ever performed; a reducible modulus is split lazily when
-some computation runs into a zero divisor (`ZeroDivisorFound` carries the
-discovered factor, and callers may continue componentwise).
+integer numerators over one reduced positive denominator.  They multiply by
+one schoolbook convolution (`_convolve`) and one fraction-free reduction
+(`EtaleAlgebra._reduced`); units and inverses come from the integer matrix of
+multiplication by the element, through the one Bareiss routine
+(`_eliminate`).  `Poly` serves moduli, gcd (zero-divisor factors), splitting
+and JSON.  No polynomial factorization is ever performed; a reducible modulus
+is split lazily when some computation runs into a zero divisor
+(`ZeroDivisorFound` carries the discovered factor, and callers may continue
+componentwise, recombining through the CRT idempotent of the split).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def _to_fraction(value) -> Fraction:
@@ -25,6 +29,56 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], out: list = None) -> list:
+    """Schoolbook product of two nonempty integer coefficient lists, unreduced;
+    added into `out` when it is given."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _eliminate(rows: Sequence[Sequence]) -> tuple:
+    """Exact fraction-free (Bareiss) Gauss-Jordan elimination: (pivot columns, rows).
+
+    Rows of ints are used as they are; any other row is first scaled to
+    integers.  Every division below is exact.  The rank is the number of
+    pivots, and every pivot row ends with the same entry (the last pivot) in
+    its pivot column, so row i of the result divided by that entry is row i
+    of the reduced row echelon form.  On an augmented [M | I], M is
+    invertible iff the pivots are M's columns.
+    """
+    m = []
+    for row in rows:
+        if all(type(v) is int for v in row):
+            m.append(list(row))
+            continue
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    pivots = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[top], m[pivot] = m[pivot], m[top]
+        lead, pivot_row = m[top][col], m[top]
+        for r in range(len(m)):
+            if r != top:
+                factor = m[r][col]
+                m[r] = [(lead * a - factor * b) // prev for a, b in zip(m[r], pivot_row)]
+        prev = lead
+        pivots.append(col)
+        if top + 1 == len(m):
+            break
+    return pivots, m
 
 
 def fraction_to_string(q: Fraction) -> str:
@@ -231,23 +285,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (g, u, v) with g = u*a + v*b and g monic (or 0)."""
-    r0, r1 = a, b
-    u0, u1 = Poly.one(), Poly.zero()
-    v0, v1 = Poly.zero(), Poly.one()
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    lead = r0.leading
-    inv = 1 / lead
-    return r0.monic(), u0 * inv, v0 * inv
-
-
 def is_squarefree(f: Poly) -> bool:
     """True iff gcd(f, f') is constant.  Raises on the zero polynomial."""
     if f.is_zero:
@@ -336,12 +373,7 @@ class EtaleAlgebra:
     def _product(self, a: tuple, b: tuple, den: int) -> "AlgElement":
         if len(a) == 1:
             return AlgElement(self, (a[0] * b[0],), den)
-        prod = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduced(prod, den)
+        return self._reduced(_convolve(a, b), den)
 
     def element(self, value) -> "AlgElement":
         if isinstance(value, AlgElement):
@@ -446,12 +478,28 @@ class AlgElement:
     def __bool__(self) -> bool:
         return any(self.num)
 
+    def _inverse_parts(self):
+        """(num, den) of the inverse of a nonzero element of degree >= 2, or None
+        for a non-unit.  Column j of the integer matrix M is num * (scale*t)^j
+        reduced, that is den * scale^j * (self * t^j), so self is a unit iff M
+        is nonsingular, and then M z = e0 (fraction-free, by Bareiss) gives the
+        inverse as sum(z_j * den * scale^j * t^j)."""
+        scale, tail, n = self.algebra.scale, self.algebra.tail, len(self.num)
+        cols = [list(self.num)]
+        for _ in range(n - 1):
+            col = cols[-1]
+            cols.append([scale * x - col[-1] * c for x, c in zip([0] + col[:-1], tail)])
+        pivots, rows = _eliminate([[c[i] for c in cols] + [int(i == 0)] for i in range(n)])
+        if pivots != list(range(n)):
+            return None
+        det = rows[0][0]  # every pivot entry, so z_j = rows[j][n] / det
+        unit = self.den if det > 0 else -self.den
+        return [row[n] * unit * scale**j for j, row in enumerate(rows)], abs(det)
+
     def is_unit(self) -> bool:
         if self.is_zero:
             return False
-        if len(self.num) == 1:
-            return True
-        return poly_gcd(self.rep, self.algebra.modulus).degree == 0
+        return len(self.num) == 1 or self._inverse_parts() is not None
 
     def zero_divisor_factor(self) -> Poly:
         """Monic proper modulus divisor witnessing non-invertibility.
@@ -474,10 +522,10 @@ class AlgElement:
         if len(self.num) == 1:
             a = self.num[0]
             return AlgElement(self.algebra, (self.den if a > 0 else -self.den,), abs(a))
-        g, u, _ = poly_xgcd(self.rep, self.algebra.modulus)
-        if g.degree > 0:
-            raise ZeroDivisorFound(self.algebra, g)
-        return self.algebra.element(u)
+        parts = self._inverse_parts()
+        if parts is None:
+            raise ZeroDivisorFound(self.algebra, self.zero_divisor_factor())
+        return AlgElement(self.algebra, *parts)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -521,14 +569,6 @@ class AlgElement:
             raise ValueError("target modulus does not divide the current one")
         return sub._reduced(list(self.num), self.den)
 
-    def at_root(self, tau) -> Fraction:
-        """Evaluate the representative at a rational parameter.
-
-        This is the projection to the component Q[t]/(t - tau) and is only
-        meaningful when t - tau divides the modulus.
-        """
-        return self.rep(_to_fraction(tau))
-
     def constant_value(self) -> Fraction:
         """The element as a rational number; requires a constant representative."""
         if any(self.num[1:]):
@@ -550,8 +590,25 @@ class AlgElement:
     def __repr__(self):
         return f"({self.rep} mod {self.algebra.modulus})"
 
-    def to_json(self) -> dict:
-        return {"modulus": self.algebra.modulus.to_strings(), "rep": self.rep.to_strings()}
+
+def crt_combiner(algebra: EtaleAlgebra, sub_a: EtaleAlgebra, sub_b: EtaleAlgebra):
+    """The map (a, b) -> the element of `algebra` that reduces to a over sub_a and
+    to b over sub_b, whose moduli g and h multiply to algebra.modulus (so are
+    coprime).  The idempotent e = g * (g^-1 mod h), 0 mod g and 1 mod h, is
+    computed once; each call is a + e * (b - a), reading a and b in `algebra`."""
+    g = sub_a.modulus
+    if g * sub_b.modulus != algebra.modulus:
+        raise ValueError("component moduli do not multiply to the target modulus")
+    g_inv = sub_b.element(g).inverse()
+    e = algebra.element(g) * algebra._reduced(list(g_inv.num), g_inv.den)
+
+    def combine(a: AlgElement, b: AlgElement) -> AlgElement:
+        if a.algebra != sub_a or b.algebra != sub_b:
+            raise ValueError("elements do not live over the split's components")
+        x = algebra._reduced(list(a.num), a.den)
+        return x + e * (algebra._reduced(list(b.num), b.den) - x)
+
+    return combine
 
 
 def crt_combine(algebra: EtaleAlgebra, a: AlgElement, b: AlgElement) -> AlgElement:
@@ -560,14 +617,4 @@ def crt_combine(algebra: EtaleAlgebra, a: AlgElement, b: AlgElement) -> AlgEleme
     a lives over Q[t]/(g), b over Q[t]/(h) with g*h = algebra.modulus; the
     result reduces to a mod g and to b mod h.
     """
-    g = a.algebra.modulus
-    h = b.algebra.modulus
-    if g * h != algebra.modulus:
-        raise ValueError("component moduli do not multiply to the target modulus")
-    d, u, _ = poly_xgcd(g, h)
-    if d.degree != 0:
-        raise ValueError("component moduli are not coprime")
-    # rep = a + g * u * (b - a) mod g*h, with u = g^{-1} mod h
-    diff = (b.rep - a.rep) % h
-    lift = (g * ((u * diff) % h)) + a.rep
-    return algebra.element(lift)
+    return crt_combiner(algebra, a.algebra, b.algebra)(a, b)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Sequence, Tuple
+
+from .algebra import _eliminate
 
 GENERATORS = ("x", "y", "z")
 
@@ -221,39 +222,6 @@ STANDARD_LINES = (
     ((1, 0, 0, 0), (0, 1, 0, 0)),
     ((1, 0, 1, 0), (0, 1, 0, 1)),
 )
-
-
-def _eliminate(rows: Sequence[Sequence]) -> tuple:
-    """Exact fraction-free (Bareiss) Gauss-Jordan elimination: (pivot columns, rows).
-
-    Each row is first scaled to integers; every division below is exact.
-    The rank is the number of pivots, and row i of the result, divided by
-    its entry in column pivots[i], is row i of the reduced row echelon form.
-    On an augmented [M | I], M is invertible iff the pivots are M's columns.
-    """
-    m = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        scale = lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
-    pivots = []
-    prev = 1
-    for col in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[top], m[pivot] = m[pivot], m[top]
-        lead, pivot_row = m[top][col], m[top]
-        for r in range(len(m)):
-            if r != top:
-                factor = m[r][col]
-                m[r] = [(lead * a - factor * b) // prev for a, b in zip(m[r], pivot_row)]
-        prev = lead
-        pivots.append(col)
-        if top + 1 == len(m):
-            break
-    return pivots, m
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -30,6 +30,8 @@ from .algebra import (
     EtaleAlgebra,
     Poly,
     ZeroDivisorFound,
+    _convolve,
+    crt_combiner,
     fraction_to_string,
     squarefree_part,
 )
@@ -104,6 +106,15 @@ def _vscale(c, u):
 #: Index pairs (i, j), i < j, of the 2x2 minors of a 4x2 matrix, in scan order.
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
+#: Per cubic monomial X_t0 X_t1 X_t2 (as its exponent vector), the (m, pair, e)
+#: with d/dX_m of it equal to e * X_pair0 X_pair1.
+_DERIVATIVES = {
+    tuple(t.count(v) for v in range(4)): tuple(
+        (m, t[: t.index(m)] + t[t.index(m) + 1 :], t.count(m)) for m in sorted(set(t))
+    )
+    for t in itertools.combinations_with_replacement(range(4), 3)
+}
+
 
 def _first_unit(values: Iterable):
     """The first unit among `values` as (index, value), reading them lazily.
@@ -150,7 +161,7 @@ class ProjPoint:
     caches its primitive integer vector, on which the integer kernel runs.
     """
 
-    __slots__ = ("algebra", "coords", "_norm", "_ints")
+    __slots__ = ("algebra", "coords", "_norm", "_ints", "_key")
 
     def __init__(self, algebra: EtaleAlgebra, coords: Iterable):
         coords = tuple(algebra.element(c) for c in coords)
@@ -162,6 +173,7 @@ class ProjPoint:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -182,6 +194,7 @@ class ProjPoint:
         object.__setattr__(point, "coords", coords)
         object.__setattr__(point, "_norm", point)
         object.__setattr__(point, "_ints", ints)
+        object.__setattr__(point, "_key", None)
         return point
 
     @property
@@ -209,22 +222,23 @@ class ProjPoint:
         return self._ints
 
     def key(self):
-        """Canonical hashable key; normalized when possible."""
-        try:
-            pt = self.normalized()
-        except ZeroDivisorFound:
-            pt = self
-        return (self.algebra.modulus.coeffs, tuple(c.rep.coeffs for c in pt.coords))
+        """Canonical hashable key, built on first use: the modulus and the coefficients
+        of the normalized coordinates (the raw ones when there is no unit coordinate)."""
+        if self._key is None:
+            try:
+                pt = self.normalized()
+            except ZeroDivisorFound:
+                pt = self
+            if self.is_rational:  # the Fractions `rep` would hold, without building it
+                coords = tuple((Fraction(c.num[0], c.den),) if c.num[0] else () for c in pt.coords)
+            else:
+                coords = tuple(c.rep.coeffs for c in pt.coords)
+            object.__setattr__(self, "_key", (self.algebra.modulus.coeffs, coords))
+        return self._key
 
     def rational_coords(self) -> tuple:
         """Coordinates as Fractions; requires a degree-1 algebra."""
         return tuple(c.constant_value() for c in self.coords)
-
-    def in_algebra(self, algebra: EtaleAlgebra) -> "ProjPoint":
-        """Recoordinatize a rational point inside a bigger algebra."""
-        if algebra == self.algebra:
-            return self
-        return ProjPoint(algebra, [algebra.from_rational(q) for q in self.rational_coords()])
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -303,11 +317,6 @@ class Line:
     def rational(cls, p: Sequence, q: Sequence) -> "Line":
         return cls(ProjPoint.rational(p), ProjPoint.rational(q))
 
-    def in_algebra(self, algebra: EtaleAlgebra) -> "Line":
-        if algebra == self.algebra:
-            return self
-        return Line(self.p.in_algebra(algebra), self.q.in_algebra(algebra))
-
     def __repr__(self):
         return f"Line({self.p!r}, {self.q!r})"
 
@@ -337,7 +346,7 @@ class PlanePencil:
 class CubicForm:
     """Homogeneous cubic form in X0..X3 with exact rational coefficients."""
 
-    __slots__ = ("terms", "_max_exp", "_kernel")
+    __slots__ = ("terms", "_kernel")
 
     def __init__(self, terms):
         clean = {}
@@ -352,7 +361,6 @@ class CubicForm:
         if not clean:
             raise ValueError("the zero form is not a cubic surface")
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
-        object.__setattr__(self, "_max_exp", tuple(max(e[i] for e in clean) for i in range(4)))
         object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
@@ -368,37 +376,53 @@ class CubicForm:
         return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
 
     def _integer_kernel(self) -> tuple:
-        """(den, terms): den*F as (exponents, integer coefficient) pairs, den the
-        least common denominator of the coefficients; built on first use."""
+        """(den, terms, partials), built on first use: den is the least common
+        denominator of the coefficients, `terms` holds den*F as (exponents,
+        integer coefficient) pairs, and partials[m] holds den*dF/dX_m as
+        ((i, j), integer coefficient) pairs, one per monomial X_i X_j."""
         if self._kernel is None:
             den = lcm(*(coeff.denominator for coeff in self.terms.values()))
-            terms = tuple((exp, int(coeff * den)) for exp, coeff in self.terms.items())
-            object.__setattr__(self, "_kernel", (den, terms))
+            terms = tuple((exp, c.numerator * (den // c.denominator)) for exp, c in self.terms.items())
+            partials = ([], [], [], [])
+            for exp, k in terms:
+                for m, pair, e in _DERIVATIVES[exp]:
+                    partials[m].append((pair, k * e))
+            object.__setattr__(self, "_kernel", (den, terms, partials))
         return self._kernel
 
-    def _powers(self, coords: Sequence) -> list:
-        """Per coordinate c, the row (None, c, c^2, c^3) up to the power the form uses."""
-        table = []
-        for c, top in zip(coords, self._max_exp):
-            row = [None, c]
-            for _ in range(top - 1):
-                row.append(row[-1] * c)
-            table.append(row)
-        return table
+    def _partial_polys(self, nums: list) -> list:
+        """den*dF/dX_m, m = 0..3, at integer numerator polynomials, unreduced."""
+        partials = self._integer_kernel()[2]
+        pairs = {pair for part in partials for pair, _ in part}
+        squares = {(i, j): _convolve(nums[i], nums[j]) for i, j in pairs}
+        out = []
+        for part in partials:
+            total = [0] * (2 * len(nums[0]) - 1)
+            for pair, k in part:
+                for r, v in enumerate(squares[pair]):
+                    total[r] += k * v
+            out.append(total)
+        return out
 
     def value_at(self, coords: Sequence):
-        """F at 4 coordinates of one ring: ints, Fractions or AlgElements.  On ints
-        it runs on the integer terms and returns F exactly: an int, or a Fraction
-        when F has non-integral coefficients."""
+        """F at 4 coordinates of one ring: ints, Fractions or AlgElements, exactly.
+
+        On ints it runs on the integer terms and returns an int, or a Fraction
+        when F has non-integral coefficients.  Fractions are cleared onto the
+        integer path, and the result is always a Fraction.  AlgElements are
+        put over one denominator as integer numerator polynomials, F is summed
+        unreduced by Euler's relation 3F = sum X_m dF/dX_m, and the sum is
+        reduced once."""
+        den, terms, _ = self._integer_kernel()
         if all(type(c) is int for c in coords):
-            den, terms = self._integer_kernel()
             return _scaled_value(terms, den, coords)
-        powers = self._powers(coords)
-        total = None
-        for exp, coeff in self.terms.items():
-            term = _monomial(powers, exp) * coeff
-            total = term if total is None else total + term
-        return total
+        algebra, nums, scale = _common_numerators(coords)
+        if algebra is None:
+            return Fraction(_scaled_value(terms, 1, nums), den * scale**3)
+        total = [0] * (3 * len(nums[0]) - 2)
+        for x, partial in zip(nums, self._partial_polys(nums)):
+            _convolve(x, partial, total)
+        return algebra._reduced(total, 3 * den * scale**3)
 
     def evaluate(self, point: ProjPoint) -> AlgElement:
         """F at a rational point's primitive integer vector, else at the point's
@@ -406,17 +430,16 @@ class CubicForm:
         return point.algebra.element(self.value_at(_kernel_coords(point)))
 
     def gradient_at(self, coords: Sequence) -> tuple:
-        """The partial derivatives at `coords`, exactly, in the coordinates' ring;
-        on ints they run on the integer terms like `value_at`."""
+        """The partial derivatives at `coords`, exactly, in the coordinates' ring,
+        by the same three paths as `value_at`: ints, Fractions (always
+        returned as Fractions) and AlgElements (one reduction per partial)."""
+        den, _, partials = self._integer_kernel()
         ints = all(type(c) is int for c in coords)
-        den, terms = self._integer_kernel() if ints else (1, self.terms.items())
-        powers = self._powers(coords)
-        out = [coords[0] * 0] * 4
-        for exp, coeff in terms:
-            for i, e in enumerate(exp):
-                if e:
-                    out[i] += _monomial(powers, exp[:i] + (e - 1,) + exp[i + 1 :]) * (coeff * e)
-        return tuple(out) if den == 1 else tuple(Fraction(v, den) for v in out)
+        algebra, nums, scale = (None, coords, 1) if ints else _common_numerators(coords)
+        if algebra is not None:
+            return tuple(algebra._reduced(p, den * scale * scale) for p in self._partial_polys(nums))
+        out = tuple(sum(k * nums[i] * nums[j] for (i, j), k in part) for part in partials)
+        return out if ints and den == 1 else tuple(Fraction(v, den * scale * scale) for v in out)
 
     def integer_terms(self) -> list:
         """Terms with denominators cleared, for integer-kernel evaluation."""
@@ -467,6 +490,18 @@ def _scaled_value(terms: tuple, den: int, x: Sequence[int]):
     return total if den == 1 else Fraction(total, den)
 
 
+def _common_numerators(coords: Sequence) -> tuple:
+    """(algebra, nums, den) with coords[i] = nums[i] / den: integers for ints and
+    Fractions (algebra None), integer coefficient lists for AlgElements."""
+    algebra = next((c.algebra for c in coords if isinstance(c, AlgElement)), None)
+    if algebra is None:
+        den = lcm(*(c.denominator for c in coords))
+        return None, [c.numerator * (den // c.denominator) for c in coords], den
+    coords = [algebra.element(c) for c in coords]
+    den = lcm(*(c.den for c in coords))
+    return algebra, [[x * (den // c.den) for x in c.num] for c in coords], den
+
+
 def _kernel_coords(point: ProjPoint) -> tuple:
     """The coordinates constructions compute with: a rational point's primitive
     integer vector, else its algebra coordinates."""
@@ -478,15 +513,6 @@ def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
     if algebra.degree == 1:
         return ProjPoint.from_integers(coords, algebra)
     return ProjPoint(algebra, coords).normalized()
-
-
-def _monomial(powers: list, exp: tuple):
-    """Product of power-table entries; `exp` has at least one nonzero entry."""
-    term = None
-    for row, e in zip(powers, exp):
-        if e:
-            term = row[e] if term is None else term * row[e]
-    return term
 
 
 def restrict(value, p, q) -> tuple:
@@ -527,10 +553,14 @@ def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
     """The unique plane of the pencil through x, as a linear form on X0..X3.
 
     Computed as the signed 3x3 minors of the rows (axis basepoints, x), on
-    kernel coordinates: integers for a rational x, algebra elements
-    otherwise.  All minors vanishing means x lies on the axis.
+    kernel coordinates: a rational axis stays on its primitive integers, and x
+    gives integers when rational and algebra elements otherwise; an axis over
+    x's algebra works on its algebra coordinates.  All minors vanishing means
+    x lies on the axis.
     """
-    axis = pencil.axis.in_algebra(x.algebra)
+    axis = pencil.axis
+    if axis.algebra.degree != 1 and axis.algebra != x.algebra:
+        raise ValueError("the pencil axis must be rational or over the point's algebra")
     rows = [_kernel_coords(axis.p), _kernel_coords(axis.q), _kernel_coords(x)]
     n = []
     for i in range(4):
@@ -699,25 +729,19 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     )
 
 
-def _tangent_on_components(
-    surface: CubicForm, axis: Line, algebra: EtaleAlgebra, point: ProjPoint
-) -> ProjPoint:
-    """Tangent process over an algebra, splitting lazily at zero divisors."""
-    from .algebra import crt_combine
-
+def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjPoint) -> ProjPoint:
+    """Tangent process over the point's algebra, splitting lazily at zero divisors
+    and recombining the components through one CRT idempotent per split."""
     try:
-        return tangent_residual(surface, PlanePencil(axis.in_algebra(algebra)), point)
+        return tangent_residual(surface, pencil, point)
     except ZeroDivisorFound as zd:
-        sub_a, sub_b = algebra.split(zd.factor)
-        results = []
-        for sub in (sub_a, sub_b):
-            sub_point = ProjPoint(sub, [c.reduce_mod(sub) for c in point.coords])
-            results.append(_tangent_on_components(surface, axis, sub, sub_point))
-        combined = [
-            crt_combine(algebra, a, b)
-            for a, b in zip(results[0].coords, results[1].coords)
-        ]
-        return ProjPoint(algebra, combined)
+        sub_a, sub_b = point.algebra.split(zd.factor)
+        a, b = (
+            _tangent_on_components(surface, pencil, ProjPoint(sub, [c.reduce_mod(sub) for c in point.coords]))
+            for sub in (sub_a, sub_b)
+        )
+        combine = crt_combiner(point.algebra, sub_a, sub_b)
+        return ProjPoint(point.algebra, [combine(x, y) for x, y in zip(a.coords, b.coords)])
 
 
 def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> LengthThreeScheme:
@@ -732,7 +756,7 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
     if pencil.axis.algebra.degree != 1:
         raise ValueError("the pencil axis must be a rational line")
     scheme = line_section(surface, line)
-    image = _tangent_on_components(surface, pencil.axis, scheme.algebra, scheme.point)
+    image = _tangent_on_components(surface, pencil, scheme.point)
     check_invariant(surface.evaluate(image).is_zero, "the triple map image must lie on the surface")
     return LengthThreeScheme(
         algebra=scheme.algebra,

@@ -25,6 +25,34 @@ def monomial_value(exp, point):
     return v
 
 
+def form_value(surface, coords):
+    """F at coordinates of any ring with + and * (Fractions, `Poly`s, algebra
+    elements), monomial by monomial: an evaluator independent of the library's."""
+    total = 0
+    for exp, coeff in surface.terms.items():
+        term = coeff
+        for c, e in zip(coords, exp):
+            for _ in range(e):
+                term = term * c
+        total = term + total
+    return total
+
+
+def form_gradient(surface, coords):
+    """The partial derivatives of F, monomial by monomial, like `form_value`;
+    a partial with no monomial is the int 0."""
+    out = [0, 0, 0, 0]
+    for exp, coeff in surface.terms.items():
+        for m, e in enumerate(exp):
+            if e:
+                term = coeff * e
+                for i, (c, f) in enumerate(zip(coords, exp)):
+                    for _ in range(f - (i == m)):
+                        term = term * c
+                out[m] = term + out[m]
+    return out
+
+
 def random_point(rng, height=4):
     while True:
         v = [rng.randint(-height, height) for _ in range(4)]
@@ -111,6 +139,29 @@ def from_roots(roots):
     return p
 
 
+def poly_xgcd(a, b):
+    """Extended gcd of two `Poly`s: (g, u, v) with g = u*a + v*b and g monic (or 0)."""
+    from zerocycles.algebra import Poly
+
+    r0, r1 = a, b
+    u0, u1 = Poly.one(), Poly.zero()
+    v0, v1 = Poly.zero(), Poly.one()
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero:
+        return r0, u0, v0
+    inv = 1 / r0.leading
+    return r0.monic(), u0 * inv, v0 * inv
+
+
+def element_json(a):
+    """An algebra element as {"modulus": [...], "rep": [...]} coefficient strings."""
+    return {"modulus": a.algebra.modulus.to_strings(), "rep": a.rep.to_strings()}
+
+
 def collinear(x, y, z):
     """True iff three rational points lie on one line: all 3x3 minors vanish."""
     rows = [p.rational_coords() for p in (x, y, z)]
@@ -122,8 +173,9 @@ def collinear(x, y, z):
 
 
 def component_point(point, tau):
-    """The rational component of an algebra point at a root tau of its modulus."""
-    return ProjPoint.rational([c.at_root(tau) for c in point.coords])
+    """The rational component of an algebra point at a root tau of its modulus:
+    each coordinate's representative evaluated at tau."""
+    return ProjPoint.rational([c.rep(Fraction(tau)) for c in point.coords])
 
 
 def weierstrass_surface(a, b) -> CubicForm:

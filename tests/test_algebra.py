@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import from_roots
+from conftest import element_json, from_roots, poly_xgcd
 from zerocycles.algebra import (
     EtaleAlgebra,
     Poly,
@@ -11,7 +11,6 @@ from zerocycles.algebra import (
     crt_combine,
     is_squarefree,
     poly_gcd,
-    poly_xgcd,
     squarefree_part,
 )
 
@@ -210,7 +209,7 @@ class TestEtaleAlgebra:
 
     def test_element_serialization(self, cubic):
         a = cubic.element(P(Fraction(1, 3), 2))
-        obj = a.to_json()
+        obj = element_json(a)
         assert Poly(obj["modulus"]) == cubic.modulus
         assert cubic.element(Poly(obj["rep"])) == a
 

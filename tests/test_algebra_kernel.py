@@ -2,7 +2,8 @@
 
 Every operation is checked against the `Poly` reference: the same
 computation done on coefficient polynomials over Q followed by an explicit
-remainder modulo the modulus.
+remainder modulo the modulus.  The form evaluator on algebra points is
+checked the same way, against a monomial-by-monomial expansion.
 """
 
 import math
@@ -11,18 +12,26 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import from_roots
+from conftest import (
+    MONOMIALS,
+    element_json,
+    form_gradient,
+    form_value,
+    from_roots,
+    monomial_value,
+    poly_xgcd,
+)
 from zerocycles.algebra import (
     AlgElement,
     EtaleAlgebra,
     Poly,
     ZeroDivisorFound,
     crt_combine,
+    crt_combiner,
     is_squarefree,
     poly_gcd,
-    poly_xgcd,
 )
-from zerocycles.geometry import ProjPoint
+from zerocycles.geometry import CubicForm, ProjPoint
 
 
 def random_fraction(rng, height=9):
@@ -173,8 +182,8 @@ def test_equality_hash_zero_and_json_agree_with_poly_view():
         elems.append(alg.element(elems[0].rep * 1))
         for a in elems:
             assert a.is_zero == a.rep.is_zero
-            assert a.to_json() == {"modulus": f.to_strings(), "rep": a.rep.to_strings()}
-            assert alg.element(Poly(a.to_json()["rep"])) == a
+            assert element_json(a) == {"modulus": f.to_strings(), "rep": a.rep.to_strings()}
+            assert alg.element(Poly(element_json(a)["rep"])) == a
             for b in elems:
                 assert (a == b) == (a.rep == b.rep)
                 if a == b:
@@ -202,3 +211,112 @@ def test_point_key_matches_poly_normalization():
             with pytest.raises(ZeroDivisorFound):
                 point.normalized()
         assert point.key() == (f.coeffs, tuple(r.coeffs for r in reps))
+
+
+def split_algebra(rng):
+    """(algebra, g, h): a degree-2 or 3 modulus g*h with monic coprime factors
+    whose coefficients are often non-integral (scale != 1)."""
+    while True:
+        dg = rng.choice([1, 1, 2])
+        dh = 1 if dg == 2 else rng.choice([1, 2])
+        g = Poly([random_fraction(rng) for _ in range(dg)] + [1])
+        h = Poly([random_fraction(rng) for _ in range(dh)] + [1])
+        if is_squarefree(g * h):
+            return EtaleAlgebra(g * h), g, h
+
+
+def random_form(rng):
+    terms = {e: random_fraction(rng) for e in MONOMIALS if rng.random() < 0.6}
+    return CubicForm(terms or {MONOMIALS[0]: 1})
+
+
+def test_unit_matrix_is_singular_iff_the_gcd_is_nontrivial():
+    # multiples of a factor of a split modulus are the zero divisors; the
+    # inverse of a unit is the Bezout coefficient of the Poly reference
+    rng = random.Random(8)
+    seen = {"unit": 0, "zero divisor": 0, "scale != 1": 0}
+    for _ in range(300):
+        alg, g, h = split_algebra(rng)
+        f = alg.modulus
+        seen["scale != 1"] += alg.scale != 1
+        factor = rng.choice([g, h, Poly.one(), Poly.one()])
+        a = alg.element(factor * random_poly(rng, alg.degree - 1))
+        if a.is_zero:
+            continue
+        common = poly_gcd(a.rep, f)
+        assert a.is_unit() == (common.degree == 0)
+        if common.degree:
+            seen["zero divisor"] += 1
+            with pytest.raises(ZeroDivisorFound) as info:
+                a.inverse()
+            assert info.value.factor == common
+            continue
+        seen["unit"] += 1
+        inv = a.inverse()
+        assert_normalized(inv)
+        assert inv.rep == poly_xgcd(a.rep, f)[1] % f
+    assert min(seen.values()) >= 60
+
+
+def test_crt_idempotent_matches_bezout_formula():
+    # the old recombination: a + g * ((u * (b - a)) mod h), u = g^-1 mod h
+    rng = random.Random(9)
+    for _ in range(150):
+        alg, g, h = split_algebra(rng)
+        sub_a, sub_b = alg.split(g)
+        combine = crt_combiner(alg, sub_a, sub_b)
+        u = poly_xgcd(g, h)[1]
+        for _ in range(3):
+            a = sub_a.element(random_poly(rng, 3))
+            b = sub_b.element(random_poly(rng, 3))
+            got = combine(a, b)
+            assert_normalized(got)
+            assert got.rep == g * ((u * (b.rep - a.rep)) % h) + a.rep
+            assert got == crt_combine(alg, a, b)
+            assert got.reduce_mod(sub_a) == a and got.reduce_mod(sub_b) == b
+        with pytest.raises(ValueError):
+            combine(b, a)
+
+
+def test_form_on_algebra_points_matches_monomial_expansion():
+    # value_at and gradient_at reduce once per output; the oracle expands
+    # every monomial on the Poly representatives and reduces at the end
+    rng, algs = algebras(10, 90)
+    for case, alg in enumerate(algs):
+        f = alg.modulus
+        for _ in range(3):
+            surface = random_form(rng)
+            coords = [alg.element(random_poly(rng, alg.degree - 1)) for _ in range(4)]
+            if case % 4 == 0:  # a rational coordinate is read in the algebra
+                coords[case % 3] = random_fraction(rng)
+            reps = [alg.element(c).rep for c in coords]
+            value = surface.value_at(coords)
+            assert_normalized(value)
+            assert value.rep == (Poly.zero() + form_value(surface, reps)) % f
+            grad = surface.gradient_at(coords)
+            for got, want in zip(grad, form_gradient(surface, reps)):
+                assert_normalized(got)
+                assert got.rep == (Poly.zero() + want) % f
+            euler = sum((d * alg.element(c) for d, c in zip(grad, coords)), alg.zero)
+            assert euler == 3 * value
+
+
+def test_form_on_fractions_is_exact_and_a_fraction():
+    # denominators are cleared onto the integer path; the value comes back a
+    # Fraction even when it is integral, so t / value never turns into a float
+    rng = random.Random(11)
+    for case in range(300):
+        if case % 2:
+            surface = random_form(rng)
+        else:
+            surface = CubicForm({e: rng.randint(-3, 3) for e in MONOMIALS} | {MONOMIALS[case % 20]: 1})
+        if case % 3:
+            pt = [random_fraction(rng) for _ in range(4)]
+        else:
+            pt = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
+        value = surface.value_at(pt)
+        assert type(value) is Fraction
+        assert value == sum(c * monomial_value(e, pt) for e, c in surface.terms.items())
+        grad = surface.gradient_at(pt)
+        assert all(type(d) is Fraction for d in grad)
+        assert list(grad) == form_gradient(surface, pt)

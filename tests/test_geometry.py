@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import (
     collinear,
     component_point,
     expand_along_line,
+    form_gradient,
     from_roots,
     monomial_value,
     random_point,
@@ -460,14 +462,55 @@ class TestTangentTriple:
             return original(self, factor)
 
         monkeypatch.setattr(EtaleAlgebra, "split", spy)
-        out = _tangent_on_components(FERMAT, axis, algebra, x)
+        out = _tangent_on_components(FERMAT, PlanePencil(axis), x)
         assert splits, "expected the computation to hit a zero divisor"
         assert FERMAT.evaluate(out).is_zero
         for tau in (0, 1, -1):
-            comp_in = ProjPoint.rational([c.at_root(tau) for c in x.coords])
+            comp_in = component_point(x, tau)
             direct = tangent_residual(FERMAT, PlanePencil(axis), comp_in)
-            comp_out = ProjPoint.rational([c.at_root(tau) for c in out.coords])
+            comp_out = component_point(out, tau)
             assert comp_out == direct
+
+    def test_non_split_output_is_the_tangent_residual_in_its_algebra(self, monkeypatch):
+        # C9 only checks that such outputs lie on S; here the tangent process
+        # is checked in the section's own algebra, by oracles that do not use
+        # the library's evaluator: y lies in the plane through the axis and x,
+        # the gradient at x vanishes on y, and F(x + t*y) has a double root at
+        # t = 0 but does not vanish identically
+        splits = []
+        original = EtaleAlgebra.split
+
+        def spy(self, factor):
+            splits.append(factor)
+            return original(self, factor)
+
+        monkeypatch.setattr(EtaleAlgebra, "split", spy)
+        rng = random.Random(43)
+        done = 0
+        while done < 30:
+            surface = random_surface_through(rng, [])
+            line = Line.rational(random_point(rng), random_point(rng))
+            axis = Line.rational(random_point(rng), random_point(rng))
+            del splits[:]
+            try:
+                triple = tangent_triple(surface, PlanePencil(axis), line)
+            except (GeometryError, ZeroDivisorFound):
+                continue
+            if splits or triple.known_parameters or triple.degree < 2:
+                continue
+            algebra = triple.algebra
+            x, y = line_section(surface, line).point.coords, triple.point.coords
+            rows = [[algebra.from_rational(c) for c in p.rational_coords()] for p in (axis.p, axis.q)]
+            rows += [list(x), list(y)]
+            det = algebra.zero
+            for perm in itertools.permutations(range(4)):
+                inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+                det = det + (-1) ** inversions * prod((rows[r][perm[r]] for r in range(4)), start=algebra.one)
+            assert det.is_zero
+            assert sum((d * c for d, c in zip(form_gradient(surface, x), y)), algebra.zero).is_zero
+            c0, c1, c2, c3 = expand_over(algebra, surface, x, y)
+            assert c0.is_zero and c1.is_zero and not (c2.is_zero and c3.is_zero)
+            done += 1
 
 
 class TestCollinear:

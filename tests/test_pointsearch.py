@@ -7,7 +7,7 @@ import pytest
 
 import zerocycles.pointsearch as pointsearch
 from conftest import MONOMIALS, random_surface_through, secant_instance
-from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section
+from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section, point_from_json
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
     SOURCE_TANGENT,
@@ -195,6 +195,31 @@ class TestTangentResidualKernel:
         want = saturate(surface, seeds, rounds=2, max_points=80)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
         assert any(r.source == SOURCE_TANGENT for r in got)
+
+
+class TestPointKey:
+    @pytest.mark.parametrize("name", ["diagonal-rational", "sparse1"])
+    def test_matches_rep_formula_on_enumerated_and_saturated_points(self, name):
+        # the key of a rational point is built from its normalized numerators
+        # and denominator; it must equal the Poly-based formula it replaces
+        # (so equality, hashing and saturate's sort order are unchanged), also
+        # on points reloaded from JSON with nothing cached
+        def rep_key(point):
+            pt = point.normalized()
+            return (point.algebra.modulus.coeffs, tuple(c.rep.coeffs for c in pt.coords))
+
+        surface = ENUMERATION_FORMS[name]
+        enumerated = enumerate_rational(surface, 2)
+        saturated = saturate(surface, enumerated[:3], rounds=2, max_points=80)
+        points = [r.point for r in enumerated + saturated]
+        points += [point_from_json(p.to_json()) for p in points]
+        points += [ProjPoint.rational([-3 * c for c in p.rational_coords()]) for p in points[:20]]
+        assert any(r.source != SOURCE_ENUMERATED for r in saturated)
+        for point in points:
+            assert point.key() == rep_key(point)
+            assert hash(point.key()) == hash(rep_key(point))
+        assert sorted(points, key=ProjPoint.key) == sorted(points, key=rep_key)
+        assert [p.key() for p in sorted(points, key=ProjPoint.key)] == sorted(map(rep_key, points))
 
 
 class TestDegree3FromLine:
