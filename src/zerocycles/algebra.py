@@ -418,6 +418,12 @@ class EtaleAlgebra:
             raise ValueError(f"{factor} does not divide {self.modulus}")
         return EtaleAlgebra(factor), EtaleAlgebra(self.modulus // factor)
 
+    def projection_from(self, algebra: "EtaleAlgebra"):
+        """The map x -> x mod this modulus on `algebra`, whose modulus it must divide (checked once, here)."""
+        if not self.modulus.divides(algebra.modulus):
+            raise ValueError("target modulus does not divide the current one")
+        return lambda x: self._reduced(list(x.num), x.den)
+
     def __eq__(self, other):
         return self is other or (isinstance(other, EtaleAlgebra) and self.modulus == other.modulus)
 
@@ -437,7 +443,7 @@ class AlgElement:
     use.  Build elements through `EtaleAlgebra.element`/`from_rational`.
     """
 
-    __slots__ = ("algebra", "num", "den", "_rep")
+    __slots__ = ("algebra", "num", "den", "_rep", "_inv")
 
     def __init__(self, algebra: EtaleAlgebra, num, den: int):
         if len(num) != len(algebra.tail) or den <= 0:
@@ -483,23 +489,26 @@ class AlgElement:
         for a non-unit.  Column j of the integer matrix M is num * (scale*t)^j
         reduced, that is den * scale^j * (self * t^j), so self is a unit iff M
         is nonsingular, and then M z = e0 (fraction-free, by Bareiss) gives the
-        inverse as sum(z_j * den * scale^j * t^j)."""
+        inverse as sum(z_j * den * scale^j * t^j).  Kept in the `_inv` slot, unset till then."""
+        parts = getattr(self, "_inv", False)
+        if parts is not False:
+            return parts
         scale, tail, n = self.algebra.scale, self.algebra.tail, len(self.num)
         cols = [list(self.num)]
         for _ in range(n - 1):
             col = cols[-1]
             cols.append([scale * x - col[-1] * c for x, c in zip([0] + col[:-1], tail)])
         pivots, rows = _eliminate([[c[i] for c in cols] + [int(i == 0)] for i in range(n)])
-        if pivots != list(range(n)):
-            return None
-        det = rows[0][0]  # every pivot entry, so z_j = rows[j][n] / det
-        unit = self.den if det > 0 else -self.den
-        return [row[n] * unit * scale**j for j, row in enumerate(rows)], abs(det)
+        parts = None
+        if pivots == list(range(n)):
+            det = rows[0][0]  # every pivot entry, so z_j = rows[j][n] / det
+            unit = self.den if det > 0 else -self.den
+            parts = [row[n] * unit * scale**j for j, row in enumerate(rows)], abs(det)
+        object.__setattr__(self, "_inv", parts)
+        return parts
 
     def is_unit(self) -> bool:
-        if self.is_zero:
-            return False
-        return len(self.num) == 1 or self._inverse_parts() is not None
+        return not self.is_zero and (len(self.num) == 1 or self._inverse_parts() is not None)
 
     def zero_divisor_factor(self) -> Poly:
         """Monic proper modulus divisor witnessing non-invertibility.
@@ -565,9 +574,7 @@ class AlgElement:
 
     def reduce_mod(self, sub: EtaleAlgebra) -> "AlgElement":
         """Image in a component algebra whose modulus divides this one's."""
-        if not sub.modulus.divides(self.algebra.modulus):
-            raise ValueError("target modulus does not divide the current one")
-        return sub._reduced(list(self.num), self.den)
+        return sub.projection_from(self.algebra)(self)
 
     def constant_value(self) -> Fraction:
         """The element as a rational number; requires a constant representative."""

@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from .algebra import ZeroDivisorFound
@@ -288,6 +289,9 @@ def _cmd_points(args) -> str:
     raise AssertionError(args.subcommand)
 
 
+#: Built on the first `run`, not at import, then reused: argparse keeps no state between parses.
+_parser = cache(build_parser)
+
 _HANDLERS = {
     "geom": _cmd_geom,
     "chow": _cmd_chow,
@@ -297,8 +301,7 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = _HANDLERS[args.command](args)
     except (GeometryError, ZeroDivisorFound, PreconditionFailed, CertificateNotFound) as exc:

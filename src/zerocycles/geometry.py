@@ -736,10 +736,8 @@ def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjP
         return tangent_residual(surface, pencil, point)
     except ZeroDivisorFound as zd:
         sub_a, sub_b = point.algebra.split(zd.factor)
-        a, b = (
-            _tangent_on_components(surface, pencil, ProjPoint(sub, [c.reduce_mod(sub) for c in point.coords]))
-            for sub in (sub_a, sub_b)
-        )
+        components = (ProjPoint(sub, map(sub.projection_from(point.algebra), point.coords)) for sub in (sub_a, sub_b))
+        a, b = (_tangent_on_components(surface, pencil, part) for part in components)
         combine = crt_combiner(point.algebra, sub_a, sub_b)
         return ProjPoint(point.algebra, [combine(x, y) for x, y in zip(a.coords, b.coords)])
 

@@ -151,6 +151,21 @@ def test_inverse_and_zero_divisors_match_poly_gcd():
     assert seen_zero_divisor
 
 
+def test_projection_checks_divisibility_once_and_matches_reduce_mod():
+    alg = EtaleAlgebra(from_roots([Fraction(0), Fraction(1), Fraction(-2, 3)]))
+    sub_a, sub_b = alg.split(from_roots([Fraction(1)]))
+    rng = random.Random(11)
+    elements = [alg.element(random_poly(rng, 4)) for _ in range(4)]
+    for sub in (sub_a, sub_b):
+        project = sub.projection_from(alg)
+        assert [project(x) for x in elements] == [x.reduce_mod(sub) for x in elements]
+    stranger = EtaleAlgebra(from_roots([Fraction(5)]))
+    with pytest.raises(ValueError):
+        stranger.projection_from(alg)
+    with pytest.raises(ValueError):
+        elements[0].reduce_mod(stranger)
+
+
 def test_reduce_mod_and_crt_match_poly_reference():
     rng = random.Random(5)
     for _ in range(60):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,75 @@ class TestDeterminism:
         assert code == 0
         _, suite_two = run_cli(capsys, "descent", "suite", "--dS", "1", "--ceiling", "25")
         assert suite_one == suite_two
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_process_env():
+    # COLUMNS pins argparse's help width, which is read at format time
+    return dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+
+
+class TestParserReuse:
+    """`run` builds its parser once per process; reusing it must carry nothing
+    from one call to the next."""
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch, fermat_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["descent", "certify", "--dS", "3", "--degree", "100"],
+            ["geom", "third-point", "--surface", fermat_path],  # usage error
+            ["geom", "third-point", "--surface", fermat_path,
+             "--x", '["1","-1","0","0"]', "--y", '["0","1","-1","0"]'],
+            ["--help"],
+            ["points", "enum", "--surface", fermat_path, "--height", "1"],
+            ["descent", "certify", "--help"],
+            ["descent", "certify", "--dS", "3", "--degree", "100"],
+        ]
+        flags = ["-O"] if sys.flags.optimize else []
+        codes = []
+        for argv in calls:
+            try:
+                code = run(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, *flags, "-m", "zerocycles.cli", *argv],
+                env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0, 0, 0]
+
+    def test_parser_is_built_on_first_run_only(self):
+        script = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from zerocycles import cli
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["descent", "certify", "--dS", "3", "--degree", "100"]) for _ in range(20)]
+after_runs = len(built)
+cli.build_parser()
+print(json.dumps({"at_import": at_import, "after_runs": after_runs,
+                  "one_build": len(built) - after_runs, "codes": codes}))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_fresh_process_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["at_import"] == 0
+        assert result["one_build"] > 0
+        assert result["after_runs"] == result["one_build"]
+        assert result["codes"] == [0] * 20
 
 
 def _surface(terms) -> str:

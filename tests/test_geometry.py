@@ -18,6 +18,7 @@ from conftest import (
     secant_instance,
     weierstrass_surface,
 )
+from zerocycles import algebra as algebra_module
 from zerocycles.algebra import AlgElement, EtaleAlgebra, Poly, ZeroDivisorFound
 from zerocycles.geometry import (
     CubicForm,
@@ -461,9 +462,20 @@ class TestTangentTriple:
             splits.append(factor)
             return original(self, factor)
 
+        divisions = []
+        original_divides = Poly.divides
+
+        def divides_spy(self, other):
+            divisions.append(self)
+            return original_divides(self, other)
+
         monkeypatch.setattr(EtaleAlgebra, "split", spy)
+        monkeypatch.setattr(Poly, "divides", divides_spy)
         out = _tangent_on_components(FERMAT, PlanePencil(axis), x)
         assert splits, "expected the computation to hit a zero divisor"
+        # per split: the factor check, then one check per component reduction
+        # of the point, not one per coordinate
+        assert len(divisions) == 3 * len(splits)
         assert FERMAT.evaluate(out).is_zero
         for tau in (0, 1, -1):
             comp_in = component_point(x, tau)
@@ -565,6 +577,28 @@ class TestNormalization:
         )
         with pytest.raises(ZeroDivisorFound):
             pt.normalized()
+
+    def test_one_elimination_per_normalized_algebra_point(self, monkeypatch):
+        # the unit test on the last coordinate and its inverse share one
+        # Bareiss elimination
+        algebra = EtaleAlgebra(Poly([-2, 0, 0, 1]))
+        t = algebra.generator
+        pt = ProjPoint(algebra, [t, t * t + 1, algebra.from_rational(3), t + 2])
+        eliminations = []
+        original = algebra_module._eliminate
+
+        def spy(rows):
+            eliminations.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(algebra_module, "_eliminate", spy)
+        norm = pt.normalized()
+        assert len(eliminations) == 1
+        assert norm.to_json() == {
+            "modulus": ["-2", "0", "0", "1"],
+            "coords": [["1/5", "2/5", "-1/5"], ["0", "0", "1/2"], ["6/5", "-3/5", "3/10"], ["1"]],
+        }
+        assert all(c * (t + 2) == d for c, d in zip(norm.coords, pt.coords))
 
     def test_json_roundtrip(self):
         pt = ProjPoint.rational([2, -4, 6, 0])
