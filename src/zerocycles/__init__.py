@@ -1,14 +1,6 @@
 """Exact-arithmetic toolkit for points and 0-cycles on cubic and del Pezzo surfaces."""
 
-from .algebra import (
-    AlgElement,
-    EtaleAlgebra,
-    Poly,
-    ZeroDivisorFound,
-    is_squarefree,
-    poly_gcd,
-    squarefree_part,
-)
+from .algebra import AlgElement, EtaleAlgebra, ZeroDivisorFound
 from .chow import CurveDegrees, TriClass, collinearity_report, pencil_rank, segre_s2
 from .descent import (
     Certificate,

@@ -1,17 +1,21 @@
 """Exact rational, polynomial and etale-algebra arithmetic.
 
-Everything is immutable and exact: scalars are `fractions.Fraction`,
-univariate polynomials are coefficient tuples over Q, and an etale algebra
-is a quotient Q[t]/(f) with f monic and squarefree.  Algebra elements are
-integer numerators over one reduced positive denominator.  They multiply by
-one schoolbook convolution (`_convolve`) and one fraction-free reduction
-(`EtaleAlgebra._reduced`); units and inverses come from the integer matrix of
-multiplication by the element, through the one Bareiss routine
-(`_eliminate`).  `Poly` serves moduli, gcd (zero-divisor factors), splitting
-and JSON.  No polynomial factorization is ever performed; a reducible modulus
-is split lazily when some computation runs into a zero divisor
-(`ZeroDivisorFound` carries the discovered factor, and callers may continue
-componentwise, recombining through the CRT idempotent of the split).
+Everything is immutable and exact.  Polynomials are integer coefficient
+lists, lowest degree first, and an etale algebra is a quotient Q[t]/(f) with
+f monic and squarefree, kept as its primitive integer multiple.  Algebra
+elements are integer numerators over one reduced positive denominator.  They
+multiply by one schoolbook convolution (`_convolve`) and one fraction-free
+reduction (`EtaleAlgebra._reduced`); units and inverses come from the integer
+matrix of multiplication by the element, through the one Bareiss routine
+(`_eliminate`).  Zero-divisor factors and squarefree checks run the primitive
+pseudo-remainder sequence over Z (`_gcd`), and splitting and divisibility run
+integer pseudo-division (`_pseudo_divmod`).  `Fraction`s appear only at the
+boundary: rational scalars coming in, and coefficients for keys, JSON and
+messages going out (`rational_coeffs`).  No polynomial factorization is ever
+performed; a reducible modulus is split lazily when some computation runs
+into a zero divisor (`ZeroDivisorFound` carries the discovered factor, and
+callers may continue componentwise, recombining through the CRT idempotent of
+the split).
 """
 
 from __future__ import annotations
@@ -88,229 +92,96 @@ def fraction_to_string(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class Poly:
-    """Univariate polynomial over Q, coefficients stored lowest degree first.
-
-    Trailing zero coefficients are stripped, so the leading coefficient is
-    nonzero unless the polynomial is zero (empty tuple).  The zero polynomial
-    has degree -1 by convention.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    def to_strings(self) -> list:
-        return [fraction_to_string(c) for c in self.coeffs]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return Poly(c / lead for c in self.coeffs)
-
-    def __add__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Poly"):
-        if not isinstance(other, Poly):
-            other = _coerce_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.leading
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
-        for k in range(len(rem) - dn - 1, -1, -1):
-            c = rem[k + dn] / lead
-            if c == 0:
-                continue
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return Poly(quot), Poly(rem[:dn])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
-    def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
-    def __call__(self, value):
-        """Evaluate by Horner's rule; works for Fraction and ring elements."""
-        if self.is_zero:
-            return Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * value + c
-        return acc
-
-    def __eq__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(c)
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    term = var
-                elif c == -1:
-                    term = f"-{var}"
-                else:
-                    term = f"{c}*{var}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+def rational_coeffs(num: Sequence[int], den: int) -> tuple:
+    """The Fractions num[i] / den, trailing zeros stripped: the exact form in which
+    a polynomial leaves the integer kernel (keys, JSON, messages)."""
+    out = [Fraction(x, den) for x in num]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _coerce_poly(value):
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly((value,))
-    return NotImplemented
+def _poly_text(coeffs: Sequence) -> str:
+    """A polynomial as messages write it, highest degree first: `t^2 - t + 1/4`."""
+    parts = []
+    for k, c in reversed(list(enumerate(coeffs))):
+        if not c:
+            continue
+        var = "t" if k == 1 else f"t^{k}"
+        if k == 0:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(var if c == 1 else f"-{var}")
+        else:
+            parts.append(f"{c}*{var}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; poly_gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+def _primitive_part(f: Sequence[int]) -> list:
+    """f over the gcd of its coefficients, trailing zeros stripped and the leading
+    coefficient positive; [] for the zero polynomial."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    g = gcd(*f)
+    if f and f[-1] < 0:
+        g = -g
+    return [c // g for c in f] if g else f
 
 
-def is_squarefree(f: Poly) -> bool:
-    """True iff gcd(f, f') is constant.  Raises on the zero polynomial."""
-    if f.is_zero:
-        raise ValueError("squarefreeness is undefined for the zero polynomial")
-    return poly_gcd(f, f.derivative()).degree == 0
+def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple:
+    """(q, r) with lead(g)^k * f = q * g + r over the integers, k = max(len(f) -
+    len(g) + 1, 0) and len(r) < len(g) once len(f) >= len(g); g's leading
+    coefficient is nonzero, and r may end in zeros."""
+    n, lead = len(g) - 1, g[-1]
+    rem = list(f)
+    quot = [0] * max(len(f) - n, 0)
+    for k in range(len(f) - n - 1, -1, -1):
+        top = rem.pop()
+        quot = [lead * c for c in quot]
+        quot[k] = top
+        rem = [lead * c for c in rem]
+        for j in range(n):
+            rem[k + j] -= top * g[j]
+    return quot, rem
 
 
-def squarefree_part(f: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of f (f nonzero)."""
-    if f.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    if f.degree == 0:
-        return Poly.one()
-    return (f // poly_gcd(f, f.derivative())).monic()
+def _gcd(f: Sequence[int], g: Sequence[int]) -> list:
+    """Primitive gcd of two integer polynomials, by the primitive pseudo-remainder
+    sequence; [] when both are zero."""
+    f, g = _primitive_part(f), _primitive_part(g)
+    while g:
+        f, g = g, _primitive_part(_pseudo_divmod(f, g)[1])
+    return f
+
+
+def _quotient(f: Sequence[int], g: Sequence[int]):
+    """The primitive part of f / g when the nonzero integer polynomial g divides f
+    over Q, else None: the one divisibility test."""
+    quot, rem = _pseudo_divmod(f, g)
+    return None if any(rem) else _primitive_part(quot)
+
+
+def _radical(f: Sequence[int]) -> list:
+    """The squarefree part of a nonzero integer polynomial f without trailing
+    zeros, primitive: the product of f's distinct irreducible factors, f / gcd(f, f')."""
+    common = _gcd(f, [k * c for k, c in enumerate(f)][1:])
+    return _primitive_part(_pseudo_divmod(f, common)[0])
 
 
 class ZeroDivisorFound(ArithmeticError):
     """A nonzero, non-invertible element turned up over Q[t]/(f).
 
-    `factor` is a monic proper divisor of the modulus, so the caller can
-    split the algebra as Q[t]/(factor) x Q[t]/(f // factor) and retry
-    componentwise.
+    `factor` is a proper divisor of the modulus as a primitive integer
+    coefficient tuple, lowest degree first, so the caller can split the
+    algebra as Q[t]/(factor) x Q[t]/(f / factor) (`EtaleAlgebra.split`) and
+    retry componentwise.
     """
 
-    def __init__(self, algebra: "EtaleAlgebra", factor: Poly):
-        super().__init__(f"zero divisor over {algebra}: factor {factor}")
+    def __init__(self, algebra: "EtaleAlgebra", factor: tuple):
+        super().__init__(f"zero divisor over {algebra}: factor {_poly_text(rational_coeffs(factor, factor[-1]))}")
         self.algebra = algebra
         self.factor = factor
 
@@ -323,32 +194,46 @@ class EtaleAlgebra:
     factored, so a split algebra looks the same as a field until a zero
     divisor shows up).
 
-    The defining relation is kept in integer form for fraction-free
-    reduction: ``scale * t^n == -sum(tail[i] * t^i)``, where `scale` is the
-    least common denominator of the lower coefficients of f.
+    f is kept only as its primitive integer multiple ``tail + (scale,)``,
+    where `scale` is the least common denominator of f's coefficients; the
+    defining relation ``scale * t^n == -sum(tail[i] * t^i)`` drives the
+    fraction-free reduction.  It is built from f's rational coefficients,
+    lowest degree first.
     """
 
-    __slots__ = ("modulus", "scale", "tail")
+    __slots__ = ("scale", "tail")
 
-    def __init__(self, modulus: Poly):
-        if modulus.degree < 1:
+    def __init__(self, coeffs: Iterable):
+        f = [_to_fraction(c) for c in coeffs]
+        while f and not f[-1]:
+            f.pop()
+        if len(f) < 2:
             raise ValueError("modulus must have degree >= 1")
-        if not modulus.is_monic:
+        if f[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not is_squarefree(modulus):
-            raise ValueError(f"modulus {modulus} is not squarefree")
-        lower = modulus.coeffs[:-1]
-        scale = lcm(*(c.denominator for c in lower))
-        object.__setattr__(self, "modulus", modulus)
+        scale = lcm(*(c.denominator for c in f))
+        ints = [c.numerator * (scale // c.denominator) for c in f]
+        if len(_radical(ints)) != len(ints):
+            raise ValueError(f"modulus {_poly_text(f)} is not squarefree")
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "tail", tuple(c.numerator * (scale // c.denominator) for c in lower))
+        object.__setattr__(self, "tail", tuple(ints[:-1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("EtaleAlgebra is immutable")
 
     @property
     def degree(self) -> int:
-        return self.modulus.degree
+        return len(self.tail)
+
+    @property
+    def modulus(self) -> tuple:
+        """f as its primitive integer coefficient tuple, lowest degree first."""
+        return self.tail + (self.scale,)
+
+    @property
+    def coefficients(self) -> tuple:
+        """f's rational coefficients, lowest degree first, for keys, JSON and messages."""
+        return rational_coeffs(self.modulus, self.scale)
 
     def _reduced(self, num: list, den: int) -> "AlgElement":
         """The element sum(num[i] * t^i) / den, for any number of numerators."""
@@ -376,15 +261,14 @@ class EtaleAlgebra:
         return self._reduced(_convolve(a, b), den)
 
     def element(self, value) -> "AlgElement":
+        """An element of this algebra, a rational, or rational coefficients lowest degree first."""
         if isinstance(value, AlgElement):
             if value.algebra != self:
                 raise ValueError("element belongs to a different algebra")
             return value
         if isinstance(value, (int, Fraction, str)):
             return self.from_rational(value)
-        if not isinstance(value, Poly):
-            value = Poly(value)
-        coeffs = value.coeffs
+        coeffs = [_to_fraction(c) for c in value]
         den = lcm(*(c.denominator for c in coeffs))
         return self._reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
 
@@ -404,34 +288,36 @@ class EtaleAlgebra:
 
     @property
     def generator(self) -> "AlgElement":
-        return self.element(Poly.x())
+        return self.element((0, 1))
 
-    def split(self, factor: Poly):
-        """Split along a monic proper divisor of the modulus.
+    def split(self, factor: Sequence[int]):
+        """Split along a proper divisor of the modulus, given by integer
+        coefficients lowest degree first, as `ZeroDivisorFound.factor` carries it.
 
         Returns (Q[t]/(factor), Q[t]/(cofactor)); the two moduli are coprime
         because the modulus is squarefree.
         """
-        if not factor.is_monic or not (1 <= factor.degree < self.degree):
-            raise ValueError(f"{factor} is not a proper monic divisor")
-        if not factor.divides(self.modulus):
-            raise ValueError(f"{factor} does not divide {self.modulus}")
-        return EtaleAlgebra(factor), EtaleAlgebra(self.modulus // factor)
+        factor = _primitive_part(factor)
+        cofactor = _quotient(self.modulus, factor) if 2 <= len(factor) <= self.degree else None
+        if cofactor is None:
+            raise ValueError(f"{_poly_text(factor)} is not a proper divisor of the modulus of {self}")
+        return tuple(EtaleAlgebra(rational_coeffs(g, g[-1])) for g in (factor, cofactor))
 
     def projection_from(self, algebra: "EtaleAlgebra"):
         """The map x -> x mod this modulus on `algebra`, whose modulus it must divide (checked once, here)."""
-        if not self.modulus.divides(algebra.modulus):
+        if _quotient(algebra.modulus, self.modulus) is None:
             raise ValueError("target modulus does not divide the current one")
         return lambda x: self._reduced(list(x.num), x.den)
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, EtaleAlgebra) and self.modulus == other.modulus)
+        return self is other or (
+            isinstance(other, EtaleAlgebra) and self.tail == other.tail and self.scale == other.scale)
 
     def __hash__(self):
-        return hash(("EtaleAlgebra", self.modulus))
+        return hash(("EtaleAlgebra", self.scale, self.tail))
 
     def __repr__(self):
-        return f"Q[t]/({self.modulus})"
+        return f"Q[t]/({_poly_text(self.coefficients)})"
 
 
 class AlgElement:
@@ -439,11 +325,10 @@ class AlgElement:
 
     `num` holds one integer per power of t below the modulus degree and
     `den` is positive with gcd(den, *num) == 1, so equal elements have equal
-    fields.  `rep`, the reduced representative as a `Poly`, is built on first
-    use.  Build elements through `EtaleAlgebra.element`/`from_rational`.
+    fields.  Build elements through `EtaleAlgebra.element`/`from_rational`.
     """
 
-    __slots__ = ("algebra", "num", "den", "_rep", "_inv")
+    __slots__ = ("algebra", "num", "den", "_inv")
 
     def __init__(self, algebra: EtaleAlgebra, num, den: int):
         if len(num) != len(algebra.tail) or den <= 0:
@@ -455,18 +340,9 @@ class AlgElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_rep", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgElement is immutable")
-
-    @property
-    def rep(self) -> Poly:
-        rep = self._rep
-        if rep is None:
-            rep = Poly(Fraction(x, self.den) for x in self.num)
-            object.__setattr__(self, "_rep", rep)
-        return rep
 
     def _coerce(self, other):
         if isinstance(other, AlgElement):
@@ -510,15 +386,16 @@ class AlgElement:
     def is_unit(self) -> bool:
         return not self.is_zero and (len(self.num) == 1 or self._inverse_parts() is not None)
 
-    def zero_divisor_factor(self) -> Poly:
-        """Monic proper modulus divisor witnessing non-invertibility.
+    def zero_divisor_factor(self) -> tuple:
+        """Proper modulus divisor witnessing non-invertibility: the primitive
+        integer gcd of the numerator and the modulus, as a coefficient tuple.
 
         Only meaningful for nonzero non-units.
         """
-        g = poly_gcd(self.rep, self.algebra.modulus)
-        if not 1 <= g.degree < self.algebra.degree:
+        g = _gcd(self.num, self.algebra.modulus)
+        if not 2 <= len(g) <= self.algebra.degree:
             raise ValueError("element is zero or a unit")
-        return g
+        return tuple(g)
 
     def inverse(self) -> "AlgElement":
         """Multiplicative inverse.
@@ -572,10 +449,6 @@ class AlgElement:
 
     __rmul__ = __mul__
 
-    def reduce_mod(self, sub: EtaleAlgebra) -> "AlgElement":
-        """Image in a component algebra whose modulus divides this one's."""
-        return sub.projection_from(self.algebra)(self)
-
     def constant_value(self) -> Fraction:
         """The element as a rational number; requires a constant representative."""
         if any(self.num[1:]):
@@ -592,22 +465,23 @@ class AlgElement:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("AlgElement", self.algebra.modulus, self.num, self.den))
+        return hash(("AlgElement", self.algebra.tail, self.num, self.den))
 
     def __repr__(self):
-        return f"({self.rep} mod {self.algebra.modulus})"
+        return f"({_poly_text(rational_coeffs(self.num, self.den))} mod {_poly_text(self.algebra.coefficients)})"
 
 
 def crt_combiner(algebra: EtaleAlgebra, sub_a: EtaleAlgebra, sub_b: EtaleAlgebra):
     """The map (a, b) -> the element of `algebra` that reduces to a over sub_a and
     to b over sub_b, whose moduli g and h multiply to algebra.modulus (so are
     coprime).  The idempotent e = g * (g^-1 mod h), 0 mod g and 1 mod h, is
-    computed once; each call is a + e * (b - a), reading a and b in `algebra`."""
+    computed once (g as its primitive integer multiple, which gives the same e);
+    each call is a + e * (b - a), reading a and b in `algebra`."""
     g = sub_a.modulus
-    if g * sub_b.modulus != algebra.modulus:
+    if _convolve(g, sub_b.modulus) != list(algebra.modulus):
         raise ValueError("component moduli do not multiply to the target modulus")
-    g_inv = sub_b.element(g).inverse()
-    e = algebra.element(g) * algebra._reduced(list(g_inv.num), g_inv.den)
+    g_inv = sub_b._reduced(list(g), 1).inverse()
+    e = algebra._reduced(list(g), 1) * algebra._reduced(list(g_inv.num), g_inv.den)
 
     def combine(a: AlgElement, b: AlgElement) -> AlgElement:
         if a.algebra != sub_a or b.algebra != sub_b:
@@ -617,11 +491,3 @@ def crt_combiner(algebra: EtaleAlgebra, sub_a: EtaleAlgebra, sub_b: EtaleAlgebra
 
     return combine
 
-
-def crt_combine(algebra: EtaleAlgebra, a: AlgElement, b: AlgElement) -> AlgElement:
-    """Recombine componentwise values over coprime factors of the modulus.
-
-    a lives over Q[t]/(g), b over Q[t]/(h) with g*h = algebra.modulus; the
-    result reduces to a mod g and to b mod h.
-    """
-    return crt_combiner(algebra, a.algebra, b.algebra)(a, b)

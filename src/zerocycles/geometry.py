@@ -28,16 +28,16 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     AlgElement,
     EtaleAlgebra,
-    Poly,
     ZeroDivisorFound,
     _convolve,
+    _radical,
     crt_combiner,
     fraction_to_string,
-    squarefree_part,
+    rational_coeffs,
 )
 
 #: Degree-1 coefficient algebra Q[t]/(t); hosts all rational points.
-RATIONALS = EtaleAlgebra(Poly.x())
+RATIONALS = EtaleAlgebra((0, 1))
 
 
 class GeometryError(Exception):
@@ -229,11 +229,11 @@ class ProjPoint:
                 pt = self.normalized()
             except ZeroDivisorFound:
                 pt = self
-            if self.is_rational:  # the Fractions `rep` would hold, without building it
+            if self.is_rational:  # `rational_coeffs` of each coordinate, inlined
                 coords = tuple((Fraction(c.num[0], c.den),) if c.num[0] else () for c in pt.coords)
             else:
-                coords = tuple(c.rep.coeffs for c in pt.coords)
-            object.__setattr__(self, "_key", (self.algebra.modulus.coeffs, coords))
+                coords = tuple(rational_coeffs(c.num, c.den) for c in pt.coords)
+            object.__setattr__(self, "_key", (self.algebra.coefficients, coords))
         return self._key
 
     def rational_coords(self) -> tuple:
@@ -261,8 +261,8 @@ class ProjPoint:
         if self.is_rational:
             return [fraction_to_string(q) for q in pt.rational_coords()]
         return {
-            "modulus": self.algebra.modulus.to_strings(),
-            "coords": [c.rep.to_strings() for c in pt.coords],
+            "modulus": [fraction_to_string(q) for q in self.algebra.coefficients],
+            "coords": [[fraction_to_string(q) for q in rational_coeffs(c.num, c.den)] for c in pt.coords],
         }
 
 
@@ -284,16 +284,20 @@ def _rational_from_json(value) -> Fraction:
     raise ValueError(f'expected an integer or a "num/den" string, got {value!r}')
 
 
-def _poly_from_json(obj, what: str) -> Poly:
-    return Poly(_rational_from_json(c) for c in _json_list(obj, what))
+def _rationals_from_json(obj, what: str) -> list:
+    return [_rational_from_json(c) for c in _json_list(obj, what)]
 
 
 def point_from_json(obj) -> ProjPoint:
-    """A rational point [c0..c3], or {"modulus": [...], "coords": [[...] x 4]} over Q[t]/(f)."""
+    """A rational point [c0..c3], or {"modulus": [...], "coords": [[...] x 4]} over
+    Q[t]/(f) with f of degree 1 to 3, checked before any coefficient is read."""
     if isinstance(obj, dict):
-        algebra = EtaleAlgebra(_poly_from_json(obj.get("modulus"), "a modulus"))
+        modulus = _json_list(obj.get("modulus"), "a modulus")
+        if not 2 <= len(modulus) <= 4:  # points of degree up to 3; this also bounds the gcd work
+            raise ValueError(f"a modulus must have degree 1 to 3, got degree {len(modulus) - 1}")
+        algebra = EtaleAlgebra(_rationals_from_json(modulus, "a modulus"))
         coords = _json_list(obj.get("coords"), "point coordinates")
-        return ProjPoint(algebra, [_poly_from_json(c, "a coordinate") for c in coords])
+        return ProjPoint(algebra, [_rationals_from_json(c, "a coordinate") for c in coords])
     return ProjPoint.rational([_rational_from_json(c) for c in _json_list(obj, "a point")])
 
 
@@ -700,9 +704,8 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
             break
     else:
         raise InvariantViolated("a nonzero binary cubic cannot vanish at 4 parameters")
-    affine = Poly(shifted).monic()
-    reduced = squarefree_part(affine)
-    non_reduced = reduced.degree < 3
+    reduced = _radical(_primitive(shifted))
+    non_reduced = len(reduced) < 4
 
     params = []
     for s, t in visible:
@@ -710,12 +713,13 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
         denom = s - k * t
         check_invariant(denom != 0, "a visible root landed on the new basepoint")
         tau = t / denom
-        check_invariant(reduced(tau) == 0, "a visible root is not a root of the section")
+        root = sum(r * tau**i for i, r in enumerate(reduced)) == 0
+        check_invariant(root, "a visible root is not a root of the section")
         if tau not in params:
             params.append(tau)
     params.sort()
 
-    algebra = EtaleAlgebra(reduced)
+    algebra = EtaleAlgebra(rational_coeffs(reduced, reduced[-1]))
     tbar = algebra.generator
     coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
     point = ProjPoint(algebra, coords)

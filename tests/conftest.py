@@ -1,15 +1,172 @@
-"""Shared generators for randomized exact-geometry tests.
+"""Shared generators and oracles for randomized exact-geometry tests.
 
 Randomness is always drawn from explicitly seeded `random.Random` instances
-so every run is reproducible.
+so every run is reproducible.  `Poly`, a plain polynomial over Q on
+`Fraction`s, is the reference the library's integer kernel is checked
+against; it shares no code with the library.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from zerocycles.geometry import CubicForm, ProjPoint
+
+
+class Poly:
+    """Univariate polynomial over Q, coefficients lowest degree first, trailing
+    zeros stripped (the zero polynomial has degree -1).  Iterating yields the
+    coefficients, so a Poly can be handed to the library wherever it takes a
+    coefficient sequence."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def to_strings(self) -> list:
+        return [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        return self.coeffs[-1]
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def monic(self) -> "Poly":
+        return Poly(c / self.leading for c in self.coeffs) if self.coeffs else self
+
+    def __add__(self, other):
+        other = _as_poly(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-_as_poly(other))
+
+    def __rsub__(self, other):
+        return _as_poly(other) + (-self)
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly(c * other for c in self.coeffs)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, dn = list(self.coeffs), other.degree
+        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        for k in range(len(rem) - dn - 1, -1, -1):
+            c = quot[k] = rem[k + dn] / other.leading
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+        return Poly(quot), Poly(rem[:dn])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def divides(self, other) -> bool:
+        return other.is_zero if self.is_zero else (other % self).is_zero
+
+    def derivative(self) -> "Poly":
+        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+
+    def __call__(self, value):
+        """Evaluate by Horner's rule; works for Fractions and ring elements."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def __eq__(self, other):
+        return self.coeffs == _as_poly(other).coeffs
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)!r})"
+
+
+def _as_poly(value) -> Poly:
+    return value if isinstance(value, Poly) else Poly((value,))
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor by Euclid over Q; poly_gcd(0, 0) = 0."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def is_squarefree(f: Poly) -> bool:
+    """True iff gcd(f, f') is constant (f nonzero)."""
+    if f.is_zero:
+        raise ValueError("squarefreeness is undefined for the zero polynomial")
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def squarefree_part(f: Poly) -> Poly:
+    """Monic product of the distinct irreducible factors of f (f nonzero)."""
+    return (f // poly_gcd(f, f.derivative())).monic()
+
+
+def primitive(f: Poly) -> tuple:
+    """The integer coefficients of f cleared of denominators and content, leading
+    coefficient positive: the form of `ZeroDivisorFound.factor`; () for zero."""
+    if f.is_zero:
+        return ()
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // g for c in ints)
+
+
+def rep_of(a) -> Poly:
+    """An algebra element's reduced representative as a `Poly`."""
+    return Poly(Fraction(x, a.den) for x in a.num)
+
+
+def modulus_of(algebra) -> Poly:
+    """An algebra's monic modulus as a `Poly`."""
+    return Poly(Fraction(c, algebra.scale) for c in algebra.modulus)
 
 #: All 20 degree-3 exponent vectors on 4 variables, in a fixed order.
 MONOMIALS = [
@@ -117,8 +274,6 @@ def expand_along_line(surface, p, q):
     Returns the univariate polynomial in t at s = 1, built with generic
     poly arithmetic rather than the finite differences the library uses.
     """
-    from zerocycles.algebra import Poly
-
     total = Poly.zero()
     for exp, coeff in surface.terms.items():
         term = Poly([coeff])
@@ -131,8 +286,6 @@ def expand_along_line(surface, p, q):
 
 def from_roots(roots):
     """The monic polynomial prod(t - r) over the given rational roots."""
-    from zerocycles.algebra import Poly
-
     p = Poly.one()
     for r in roots:
         p = p * Poly((-Fraction(r), 1))
@@ -141,8 +294,6 @@ def from_roots(roots):
 
 def poly_xgcd(a, b):
     """Extended gcd of two `Poly`s: (g, u, v) with g = u*a + v*b and g monic (or 0)."""
-    from zerocycles.algebra import Poly
-
     r0, r1 = a, b
     u0, u1 = Poly.one(), Poly.zero()
     v0, v1 = Poly.zero(), Poly.one()
@@ -159,7 +310,7 @@ def poly_xgcd(a, b):
 
 def element_json(a):
     """An algebra element as {"modulus": [...], "rep": [...]} coefficient strings."""
-    return {"modulus": a.algebra.modulus.to_strings(), "rep": a.rep.to_strings()}
+    return {"modulus": modulus_of(a.algebra).to_strings(), "rep": rep_of(a).to_strings()}
 
 
 def collinear(x, y, z):
@@ -175,7 +326,7 @@ def collinear(x, y, z):
 def component_point(point, tau):
     """The rational component of an algebra point at a root tau of its modulus:
     each coordinate's representative evaluated at tau."""
-    return ProjPoint.rational([c.rep(Fraction(tau)) for c in point.coords])
+    return ProjPoint.rational([rep_of(c)(Fraction(tau)) for c in point.coords])
 
 
 def weierstrass_surface(a, b) -> CubicForm:

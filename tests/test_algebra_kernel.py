@@ -1,9 +1,13 @@
-"""Differential tests of the fraction-free `AlgElement` kernel.
+"""Differential tests of the fraction-free `AlgElement` kernel and the integer
+polynomial kernel beneath it.
 
-Every operation is checked against the `Poly` reference: the same
-computation done on coefficient polynomials over Q followed by an explicit
-remainder modulo the modulus.  The form evaluator on algebra points is
-checked the same way, against a monomial-by-monomial expansion.
+Every operation is checked against the `Poly` reference of `conftest`: the
+same computation done on coefficient polynomials over Q followed by an
+explicit remainder modulo the modulus, and Euclid's gcd over Q for the
+primitive pseudo-remainder gcd over Z.  The moduli are the oracle `Poly`s the
+algebras were built from, not read back from them.  The form evaluator on
+algebra points is checked the same way, against a monomial-by-monomial
+expansion.
 """
 
 import math
@@ -14,22 +18,28 @@ import pytest
 
 from conftest import (
     MONOMIALS,
+    Poly,
     element_json,
     form_gradient,
     form_value,
     from_roots,
+    is_squarefree,
     monomial_value,
+    poly_gcd,
     poly_xgcd,
+    primitive,
+    rep_of,
+    squarefree_part,
 )
+from zerocycles import algebra as algebra_module
 from zerocycles.algebra import (
     AlgElement,
     EtaleAlgebra,
-    Poly,
     ZeroDivisorFound,
-    crt_combine,
+    _gcd,
+    _quotient,
+    _radical,
     crt_combiner,
-    is_squarefree,
-    poly_gcd,
 )
 from zerocycles.geometry import CubicForm, ProjPoint
 
@@ -43,7 +53,7 @@ def random_poly(rng, max_degree):
 
 
 def random_algebra(rng, degree, reducible=False):
-    """Monic squarefree modulus; non-integer coefficients are common."""
+    """(algebra, modulus) for a monic squarefree modulus; non-integer coefficients are common."""
     while True:
         if reducible:
             roots = set()
@@ -53,7 +63,7 @@ def random_algebra(rng, degree, reducible=False):
         else:
             modulus = Poly([random_fraction(rng) for _ in range(degree)] + [1])
         if is_squarefree(modulus):
-            return EtaleAlgebra(modulus)
+            return EtaleAlgebra(modulus), modulus
 
 
 def algebras(seed, count):
@@ -74,54 +84,91 @@ def assert_normalized(a: AlgElement):
 
 def test_scale_and_tail_encode_the_modulus():
     rng, algs = algebras(1, 60)
-    assert any(alg.scale != 1 for alg in algs)
-    for alg in algs:
-        f = alg.modulus
+    assert any(alg.scale != 1 for alg, _ in algs)
+    for alg, f in algs:
         lowered = Poly([Fraction(c, alg.scale) for c in alg.tail] + [1])
         assert lowered == f
+        assert alg.modulus == primitive(f) == alg.tail + (alg.scale,)
+
+
+def test_integer_polynomial_kernel_matches_poly_oracle():
+    # gcd, divisibility, squarefree part and split cofactor over Z, against
+    # Euclid over Q, on moduli of degree 1-3 with scale != 1 and on reducible
+    # ones; a shares a factor with f whenever f splits
+    rng = random.Random(12)
+    seen = {"scale != 1": 0, "proper gcd": 0, "divides": 0, "does not divide": 0, "not squarefree": 0}
+    for case in range(300):
+        degree = 1 + case % 3
+        alg, f = random_algebra(rng, degree, reducible=degree > 1 and case % 2 == 0)
+        seen["scale != 1"] += alg.scale != 1
+        a = random_poly(rng, 3)
+        if degree > 1 and case % 2 == 0:  # split: its roots are among the n/d drawn
+            roots = {Fraction(n, d) for n in range(-5, 6) for d in (1, 2, 3, 4, 6, 7) if not f(Fraction(n, d))}
+            a = a * from_roots([rng.choice(sorted(roots))])
+        g = poly_gcd(a, f)
+        assert _gcd(primitive(a), primitive(f)) == list(primitive(g))
+        assert _gcd(primitive(f), primitive(a)) == list(primitive(g))
+        if 1 <= g.degree < degree:
+            seen["proper gcd"] += 1
+            sub_a, sub_b = alg.split(primitive(g))
+            assert sub_a.modulus == primitive(g) and sub_b.modulus == primitive(f // g)
+        for d in (g, f, random_poly(rng, 2), from_roots([random_fraction(rng, 5)])):
+            if d.is_zero:
+                continue
+            quotient = _quotient(primitive(f), primitive(d))
+            assert (quotient is not None) == d.divides(f)
+            if quotient is not None:
+                seen["divides"] += 1
+                assert quotient == list(primitive(f // d))
+            else:
+                seen["does not divide"] += 1
+        square = from_roots([random_fraction(rng, 5)])
+        p = f * square * square
+        seen["not squarefree"] += not is_squarefree(p)
+        assert _radical(primitive(p)) == list(primitive(squarefree_part(p)))
+    assert min(seen.values()) >= 60, seen
 
 
 def test_element_reduces_like_poly_remainder():
     rng, algs = algebras(2, 90)
-    for alg in algs:
+    for alg, f in algs:
         for _ in range(10):
             p = random_poly(rng, 2 * alg.degree + 1)
             a = alg.element(p)
             assert_normalized(a)
-            assert a.rep == p % alg.modulus
+            assert rep_of(a) == p % f
 
 
 def test_ring_operations_match_poly_reference():
     rng, algs = algebras(3, 90)
-    for alg in algs:
-        f = alg.modulus
+    for alg, f in algs:
         for _ in range(10):
             a = alg.element(random_poly(rng, alg.degree - 1))
             b = alg.element(random_poly(rng, alg.degree - 1))
+            ra, rb = rep_of(a), rep_of(b)
             q = random_fraction(rng)
             k = rng.randint(-5, 5)
             cases = [
-                (a + b, a.rep + b.rep),
-                (a - b, a.rep - b.rep),
-                (-a, -a.rep),
-                (a * b, (a.rep * b.rep) % f),
-                (a * q, a.rep * q),
-                (q * a, a.rep * q),
-                (a * k, a.rep * k),
-                (a + q, a.rep + q),
-                (q - a, Poly((q,)) - a.rep),
-                (a * a * a, (a.rep * a.rep * a.rep) % f),
+                (a + b, ra + rb),
+                (a - b, ra - rb),
+                (-a, -ra),
+                (a * b, (ra * rb) % f),
+                (a * q, ra * q),
+                (q * a, ra * q),
+                (a * k, ra * k),
+                (a + q, ra + q),
+                (q - a, Poly((q,)) - ra),
+                (a * a * a, (ra * ra * ra) % f),
             ]
             for got, want in cases:
                 assert_normalized(got)
-                assert got.rep == want
+                assert rep_of(got) == want
 
 
 def test_inverse_and_zero_divisors_match_poly_gcd():
     rng, algs = algebras(4, 90)
     seen_zero_divisor = False
-    for alg in algs:
-        f = alg.modulus
+    for alg, f in algs:
         for _ in range(10):
             if alg.degree > 1 and rng.random() < 0.3:
                 # a multiple of a linear factor: zero divisor when f splits
@@ -133,90 +180,97 @@ def test_inverse_and_zero_divisors_match_poly_gcd():
                 with pytest.raises(ZeroDivisionError):
                     a.inverse()
                 continue
-            g = poly_gcd(a.rep, f)
+            g = poly_gcd(rep_of(a), f)
             assert a.is_unit() == (g.degree == 0)
             if g.degree > 0:
                 seen_zero_divisor = True
-                assert a.zero_divisor_factor() == g
+                assert a.zero_divisor_factor() == primitive(g)
                 with pytest.raises(ZeroDivisorFound) as info:
                     a.inverse()
-                assert info.value.factor == g
+                assert info.value.factor == primitive(g)
                 continue
             inv = a.inverse()
             assert_normalized(inv)
-            _, u, _ = poly_xgcd(a.rep, f)
-            assert inv.rep == u % f
-            assert ((inv.rep * a.rep) % f) == Poly.one()
-            assert (inv * inv).rep == (u * u) % f
+            _, u, _ = poly_xgcd(rep_of(a), f)
+            assert rep_of(inv) == u % f
+            assert ((rep_of(inv) * rep_of(a)) % f) == Poly.one()
+            assert rep_of(inv * inv) == (u * u) % f
     assert seen_zero_divisor
 
 
-def test_projection_checks_divisibility_once_and_matches_reduce_mod():
-    alg = EtaleAlgebra(from_roots([Fraction(0), Fraction(1), Fraction(-2, 3)]))
-    sub_a, sub_b = alg.split(from_roots([Fraction(1)]))
+def test_projection_checks_divisibility_once_and_matches_reduce_mod(monkeypatch):
+    # the projection onto a component is the remainder of the Poly reference
+    g, h = from_roots([Fraction(1)]), from_roots([Fraction(0), Fraction(-2, 3)])
+    alg = EtaleAlgebra(g * h)
+    sub_a, sub_b = alg.split(primitive(g))
     rng = random.Random(11)
     elements = [alg.element(random_poly(rng, 4)) for _ in range(4)]
-    for sub in (sub_a, sub_b):
+    checks = []
+    original = algebra_module._quotient
+    monkeypatch.setattr(algebra_module, "_quotient", lambda f, d: checks.append(d) or original(f, d))
+    for sub, modulus in ((sub_a, g), (sub_b, h)):
+        del checks[:]
         project = sub.projection_from(alg)
-        assert [project(x) for x in elements] == [x.reduce_mod(sub) for x in elements]
+        assert [project(x) for x in elements] == [sub.element(rep_of(x) % modulus) for x in elements]
+        assert len(checks) == 1
     stranger = EtaleAlgebra(from_roots([Fraction(5)]))
     with pytest.raises(ValueError):
         stranger.projection_from(alg)
-    with pytest.raises(ValueError):
-        elements[0].reduce_mod(stranger)
 
 
 def test_reduce_mod_and_crt_match_poly_reference():
+    # projections onto the split's components and the CRT recombination, on
+    # the Poly reference: remainders modulo the oracle factors g and h
     rng = random.Random(5)
     for _ in range(60):
         degree = rng.choice([2, 3])
         roots = rng.sample(sorted({Fraction(n, d) for n in range(-5, 6) for d in (1, 2, 3)}), degree)
-        alg = EtaleAlgebra(from_roots(roots))
-        sub_a, sub_b = alg.split(from_roots(roots[:1]))
+        g, h = from_roots(roots[:1]), from_roots(roots[1:])
+        alg = EtaleAlgebra(g * h)
+        sub_a, sub_b = alg.split(primitive(g))
+        combine = crt_combiner(alg, sub_a, sub_b)
         a = alg.element(random_poly(rng, 2 * degree))
-        ra, rb = a.reduce_mod(sub_a), a.reduce_mod(sub_b)
-        for got, sub in ((ra, sub_a), (rb, sub_b)):
+        ra, rb = (sub.projection_from(alg)(a) for sub in (sub_a, sub_b))
+        for got, modulus in ((ra, g), (rb, h)):
             assert_normalized(got)
-            assert got.rep == a.rep % sub.modulus
-        back = crt_combine(alg, ra, rb)
+            assert rep_of(got) == rep_of(a) % modulus
+        back = combine(ra, rb)
         assert_normalized(back)
         assert back == a
         x = sub_a.element(random_poly(rng, 0))
         y = sub_b.element(random_poly(rng, degree - 2))
-        both = crt_combine(alg, x, y)
-        assert both.rep % sub_a.modulus == x.rep
-        assert both.rep % sub_b.modulus == y.rep
+        both = combine(x, y)
+        assert rep_of(both) % g == rep_of(x)
+        assert rep_of(both) % h == rep_of(y)
 
 
 def test_equality_hash_zero_and_json_agree_with_poly_view():
     rng, algs = algebras(6, 60)
-    for alg in algs:
-        f = alg.modulus
+    for alg, f in algs:
         elems = [alg.element(random_poly(rng, alg.degree - 1)) for _ in range(6)]
         elems.append(alg.zero)
-        elems.append(alg.element(elems[0].rep * 1))
+        elems.append(alg.element(rep_of(elems[0]) * 1))
         for a in elems:
-            assert a.is_zero == a.rep.is_zero
-            assert element_json(a) == {"modulus": f.to_strings(), "rep": a.rep.to_strings()}
+            assert a.is_zero == rep_of(a).is_zero
+            assert element_json(a) == {"modulus": f.to_strings(), "rep": rep_of(a).to_strings()}
             assert alg.element(Poly(element_json(a)["rep"])) == a
             for b in elems:
-                assert (a == b) == (a.rep == b.rep)
+                assert (a == b) == (rep_of(a) == rep_of(b))
                 if a == b:
                     assert hash(a) == hash(b)
-            if a.rep.degree <= 0:
-                assert a == a.rep.coeff(0)
-                assert a.constant_value() == a.rep.coeff(0)
+            if rep_of(a).degree <= 0:
+                assert a == rep_of(a).coeff(0)
+                assert a.constant_value() == rep_of(a).coeff(0)
 
 
 def test_point_key_matches_poly_normalization():
     rng, algs = algebras(7, 60)
-    for alg in algs:
-        f = alg.modulus
+    for alg, f in algs:
         coords = [alg.element(random_poly(rng, alg.degree - 1)) for _ in range(4)]
         if all(c.is_zero for c in coords):
             continue
         point = ProjPoint(alg, coords)
-        reps = [c.rep for c in coords]
+        reps = [rep_of(c) for c in coords]
         units = [i for i, r in enumerate(reps) if not r.is_zero and poly_gcd(r, f).degree == 0]
         if units:
             _, u, _ = poly_xgcd(reps[units[-1]], f)
@@ -252,24 +306,24 @@ def test_unit_matrix_is_singular_iff_the_gcd_is_nontrivial():
     seen = {"unit": 0, "zero divisor": 0, "scale != 1": 0}
     for _ in range(300):
         alg, g, h = split_algebra(rng)
-        f = alg.modulus
+        f = g * h
         seen["scale != 1"] += alg.scale != 1
         factor = rng.choice([g, h, Poly.one(), Poly.one()])
         a = alg.element(factor * random_poly(rng, alg.degree - 1))
         if a.is_zero:
             continue
-        common = poly_gcd(a.rep, f)
+        common = poly_gcd(rep_of(a), f)
         assert a.is_unit() == (common.degree == 0)
         if common.degree:
             seen["zero divisor"] += 1
             with pytest.raises(ZeroDivisorFound) as info:
                 a.inverse()
-            assert info.value.factor == common
+            assert info.value.factor == primitive(common)
             continue
         seen["unit"] += 1
         inv = a.inverse()
         assert_normalized(inv)
-        assert inv.rep == poly_xgcd(a.rep, f)[1] % f
+        assert rep_of(inv) == poly_xgcd(rep_of(a), f)[1] % f
     assert min(seen.values()) >= 60
 
 
@@ -278,17 +332,17 @@ def test_crt_idempotent_matches_bezout_formula():
     rng = random.Random(9)
     for _ in range(150):
         alg, g, h = split_algebra(rng)
-        sub_a, sub_b = alg.split(g)
+        sub_a, sub_b = alg.split(primitive(g))
         combine = crt_combiner(alg, sub_a, sub_b)
+        project_a, project_b = (sub.projection_from(alg) for sub in (sub_a, sub_b))
         u = poly_xgcd(g, h)[1]
         for _ in range(3):
             a = sub_a.element(random_poly(rng, 3))
             b = sub_b.element(random_poly(rng, 3))
             got = combine(a, b)
             assert_normalized(got)
-            assert got.rep == g * ((u * (b.rep - a.rep)) % h) + a.rep
-            assert got == crt_combine(alg, a, b)
-            assert got.reduce_mod(sub_a) == a and got.reduce_mod(sub_b) == b
+            assert rep_of(got) == g * ((u * (rep_of(b) - rep_of(a))) % h) + rep_of(a)
+            assert project_a(got) == a and project_b(got) == b
         with pytest.raises(ValueError):
             combine(b, a)
 
@@ -297,21 +351,20 @@ def test_form_on_algebra_points_matches_monomial_expansion():
     # value_at and gradient_at reduce once per output; the oracle expands
     # every monomial on the Poly representatives and reduces at the end
     rng, algs = algebras(10, 90)
-    for case, alg in enumerate(algs):
-        f = alg.modulus
+    for case, (alg, f) in enumerate(algs):
         for _ in range(3):
             surface = random_form(rng)
             coords = [alg.element(random_poly(rng, alg.degree - 1)) for _ in range(4)]
             if case % 4 == 0:  # a rational coordinate is read in the algebra
                 coords[case % 3] = random_fraction(rng)
-            reps = [alg.element(c).rep for c in coords]
+            reps = [rep_of(alg.element(c)) for c in coords]
             value = surface.value_at(coords)
             assert_normalized(value)
-            assert value.rep == (Poly.zero() + form_value(surface, reps)) % f
+            assert rep_of(value) == (Poly.zero() + form_value(surface, reps)) % f
             grad = surface.gradient_at(coords)
             for got, want in zip(grad, form_gradient(surface, reps)):
                 assert_normalized(got)
-                assert got.rep == (Poly.zero() + want) % f
+                assert rep_of(got) == (Poly.zero() + want) % f
             euler = sum((d * alg.element(c) for d, c in zip(grad, coords)), alg.zero)
             assert euler == 3 * value
 

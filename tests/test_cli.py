@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from zerocycles.cli import run
-from zerocycles.geometry import CubicForm
+from zerocycles.geometry import CubicForm, point_from_json
 
 
 @pytest.fixture
@@ -407,6 +407,44 @@ def test_construction_outputs_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+#: An axis through the Fermat point (1, -1, 0, 0), which is the component at the
+#: named root of each point below; the other component, (0, 1, -1, 0), is off it.
+_ON_AXIS = '[["1","-1","0","0"],["0","0","0","1"]]'
+
+
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (
+            ["third-point", "--x", json.dumps({"modulus": ["1/4", "-1", 1], "coords": [["1"], ["-1"], [], []]}),
+             "--y", '["0","1","-1","0"]'],
+            "ValueError", "modulus t^2 - t + 1/4 is not squarefree",
+        ),
+        (  # over t^2 - 1, on the axis at t = -1
+            ["tangent-residual", "--axis", _ON_AXIS, "--point", json.dumps(
+                {"modulus": ["-1", "0", "1"], "coords": [["1/2", "-1/2"], ["0", "1"], ["-1/2", "-1/2"], []]})],
+            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - 1): factor t + 1",
+        ),
+        (  # over t^2 - t, on the axis at t = 0
+            ["tangent-residual", "--axis", _ON_AXIS, "--point", json.dumps(
+                {"modulus": ["0", "-1", "1"], "coords": [["1", "-1"], ["-1", "2"], ["0", "-1"], []]})],
+            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - t): factor t",
+        ),
+        (  # over (t - 1/2)(t + 1), on the axis at t = 1/2
+            ["tangent-residual", "--axis", _ON_AXIS, "--point", json.dumps(
+                {"modulus": ["-1/2", "1/2", "1"],
+                 "coords": [["2/3", "2/3"], ["-1/3", "-4/3"], ["-1/3", "2/3"], []]})],
+            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 + 1/2*t - 1/2): factor t - 1/2",
+        ),
+    ],
+    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor"],
+)
+def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, message):
+    code, out = run_cli(capsys, "geom", argv[0], "--surface", fermat_path, *argv[1:])
+    assert code == 1
+    assert out == json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True, indent=2) + "\n"
+
+
 #: Placeholder for the path of the Fermat surface file in parametrized argv lists.
 FERMAT = object()
 X, Y = '["1","-1","0","0"]', '["0","1","-1","0"]'
@@ -515,6 +553,22 @@ class TestHostileInput:
         assert code == 1
         assert json.loads(captured.out)["error"]["kind"] == "ValueError"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("degree", [4, 60, 10**4])
+    def test_modulus_degree_is_bounded_before_any_work(self, capsys, fermat_path, degree):
+        # points have degree at most 3; a long modulus is refused before its
+        # coefficients are parsed or any gcd runs
+        x = json.dumps({"modulus": ["1/3"] * degree + ["1"], "coords": [["1"], ["-1"], [], []]})
+        start = time.perf_counter()
+        code = run(["geom", "third-point", "--surface", fermat_path, "--x", x, "--y", Y])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err
+        message = f"a modulus must have degree 1 to 3, got degree {degree}"
+        assert json.loads(captured.out)["error"] == {"kind": "ValueError", "message": message}
+        assert elapsed < 0.1
+        with pytest.raises(ValueError, match=message):
+            point_from_json({"modulus": [1.5] * (degree + 1), "coords": 5})
 
     def test_saturate_rejects_seeds_that_are_not_a_list(self, capsys, fermat_path):
         argv = ["points", "saturate", "--surface", fermat_path, "--seeds", "5", "--rounds", "1"]

@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 
 import zerocycles.pointsearch as pointsearch
-from conftest import MONOMIALS, random_surface_through, secant_instance
+from conftest import MONOMIALS, modulus_of, random_surface_through, rep_of, secant_instance
 from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section, point_from_json
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
@@ -206,7 +206,7 @@ class TestPointKey:
         # on points reloaded from JSON with nothing cached
         def rep_key(point):
             pt = point.normalized()
-            return (point.algebra.modulus.coeffs, tuple(c.rep.coeffs for c in pt.coords))
+            return (modulus_of(point.algebra).coeffs, tuple(rep_of(c).coeffs for c in pt.coords))
 
         surface = ENUMERATION_FORMS[name]
         enumerated = enumerate_rational(surface, 2)
