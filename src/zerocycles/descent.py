@@ -360,7 +360,7 @@ def apply_move(
         combo = move.combo_dict()
         if l < 1:
             fail("CurveRR needs l >= 1")
-        checked_degree(combo)
+        combo_degree = checked_degree(combo)
         positive = {n: v for n, v in combo.items() if v > 0}
         negative = {n: -v for n, v in combo.items() if v < 0}
         if set(positive) != {BASIS_H} or positive.get(BASIS_H, 0) % l != 0:
@@ -371,7 +371,6 @@ def apply_move(
             fail(
                 f"support degree {support} <= h0({d_S},{l})-2={count_l - 2} fails"
             )
-        combo_degree = checked_degree(combo)
         g = genus_fn(d_S, l)
         new_degree = combo_degree - d
         if not new_degree >= g:
@@ -541,10 +540,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     return VerificationReport(True, None, states)
 
 
-#: How far past the first admissible parameter the complement moves reach.
-_COMPLEMENT_WINDOW = 3
-
-
 def _first_l(d_S: int, bound: int, lo: int) -> int:
     """Smallest l >= lo with h0(d_S, l) >= bound, in closed form.
 
@@ -568,6 +563,13 @@ def _menu(surface: DelPezzo, degree: int) -> list:
     depend only on the unknown degree.  Order mirrors the proofs' preference:
     subtract while the strict section inequality holds, fall back to
     complements, then bookkeeping additions and the involution flip.
+
+    Each complement kind offers one entry, at its smallest legal parameter:
+    Complement at the smallest very ample m with degree <= h0(m) - 2, and
+    VariantComplement at the smallest l with h0(l) >= degree + 1.  Larger
+    parameters are legal too, but a menu with three more of each finds the
+    same chain for every default goal from every start up to 2*10**4, and
+    the same chain or failure for every goal and surface from starts 0..300.
     """
     d_S = surface.degree
     out = []
@@ -586,17 +588,11 @@ def _menu(surface: DelPezzo, degree: int) -> list:
             if room >= 2 * s and degree >= s:
                 out.append((False, degree - s, l, "VBSubtract", name, mult))
     m = _first_l(d_S, degree + 2, VERY_AMPLE_MIN[d_S])
-    out += [
-        (True, d_S * mm * mm - degree, mm - 1, "Complement", None, 0)
-        for mm in range(m, m + _COMPLEMENT_WINDOW + 1)
-    ]
-    # With l >= 1 and h0(l) >= degree + 1, every ll >= l has
-    # h0(ll+1) - degree >= 1 + d_S*(l+1) > h0(1), so the whole window is legal.
+    out.append((True, d_S * m * m - degree, m - 1, "Complement", None, 0))
+    # With l >= 1 and h0(l) >= degree + 1, h0(l+1) - degree >= 1 + d_S*(l+1)
+    # > h0(1), so this entry is legal.
     l = _first_l(d_S, degree + 1, GLOBALLY_GENERATED_MIN[d_S])
-    out += [
-        (True, d_S * ll * (ll + 1) - degree, ll, "VariantComplement", None, 0)
-        for ll in range(l, l + _COMPLEMENT_WINDOW + 1)
-    ]
+    out.append((True, d_S * l * (l + 1) - degree, l, "VariantComplement", None, 0))
     out += [(False, degree + k * d_S, -1, "AddBasis", BASIS_H, k) for k in (1, 2, 3)]
     if surface.with_x4:
         out.append((False, degree + 4, -1, "AddBasis", BASIS_X4, 1))
@@ -737,13 +733,8 @@ def _walk(surface: DelPezzo, table: tuple, start_degree: int) -> Optional[list]:
     return chain
 
 
-def find_certificate(surface: DelPezzo, start_degree: int, goal: Goal) -> Certificate:
-    """Shortest verified descent from an effective cycle of the start degree.
-
-    The search runs over (sign, unknown degree) nodes -- move guards depend
-    on nothing else -- with move parameters capped at start_degree + 4 and
-    degrees at start_degree + 20.  The answer is the chain `_bfs` returns:
-    the lexicographically least, by menu index, among the shortest chains.
+def _chain(surface: DelPezzo, start_degree: int, goal: Goal) -> List[Move]:
+    """The moves of `_bfs`'s chain from the start, found through a shared table.
 
     Every call shares one table per (surface, goal) of exact distances to
     the goal in the move graph on degrees <= R without the l cap.  With
@@ -770,43 +761,38 @@ def find_certificate(surface: DelPezzo, start_degree: int, goal: Goal) -> Certif
         chain = _walk(surface, table, start_degree)
     if chain is None:
         chain = _bfs(surface, start_degree, goal)
+    return [_move_of(entry) for entry in chain]
 
-    initial = CycleState.entry(start_degree)
+
+def _replay(surface: DelPezzo, initial: CycleState, moves: List[Move], abstract_entry=False):
+    """The certificate of `moves` from `initial`, with each move's witness."""
     state = initial
-    moves = [_move_of(entry) for entry in chain]
     witnesses = []
     for idx, move in enumerate(moves):
         state, witness = apply_move(surface, state, move, is_entry=(idx == 0))
         witnesses.append(witness)
-    return Certificate(
-        surface=surface,
-        initial=initial,
-        moves=moves,
-        witnesses=witnesses,
-        final=state,
-    )
+    return Certificate(surface, initial, moves, witnesses, state, abstract_entry)
+
+
+def find_certificate(surface: DelPezzo, start_degree: int, goal: Goal) -> Certificate:
+    """Shortest verified descent from an effective cycle of the start degree.
+
+    The search runs over (sign, unknown degree) nodes -- move guards depend
+    on nothing else -- with move parameters capped at start_degree + 4 and
+    degrees at start_degree + 20.  The answer is the chain `_bfs` returns:
+    the lexicographically least, by menu index, among the shortest chains.
+    """
+    return _replay(surface, CycleState.entry(start_degree), _chain(surface, start_degree, goal))
 
 
 def entry_certificate(surface: DelPezzo, class_degree: int, gamma: int, goal: Goal) -> Certificate:
     """Certificate for an abstract class: EntryRR first, then a found descent."""
     entry_move = Move.entry_rr(gamma)
     initial = CycleState.entry(class_degree)
-    after_entry, entry_witness = apply_move(surface, initial, entry_move, is_entry=True)
-    tail = find_certificate(surface, after_entry.unknown_degree, goal)
-    moves = [entry_move] + tail.moves
-    witnesses = [entry_witness] + tail.witnesses
-    state = after_entry
-    # Replay the tail from the EntryRR state to thread the coefficients.
-    for move in tail.moves:
-        state, _ = apply_move(surface, state, move)
-    return Certificate(
-        surface=surface,
-        initial=initial,
-        moves=moves,
-        witnesses=witnesses,
-        final=state,
-        abstract_entry=True,
-    )
+    # Checks gamma before any search and gives the degree the descent starts at.
+    after_entry, _ = apply_move(surface, initial, entry_move, is_entry=True)
+    tail = _chain(surface, after_entry.unknown_degree, goal)
+    return _replay(surface, initial, [entry_move] + tail, abstract_entry=True)
 
 
 @dataclass

@@ -290,13 +290,17 @@ def _rationals_from_json(obj, what: str) -> list:
 
 def point_from_json(obj) -> ProjPoint:
     """A rational point [c0..c3], or {"modulus": [...], "coords": [[...] x 4]} over
-    Q[t]/(f) with f of degree 1 to 3, checked before any coefficient is read."""
+    Q[t]/(f) with f of degree 1 to 3 and coordinates of at most deg f entries,
+    each length checked before any coefficient it bounds is read."""
     if isinstance(obj, dict):
         modulus = _json_list(obj.get("modulus"), "a modulus")
         if not 2 <= len(modulus) <= 4:  # points of degree up to 3; this also bounds the gcd work
             raise ValueError(f"a modulus must have degree 1 to 3, got degree {len(modulus) - 1}")
         algebra = EtaleAlgebra(_rationals_from_json(modulus, "a modulus"))
         coords = _json_list(obj.get("coords"), "point coordinates")
+        degree = len(modulus) - 1
+        if any(len(_json_list(c, "a coordinate")) > degree for c in coords):  # bounds the reduction
+            raise ValueError(f"a coordinate over a degree-{degree} modulus has at most {degree} entries")
         return ProjPoint(algebra, [_rationals_from_json(c, "a coordinate") for c in coords])
     return ProjPoint.rational([_rational_from_json(c) for c in _json_list(obj, "a point")])
 

@@ -570,6 +570,23 @@ class TestHostileInput:
         with pytest.raises(ValueError, match=message):
             point_from_json({"modulus": [1.5] * (degree + 1), "coords": 5})
 
+    @pytest.mark.parametrize("entries", [4, 2000, 4000])
+    def test_coordinate_length_is_bounded_before_any_work(self, capsys, fermat_path, entries):
+        # a coordinate over Q[t]/(f) has at most deg f entries; a longer one is
+        # refused before its entries are parsed or reduced modulo f
+        coords = [["1/7"] * entries, ["-1"], [], []]
+        x = json.dumps({"modulus": ["1/2", "1/3", "1/5", "1"], "coords": coords})
+        start = time.perf_counter()
+        code = run(["geom", "third-point", "--surface", fermat_path, "--x", x, "--y", Y])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err
+        message = "a coordinate over a degree-3 modulus has at most 3 entries"
+        assert json.loads(captured.out)["error"] == {"kind": "ValueError", "message": message}
+        assert elapsed < 0.1
+        with pytest.raises(ValueError, match=message):
+            point_from_json({"modulus": [1, 0, 0, 1], "coords": [[1], [1.5] * entries, [], []]})
+
     def test_saturate_rejects_seeds_that_are_not_a_list(self, capsys, fermat_path):
         argv = ["points", "saturate", "--surface", fermat_path, "--seeds", "5", "--rounds", "1"]
         code = run(argv)

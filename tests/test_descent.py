@@ -359,8 +359,10 @@ class TestSurfaceModel:
         assert not refined.admits(-1, 13)
 
 
-def linear_menu(surface, degree):
-    """The move menu by linear searches over l: the reference for `descent._menu`."""
+def linear_menu(surface, degree, window):
+    """The move menu by linear searches over l, with `window` more parameters for
+    each complement kind: window 0 is the reference for `descent._menu`, and
+    window 3 a wider menu that finds the same chains (`TestOneComplementEach`)."""
     d_S = surface.degree
     out = []
     targets = [(BASIS_H, 1), (BASIS_H, 2)]
@@ -378,12 +380,12 @@ def linear_menu(surface, degree):
     m = VERY_AMPLE_MIN[d_S]
     while degree > h0(d_S, m) - 2:
         m += 1
-    for mm in range(m, m + descent._COMPLEMENT_WINDOW + 1):
+    for mm in range(m, m + window + 1):
         out.append((True, d_S * mm * mm - degree, mm - 1, "Complement", None, 0))
     l = GLOBALLY_GENERATED_MIN[d_S]
     while h0(d_S, l) < degree + 1:
         l += 1
-    for ll in range(l, l + descent._COMPLEMENT_WINDOW + 1):
+    for ll in range(l, l + window + 1):
         if h0(d_S, ll + 1) - degree > h0(d_S, 1):
             out.append((True, d_S * ll * (ll + 1) - degree, ll, "VariantComplement", None, 0))
     for k in (1, 2, 3):
@@ -415,7 +417,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("surface", [CUBIC, CUBIC_X4, DP2, DP1], ids=["dP3", "dP3+x4", "dP2", "dP1"])
     def test_menus_match_linear_search(self, surface):
         for degree in [*range(0, 6001), *HUGE_DEGREES]:
-            assert descent._menu(surface, degree) == linear_menu(surface, degree), degree
+            assert descent._menu(surface, degree) == linear_menu(surface, degree, 0), degree
 
     def test_menu_entries_become_the_named_moves(self):
         entries = descent._menu(CUBIC_X4, 32) + descent._menu(DP2, 5)
@@ -523,3 +525,54 @@ class TestSharedTable:
         report = prove_bound_suite(DelPezzo(d_S, with_x4=with_x4), GOALS[goal], ceiling=1000)
         text = json.dumps(report.to_json(), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+SURFACES = {"dP3": CUBIC, "dP3+x4": CUBIC_X4, "dP2": DP2, "dP1": DP1}
+DEFAULT_PAIRS = {
+    "cubic": CUBIC, "cubic-x4": CUBIC_X4, "dp2": DP2, "dp2-refined": DP2, "dp1": DP1, "dp1-refined": DP1,
+}
+
+
+class TestOneComplementEach:
+    """`_menu` offers one parameter per complement kind; a menu with three more of
+    each (`linear_menu` with window 3) finds the same chains."""
+
+    @staticmethod
+    def widen(monkeypatch):
+        monkeypatch.setattr(descent, "_menu", lambda surface, degree: linear_menu(surface, degree, 3))
+
+    def test_bfs_agrees_with_the_wider_menu_on_every_goal_and_surface(self, monkeypatch):
+        cases = [
+            (goal, surface, start)
+            for goal in GOALS.values()
+            for surface in SURFACES.values()
+            for start in range(0, 41)
+        ]
+        expected = {case: outcome(descent._bfs, case[1], case[2], case[0]) for case in cases}
+        assert any(isinstance(v, str) for v in expected.values())  # unreachable goals too
+        self.widen(monkeypatch)
+        for goal, surface, start in cases:
+            got = outcome(descent._bfs, surface, start, goal)
+            assert got == expected[goal, surface, start], (goal.name, surface, start)
+
+    @pytest.mark.parametrize("goal_name", DEFAULT_PAIRS)
+    def test_no_first_step_closer_takes_a_wider_parameter(self, monkeypatch, goal_name):
+        # Then the two menus' tables agree and so do the chains walked on them:
+        # the narrow menu is the wide one with entries removed, order kept.
+        surface, goal, R = DEFAULT_PAIRS[goal_name], GOALS[goal_name], 2000
+        wide = [linear_menu(surface, degree, 3) for degree in range(R + 1)]
+        narrow = descent._distance_table(surface, goal, R)
+        monkeypatch.setattr(descent, "_menu", lambda surface, degree: wide[degree])
+        dist = descent._distance_table(surface, goal, R)
+        assert dist == narrow
+        monkeypatch.undo()
+        for node in range(-R, R + 1):
+            remaining = dist[node + R] - 1
+            if remaining < 0:
+                continue
+            first = next(
+                entry
+                for entry in wide[abs(node)]
+                if entry[1] <= R and dist[descent._child(node, entry[0], entry[1]) + R] == remaining
+            )
+            assert first in descent._menu(surface, abs(node)), node
