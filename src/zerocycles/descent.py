@@ -474,13 +474,20 @@ class Certificate:
         _require_object(obj, "certificate")
         if not isinstance(obj["moves"], list):
             raise ValueError(f"moves must be a JSON list, not {type(obj['moves']).__name__}")
+        abstract_entry = obj.get("abstract_entry", False)
+        if type(abstract_entry) is not bool:
+            raise ValueError(f"abstract_entry must be a boolean, not {type(abstract_entry).__name__}")
+        surface = DelPezzo.from_json(obj["surface"])
+        initial, final = CycleState.from_json(obj["initial"]), CycleState.from_json(obj["final"])
+        for state in (initial, final):
+            surface.combo_degree(state.coeff_dict())  # refuses an unknown basis cycle
         return cls(
-            surface=DelPezzo.from_json(obj["surface"]),
-            initial=CycleState.from_json(obj["initial"]),
+            surface=surface,
+            initial=initial,
             moves=[Move.from_json(m) for m in obj["moves"]],
             witnesses=[m.get("witness", {}) for m in obj["moves"]],
-            final=CycleState.from_json(obj["final"]),
-            abstract_entry=obj.get("abstract_entry", False),
+            final=final,
+            abstract_entry=abstract_entry,
         )
 
 

@@ -9,7 +9,8 @@ of the line's intersection triple.
 
 Coordinates live in an etale algebra so that points of degree up to 3 are
 first-class values.  Rational points compute on their primitive integer
-vectors, and only the normalized output point is built in the algebra.  Whenever a computation over a reducible algebra hits a
+vectors and are kept as them; their algebra coordinates are built only when
+read.  Whenever a computation over a reducible algebra hits a
 zero divisor, `ZeroDivisorFound` escapes and the caller (see
 `tangent_triple`) splits the algebra and retries componentwise.
 
@@ -158,10 +159,12 @@ class ProjPoint:
     coordinate to 1; a point over a reducible algebra may have no unit
     coordinate at all, in which case normalization raises ZeroDivisorFound
     and equality falls back to raw representatives.  A rational point also
-    caches its primitive integer vector, on which the integer kernel runs.
+    caches its primitive integer vector, on which the integer kernel runs;
+    a point built by `from_integers` keeps only that vector, and builds its
+    algebra coordinates on first use of `coords`.
     """
 
-    __slots__ = ("algebra", "coords", "_norm", "_ints", "_key")
+    __slots__ = ("algebra", "_coords", "_norm", "_ints", "_key")
 
     def __init__(self, algebra: EtaleAlgebra, coords: Iterable):
         coords = tuple(algebra.element(c) for c in coords)
@@ -170,7 +173,7 @@ class ProjPoint:
         if all(c.is_zero for c in coords):
             raise ValueError("all coordinates are zero")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_ints", None)
         object.__setattr__(self, "_key", None)
@@ -185,17 +188,21 @@ class ProjPoint:
     @classmethod
     def from_integers(cls, values: Sequence, algebra: EtaleAlgebra = RATIONALS) -> "ProjPoint":
         """The normalized point of a nonzero vector of ints (or Fractions) over a
-        degree-1 algebra, built with no algebra arithmetic; it is its own `_norm`."""
-        ints = _primitive(values)
-        last = next(v for v in reversed(ints) if v)
-        coords = tuple(AlgElement(algebra, (v if last > 0 else -v,), abs(last)) for v in ints)
+        degree-1 algebra, kept as its primitive integer vector only; it is its own `_norm`."""
         point = object.__new__(cls)  # nonzero, with exact coordinates: nothing to check
         object.__setattr__(point, "algebra", algebra)
-        object.__setattr__(point, "coords", coords)
+        object.__setattr__(point, "_coords", None)
         object.__setattr__(point, "_norm", point)
-        object.__setattr__(point, "_ints", ints)
+        object.__setattr__(point, "_ints", _primitive(values))
         object.__setattr__(point, "_key", None)
         return point
+
+    @property
+    def coords(self) -> tuple:
+        """The four algebra coordinates, built on first use for a `from_integers` point."""
+        if self._coords is None:
+            object.__setattr__(self, "_coords", tuple(map(self.algebra.from_rational, self.rational_coords())))
+        return self._coords
 
     @property
     def is_rational(self) -> bool:
@@ -225,20 +232,24 @@ class ProjPoint:
         """Canonical hashable key, built on first use: the modulus and the coefficients
         of the normalized coordinates (the raw ones when there is no unit coordinate)."""
         if self._key is None:
-            try:
-                pt = self.normalized()
-            except ZeroDivisorFound:
-                pt = self
-            if self.is_rational:  # `rational_coeffs` of each coordinate, inlined
-                coords = tuple((Fraction(c.num[0], c.den),) if c.num[0] else () for c in pt.coords)
+            if self.is_rational:  # `rational_coeffs` of each normalized coordinate, inlined
+                coords = tuple((q,) if q else () for q in self.normalized().rational_coords())
             else:
+                try:
+                    pt = self.normalized()
+                except ZeroDivisorFound:
+                    pt = self
                 coords = tuple(rational_coeffs(c.num, c.den) for c in pt.coords)
             object.__setattr__(self, "_key", (self.algebra.coefficients, coords))
         return self._key
 
     def rational_coords(self) -> tuple:
-        """Coordinates as Fractions; requires a degree-1 algebra."""
-        return tuple(c.constant_value() for c in self.coords)
+        """Coordinates as Fractions; requires a degree-1 algebra.  A `from_integers`
+        point reads them off its primitive vector, over its last nonzero entry."""
+        if self._coords is None:
+            last = next(v for v in reversed(self._ints) if v)
+            return tuple(Fraction(v, last) for v in self._ints)
+        return tuple(c.constant_value() for c in self._coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -516,6 +527,11 @@ def _kernel_coords(point: ProjPoint) -> tuple:
     return point.primitive() if point.is_rational else point.coords
 
 
+def _on_surface(surface: CubicForm, point: ProjPoint) -> bool:
+    """Whether the point lies on the surface: F at its kernel coordinates vanishes."""
+    return not surface.value_at(_kernel_coords(point))
+
+
 def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
     """The normalized point with kernel coordinates `coords` over `algebra`."""
     if algebra.degree == 1:
@@ -547,7 +563,7 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     """
     if x.algebra != y.algebra:
         raise ValueError("points over different algebras")
-    if not surface.evaluate(x).is_zero or not surface.evaluate(y).is_zero:
+    if not _on_surface(surface, x) or not _on_surface(surface, y):
         raise PointNotOnSurface("secant endpoints must lie on the surface")
     xs, ys = _kernel_coords(x), _kernel_coords(y)
     _check_spanning(xs, ys)
@@ -589,7 +605,7 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     an elliptic section realizes multiplication by -2.  Rational points run
     on their primitive integer vectors.
     """
-    if not surface.evaluate(x).is_zero:
+    if not _on_surface(surface, x):
         raise PointNotOnSurface("tangent process needs a surface point")
     n = fiber_plane(pencil, x)
     xs = _kernel_coords(x)
@@ -727,7 +743,7 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     tbar = algebra.generator
     coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
     point = ProjPoint(algebra, coords)
-    check_invariant(surface.evaluate(point).is_zero, "the line section must lie on the surface")
+    check_invariant(_on_surface(surface, point), "the line section must lie on the surface")
     return LengthThreeScheme(
         algebra=algebra,
         point=point,
@@ -763,7 +779,7 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
         raise ValueError("the pencil axis must be a rational line")
     scheme = line_section(surface, line)
     image = _tangent_on_components(surface, pencil, scheme.point)
-    check_invariant(surface.evaluate(image).is_zero, "the triple map image must lie on the surface")
+    check_invariant(_on_surface(surface, image), "the triple map image must lie on the surface")
     return LengthThreeScheme(
         algebra=scheme.algebra,
         point=image,

@@ -1,7 +1,8 @@
 """Height-bounded point enumeration and secant/tangent saturation on cubic surfaces.
 
-Both hot loops run on integers.  Enumeration scans the last coordinate of
-each fibre cubic in the height box, with the form's denominators cleared;
+Both hot loops run on integers.  Enumeration solves each fibre cubic in the
+last coordinate over the height box, with the form's denominators cleared,
+from a cube table when the fibre is a binomial and by a scan otherwise;
 every emitted point is rechecked exactly.  Saturation closes a seed set under
 the chord construction and under residuals of low-height tangent directions,
 in geometry's integer kernel on each point's primitive integer coordinates.
@@ -18,6 +19,7 @@ from .geometry import (
     CubicForm,
     GeometryError,
     ProjPoint,
+    _on_surface,
     check_invariant,
     restrict,
     third_point,
@@ -59,17 +61,21 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     Height is the max absolute value of the primitive integer coordinates
     (a, b, c, d), first nonzero one positive.  The integer form is reduced
     to (b, c, d) once per `a`, to (c, d) once per (a, b), and to the fibre
-    cubic c0 + c1*d + c2*d^2 + c3*d^3 once per (a, b, c).  The canonical
-    range of `d` is scanned by Horner, skipping what cannot be a root: the
-    whole fibre when |c0| outweighs the other terms on the box, and any
-    nonzero d not dividing the lowest nonzero coefficient.  Only roots get
-    the primitivity test; a fibre whose cubic vanishes keeps its whole
-    range.  The output is sorted so its order is deterministic.
+    cubic c0 + c1*d + c2*d^2 + c3*d^3 once per (a, b, c).  A binomial fibre
+    (c1 = c2 = 0, c3 != 0, every fibre of a diagonal form) has at most one
+    root, -c0/c3 read off a table of the cubes in the height range.  Any
+    other fibre scans the canonical range of `d` by Horner, skipping what
+    cannot be a root: the whole fibre when |c0| outweighs the other terms on
+    the box, and any nonzero d not dividing the lowest nonzero coefficient.
+    Only roots get the primitivity test; a fibre whose cubic vanishes keeps
+    its whole range.  The output is sorted so its order is deterministic,
+    and each point is kept as its primitive integer vector.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     h = height_bound
     full = range(-h, h + 1)
+    cubes = {d**3: d for d in full}
     terms = surface.integer_terms()
     found = []
     for a in range(0, h + 1):
@@ -83,11 +89,14 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
                 c0 = ((k03 * c + k02) * c + k01) * c + k00
                 c1 = (k12 * c + k11) * c + k10
                 c2 = k21 * c + k20
-                if abs(c0) > ((abs(c3) * h + abs(c2)) * h + abs(c1)) * h:
-                    continue
                 d_range = full if (a or b or c) else range(1, h + 1)
                 low = c0 or c1 or c2 or c3
-                if low:
+                if c3 and not c1 and not c2:  # c3*d^3 = -c0 has one candidate root
+                    d = None if c0 % c3 else cubes.get(-c0 // c3)
+                    roots = (d,) if d is not None and d in d_range else ()
+                elif abs(c0) > ((abs(c3) * h + abs(c2)) * h + abs(c1)) * h:
+                    continue
+                elif low:
                     roots = [
                         d
                         for d in d_range
@@ -102,7 +111,7 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     records = []
     for coords in found:
         point = ProjPoint.from_integers(coords)
-        check_invariant(surface.evaluate(point).is_zero, "an enumerated point must lie on the surface")
+        check_invariant(_on_surface(surface, point), "an enumerated point must lie on the surface")
         records.append(rational_record(point, SOURCE_ENUMERATED))
     return records
 
@@ -152,7 +161,7 @@ def saturate(
     Monotone in rounds: the seeds are always kept.
     """
     for record in seeds:
-        if not surface.evaluate(record.point).is_zero:
+        if not _on_surface(surface, record.point):
             raise ValueError("seed point is not on the surface")
     known = {}
     for record in seeds:
@@ -172,7 +181,7 @@ def saturate(
         for record in current:
             for residual in _tangent_direction_residuals(surface, record.point.primitive(), 1):
                 check_invariant(
-                    surface.evaluate(residual).is_zero, "a tangent residual must lie on the surface"
+                    _on_surface(surface, residual), "a tangent residual must lie on the surface"
                 )
                 fresh.append(rational_record(residual, SOURCE_TANGENT))
         added = False

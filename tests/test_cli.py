@@ -460,6 +460,22 @@ def _fermat_with(exp=None, coeff=None) -> str:
     return json.dumps(doc)
 
 
+def _verify_edited_certificate(capsys, tmp_path, where, value):
+    """`descent verify` on the dP3 certificate for degree 19 with the entry at
+    the key path `where` set to `value`: (exit code, stdout)."""
+    cert_path = tmp_path / "cert.json"
+    argv = ["descent", "certify", "--dS", "3", "--degree", "19", "--out", str(cert_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["moves"][0]["kind"] == "AddBasis"
+    parent = cert
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    cert_path.write_text(json.dumps(cert))
+    return run_cli(capsys, "descent", "verify", str(cert_path))
+
+
 class TestHostileInput:
     def test_long_inline_json_is_parsed_not_opened(self, capsys, fermat_path):
         # longer than a file name may be, so it must never reach the file system
@@ -510,19 +526,24 @@ class TestHostileInput:
         ],
     )
     def test_verify_rejects_malformed_certificate_shapes(self, capsys, tmp_path, where, value):
-        cert_path = tmp_path / "cert.json"
-        argv = ["descent", "certify", "--dS", "3", "--degree", "19", "--out", str(cert_path)]
-        assert run_cli(capsys, *argv)[0] == 0
-        cert = json.loads(cert_path.read_text())
-        assert cert["moves"][0]["kind"] == "AddBasis"
-        parent = cert
-        for key in where[:-1]:
-            parent = parent[key]
-        parent[where[-1]] = value
-        cert_path.write_text(json.dumps(cert))
-        code, out = run_cli(capsys, "descent", "verify", str(cert_path))
+        code, out = _verify_edited_certificate(capsys, tmp_path, where, value)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("initial", "coeffs"), {"zz": 1}, "unknown basis cycle 'zz'"),
+            (("final", "coeffs"), {"h": 1, "zz": -2}, "unknown basis cycle 'zz'"),
+            (("abstract_entry",), "yes", "abstract_entry must be a boolean, not str"),
+            (("abstract_entry",), 1, "abstract_entry must be a boolean, not int"),
+        ],
+        ids=["initial-unknown-cycle", "final-unknown-cycle", "abstract-entry-string", "abstract-entry-int"],
+    )
+    def test_verify_error_documents_for_the_loader_contract(self, capsys, tmp_path, where, value, message):
+        code, out = _verify_edited_certificate(capsys, tmp_path, where, value)
+        assert code == 1
+        assert out == json.dumps({"error": {"kind": "ValueError", "message": message}}, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -602,6 +602,31 @@ class TestNormalization:
         }
         assert all(c * (t + 2) == d for c, d in zip(norm.coords, pt.coords))
 
+    @pytest.mark.parametrize("modulus", [(0, 1), (Fraction(-3, 2), 1)], ids=["Q", "t-3/2"])
+    def test_integer_point_matches_one_built_from_normalized_coordinates(self, modulus):
+        # a from_integers point keeps only its primitive vector and builds its
+        # algebra coordinates on first use; read in either order, everything
+        # must match a point built eagerly from the normalized coordinates
+        algebra = EtaleAlgebra(modulus)
+        vectors = ([2, -4, 6, 0], [0, 0, -3, 0], [Fraction(1, 2), 0, Fraction(-2, 3), 5], [-7, 1, 0, -2], [3, 0, 0, 9])
+        for values in vectors:
+            last = next(Fraction(v) for v in reversed(values) if v)
+            normalized = [Fraction(v) / last for v in values]
+            eager = ProjPoint(algebra, normalized)
+            key = (algebra.coefficients, tuple((q,) if q else () for q in normalized))
+            text = [str(q) for q in normalized]
+            early = ProjPoint.from_integers(values, algebra)
+            assert early.coords == eager.coords
+            for point in (early, ProjPoint.from_integers(values, algebra), ProjPoint(algebra, values).normalized()):
+                assert point.normalized() is point
+                assert point.rational_coords() == eager.rational_coords() == tuple(normalized)
+                assert point.key() == eager.key() == key
+                assert hash(point) == hash(eager)
+                assert point == eager and eager == point
+                assert point.to_json() == eager.to_json() == text
+                assert repr(point) == repr(eager)
+                assert point.coords == eager.coords
+
     def test_json_roundtrip(self):
         pt = ProjPoint.rational([2, -4, 6, 0])
         assert point_from_json(pt.to_json()) == pt

@@ -7,6 +7,7 @@ import pytest
 
 import zerocycles.pointsearch as pointsearch
 from conftest import MONOMIALS, modulus_of, random_surface_through, rep_of, secant_instance
+from zerocycles.algebra import AlgElement
 from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section, point_from_json
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
@@ -115,6 +116,16 @@ ENUMERATION_FORMS = {
     "x0x3^2": CubicForm({(1, 0, 0, 2): 1}),
     "x1^3": CubicForm({(0, 3, 0, 0): 1}),
     "x0^2x3-x3^3": CubicForm({(2, 0, 0, 1): 1, (0, 0, 0, 3): -1}),
+    # binomial fibres c3*d^3 = -c0: with c3 = -2 or -7 not every c0 is divisible;
+    # at a = b = c = 0 the fibre is c3*d^3 = 0, whose one candidate d = 0 is no point
+    "diagonal-c3=-2": CubicForm.diagonal(1, 1, 1, -2),
+    "diagonal-c3=-7": CubicForm.diagonal(7, -1, 1, -7),
+    # c3 = 0: no fibre is binomial, each is scanned or vanishes
+    "diagonal-c3=0": CubicForm.diagonal(1, 2, -3, 0),
+    # binomial fibres only where a = 0 (c1 = a^2 otherwise)
+    "x0x1x2+x3^3+x0^2x3": CubicForm({(1, 1, 1, 0): 1, (0, 0, 0, 3): 1, (2, 0, 0, 1): 1}),
+    # c1 = 0 but c2 = c: binomial only where c = 0, and d = -c is a root
+    "x0x1^2+x2x3^2+x3^3": CubicForm({(1, 2, 0, 0): 1, (0, 0, 1, 2): 1, (0, 0, 0, 3): 1}),
     **{f"dense{i}": _random_form(_rng, sparse=False) for i in range(3)},
     **{f"sparse{i}": _random_form(_rng, sparse=True) for i in range(3)},
 }
@@ -130,6 +141,24 @@ class TestEnumerationKernel:
             coords = [r.point.primitive() for r in records]
             assert coords == sorted(v for v in box if max(map(abs, v)) <= height)
             assert [r.height for r in records] == [max(map(abs, v)) for v in coords]
+
+
+class TestRationalKernel:
+    def test_enumeration_builds_no_algebra_element(self, monkeypatch):
+        # enumerated points stay primitive integer vectors through the surface
+        # check, the record and the JSON output
+        built = []
+        original = AlgElement.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(AlgElement, "__init__", spy)
+        records = enumerate_rational(FERMAT, 6)
+        texts = [r.to_json() for r in records]
+        assert len(records) == 165 and len(texts) == 165
+        assert built == []
 
 
 def reference_residuals(surface, point, direction_height):
