@@ -255,11 +255,6 @@ class EtaleAlgebra:
             num = num[:n] + [0] * (n - len(num))
         return AlgElement(self, num, den)
 
-    def _product(self, a: tuple, b: tuple, den: int) -> "AlgElement":
-        if len(a) == 1:
-            return AlgElement(self, (a[0] * b[0],), den)
-        return self._reduced(_convolve(a, b), den)
-
     def element(self, value) -> "AlgElement":
         """An element of this algebra, a rational, or rational coefficients lowest degree first."""
         if isinstance(value, AlgElement):
@@ -361,11 +356,12 @@ class AlgElement:
         return any(self.num)
 
     def _inverse_parts(self):
-        """(num, den) of the inverse of a nonzero element of degree >= 2, or None
-        for a non-unit.  Column j of the integer matrix M is num * (scale*t)^j
-        reduced, that is den * scale^j * (self * t^j), so self is a unit iff M
-        is nonsingular, and then M z = e0 (fraction-free, by Bareiss) gives the
-        inverse as sum(z_j * den * scale^j * t^j).  Kept in the `_inv` slot, unset till then."""
+        """(num, den) of the inverse of a nonzero element, or None for a non-unit.
+        Column j of the integer matrix M is num * (scale*t)^j reduced, that is
+        den * scale^j * (self * t^j), so self is a unit iff M is nonsingular,
+        and then M z = e0 (fraction-free, by Bareiss) gives the inverse as
+        sum(z_j * den * scale^j * t^j), at every degree.  Kept in the `_inv`
+        slot, unset till then."""
         parts = getattr(self, "_inv", False)
         if parts is not False:
             return parts
@@ -384,7 +380,7 @@ class AlgElement:
         return parts
 
     def is_unit(self) -> bool:
-        return not self.is_zero and (len(self.num) == 1 or self._inverse_parts() is not None)
+        return not self.is_zero and self._inverse_parts() is not None
 
     def zero_divisor_factor(self) -> tuple:
         """Proper modulus divisor witnessing non-invertibility: the primitive
@@ -405,9 +401,6 @@ class AlgElement:
         """
         if self.is_zero:
             raise ZeroDivisionError("inverting zero in an etale algebra")
-        if len(self.num) == 1:
-            a = self.num[0]
-            return AlgElement(self.algebra, (self.den if a > 0 else -self.den,), abs(a))
         parts = self._inverse_parts()
         if parts is None:
             raise ZeroDivisorFound(self.algebra, self.zero_divisor_factor())
@@ -445,7 +438,7 @@ class AlgElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.algebra._product(self.num, other.num, self.den * other.den)
+        return self.algebra._reduced(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce = descent_sub.add_parser("certify", help="search one descent certificate")
     ce.add_argument("--dS", type=int, required=True, choices=(1, 2, 3))
     ce.add_argument("--degree", type=int, required=True)
-    ce.add_argument("--goal", default=None, help=f"one of {sorted(GOALS)}")
+    ce.add_argument("--goal", default=None, choices=sorted(GOALS))
     ce.add_argument("--with-x4", action="store_true")
     ce.add_argument("--out")
     ve = descent_sub.add_parser("verify", help="replay and check a certificate")
@@ -303,15 +303,14 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = _HANDLERS[args.command](args)
+        _write_output(_HANDLERS[args.command](args), getattr(args, "out", None))
     except (GeometryError, ZeroDivisorFound, PreconditionFailed, CertificateNotFound) as exc:
         kind = getattr(exc, "kind", type(exc).__name__)
         sys.stdout.write(_dump({"error": {"kind": kind, "message": str(exc)}}))
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         sys.stdout.write(_dump({"error": {"kind": type(exc).__name__, "message": str(exc)}}))
         return 1
-    _write_output(text, getattr(args, "out", None))
     return 0
 
 

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     AlgElement,
@@ -317,15 +317,19 @@ def point_from_json(obj) -> ProjPoint:
 
 
 class Line:
-    """Line in P^3 spanned by two basepoints over a common algebra."""
+    """Line in P^3 spanned by two distinct rational basepoints.
 
-    __slots__ = ("algebra", "p", "q")
+    Every line is rational: sections and pencil axes are rational lines, so
+    the constructor refuses a basepoint of higher degree and checks spanning
+    on the basepoints' primitive integer vectors.
+    """
+
+    __slots__ = ("p", "q")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
-        if p.algebra != q.algebra:
-            raise ValueError("basepoints over different algebras")
-        _check_spanning(p.coords, q.coords)
-        object.__setattr__(self, "algebra", p.algebra)
+        if not (p.is_rational and q.is_rational):
+            raise ValueError("both basepoints of a line must be rational")
+        _check_spanning(p.primitive(), q.primitive())
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -576,16 +580,13 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
 def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
     """The unique plane of the pencil through x, as a linear form on X0..X3.
 
-    Computed as the signed 3x3 minors of the rows (axis basepoints, x), on
-    kernel coordinates: a rational axis stays on its primitive integers, and x
-    gives integers when rational and algebra elements otherwise; an axis over
-    x's algebra works on its algebra coordinates.  All minors vanishing means
-    x lies on the axis.
+    Computed as the signed 3x3 minors of the rows (axis basepoints, x): the
+    rational axis gives its primitive integers, and x gives integers when
+    rational and algebra elements otherwise.  All minors vanishing means x
+    lies on the axis.
     """
     axis = pencil.axis
-    if axis.algebra.degree != 1 and axis.algebra != x.algebra:
-        raise ValueError("the pencil axis must be rational or over the point's algebra")
-    rows = [_kernel_coords(axis.p), _kernel_coords(axis.q), _kernel_coords(x)]
+    rows = [axis.p.primitive(), axis.q.primitive(), _kernel_coords(x)]
     n = []
     for i in range(4):
         cols = [j for j in range(4) if j != i]
@@ -657,7 +658,6 @@ class LengthThreeScheme:
 
     algebra: EtaleAlgebra
     point: ProjPoint
-    line: Optional[Line]
     non_reduced: bool
     known_parameters: tuple = ()
 
@@ -688,8 +688,6 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     factorization (basepoints on S, plus a leftover linear factor) are
     reported in `known_parameters`.
     """
-    if line.algebra.degree != 1:
-        raise ValueError("line sections are built from rational lines")
     p = line.p.rational_coords()
     q = line.q.rational_coords()
     c = restrict(surface.value_at, p, q)
@@ -747,7 +745,6 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     return LengthThreeScheme(
         algebra=algebra,
         point=point,
-        line=line,
         non_reduced=non_reduced,
         known_parameters=tuple(params),
     )
@@ -775,15 +772,12 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
     Genericity failures propagate; zero divisors arising mid-computation
     split the algebra and the computation proceeds componentwise.
     """
-    if pencil.axis.algebra.degree != 1:
-        raise ValueError("the pencil axis must be a rational line")
     scheme = line_section(surface, line)
     image = _tangent_on_components(surface, pencil, scheme.point)
     check_invariant(_on_surface(surface, image), "the triple map image must lie on the surface")
     return LengthThreeScheme(
         algebra=scheme.algebra,
         point=image,
-        line=None,
         non_reduced=scheme.non_reduced,
         known_parameters=scheme.known_parameters,
     )

@@ -198,6 +198,32 @@ def test_inverse_and_zero_divisors_match_poly_gcd():
     assert seen_zero_divisor
 
 
+@pytest.mark.parametrize("root", [0, 3, Fraction(-3, 2), Fraction(5, 7)], ids=["0", "3", "-3/2", "5/7"])
+def test_degree_one_matches_fraction_arithmetic(root):
+    # Q[t]/(t - a) is Q with t = a: the one product, unit test and inverse of
+    # every degree must agree with Fraction arithmetic on the constant values
+    alg = EtaleAlgebra((-root, 1))
+    rng = random.Random(11)
+    pairs = [(0, 0), (1, 0), (0, 1)] + [(random_fraction(rng), random_fraction(rng)) for _ in range(40)]
+    elements = []
+    for c0, c1 in pairs:
+        a = alg.element((c0, c1))
+        assert_normalized(a)
+        assert a.constant_value() == c0 + c1 * root
+        elements.append(a)
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        x, y = a.constant_value(), b.constant_value()
+        assert (a * b).constant_value() == x * y
+        assert (a + b).constant_value() == x + y
+        assert a.is_unit() == (x != 0)
+        if x:
+            assert a.inverse().constant_value() == 1 / x
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+    assert any(not a.is_unit() for a in elements)
+
+
 def test_projection_checks_divisibility_once_and_matches_reduce_mod(monkeypatch):
     # the projection onto a component is the remainder of the Poly reference
     g, h = from_roots([Fraction(1)]), from_roots([Fraction(0), Fraction(-2, 3)])

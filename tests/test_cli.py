@@ -449,6 +449,8 @@ def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, me
 FERMAT = object()
 X, Y = '["1","-1","0","0"]', '["0","1","-1","0"]'
 LINE = f"[{X},{Y}]"
+#: A point of degree 2, (sqrt 2 : 1 : 0 : 0), which no line may have as a basepoint.
+QUADRATIC = json.dumps({"modulus": ["-2", "0", "1"], "coords": [["0", "1"], ["1"], [], []]})
 
 
 def _fermat_with(exp=None, coeff=None) -> str:
@@ -560,11 +562,15 @@ class TestHostileInput:
             ["third-point", "--surface", FERMAT, "--x", "[true,-1,0,0]", "--y", Y],
             ["third-point", "--surface", FERMAT, "--x", '["1/0","-1","0","0"]', "--y", Y],
             ["third-point", "--surface", FERMAT, "--x", '{"modulus":[0,1],"coords":5}', "--y", Y],
+            ["delta", "--surface", FERMAT, "--line", f"[{QUADRATIC},{Y}]"],
+            ["psi", "--surface", FERMAT, "--axis", f"[{X},{QUADRATIC}]", "--line", LINE],
+            ["tangent-residual", "--surface", FERMAT, "--axis", f"[{QUADRATIC},{Y}]", "--point", X],
         ],
         ids=[
             "point-scalar", "line-one-point", "monomials-scalar", "surface-list",
             "monomial-list", "exponent-float", "coeff-float", "coeff-bool", "coord-float",
             "coord-bool", "coord-zero-denominator", "algebra-coords-scalar",
+            "line-algebra-point", "psi-axis-algebra-point", "tangent-axis-algebra-point",
         ],
     )
     def test_geometry_loaders_reject_malformed_json(self, capsys, fermat_path, argv):
@@ -615,6 +621,22 @@ class TestHostileInput:
         assert code == 1
         assert json.loads(captured.out)["error"]["kind"] == "ValueError"
         assert "Traceback" not in captured.err
+
+    def test_out_to_a_missing_directory_is_structured(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        code = run(["chow", "report", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err
+        assert json.loads(captured.out)["error"]["kind"] == "FileNotFoundError"
+        assert not out.parent.exists()
+
+    def test_unknown_goal_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["descent", "certify", "--dS", "3", "--degree", "10", "--goal", "nope"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--goal" in captured.err
 
     def test_suite_ceiling_below_one_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

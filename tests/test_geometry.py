@@ -210,6 +210,39 @@ class TestThirdPoint:
             done += 1
 
 
+class TestLine:
+    @pytest.mark.parametrize("modulus", [(-2, 0, 1), (-1, -1, 0, 1)], ids=["degree-2", "degree-3"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["p", "q"])
+    def test_basepoints_must_be_rational(self, modulus, side):
+        algebra = EtaleAlgebra(modulus)
+        point = ProjPoint(algebra, [algebra.generator, algebra.one, algebra.zero, algebra.zero])
+        rational = ProjPoint.rational([0, 0, 1, 0])
+        basepoints = (point, rational) if side == 0 else (rational, point)
+        with pytest.raises(ValueError, match="both basepoints of a line must be rational"):
+            Line(*basepoints)
+
+    def test_spanning_check_runs_on_integers(self, monkeypatch):
+        # the 2x2 minors are scanned on the primitive integer vectors, so no
+        # algebra product and no unit test runs while a line is parsed
+        calls = []
+
+        def counting(name):
+            original = getattr(AlgElement, name)
+
+            def spy(self, *args):
+                calls.append(name)
+                return original(self, *args)
+            return spy
+
+        for name in ("__mul__", "__rmul__", "is_unit"):
+            monkeypatch.setattr(AlgElement, name, counting(name))
+        line = line_from_json([["1", "-1", "0", "0"], ["0", "1/2", "-1/2", "0"]])
+        assert line.p.primitive() == (1, -1, 0, 0) and line.q.primitive() == (0, 1, -1, 0)
+        with pytest.raises(EqualPoints):
+            line_from_json([["1", "-1", "0", "0"], ["-2", "2", "0", "0"]])
+        assert calls == []
+
+
 class TestFiberPlane:
     AXIS = Line.rational([0, 0, 1, 0], [0, 0, 0, 1])  # X0 = X1 = 0
 
