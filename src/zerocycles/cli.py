@@ -47,15 +47,15 @@ def _dump(payload) -> str:
 
 
 def _load_json_arg(value: str):
-    """Inline JSON when the argument starts with `[` or `{`, else a file path or JSON scalar."""
+    """Inline JSON when the argument starts with `[` or `{`, else an existing path or JSON scalar."""
     if value.lstrip()[:1] in ("[", "{"):
         return json.loads(value)
     path = Path(value)
     try:
-        is_file = path.is_file()
+        exists = path.exists()
     except OSError:  # e.g. longer than the file system allows for a name
-        is_file = False
-    if is_file:
+        exists = False
+    if exists:
         return json.loads(path.read_text())
     return json.loads(value)
 
@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     su.add_argument("--out")
     th = descent_sub.add_parser("threshold", help="effectivity threshold replay")
     th.add_argument("--dS", type=int, required=True, choices=(1, 2, 3))
-    th.add_argument("--threshold", type=int, required=True)
-    th.add_argument("--ceiling", type=int, default=200)
+    th.add_argument("--threshold", type=_positive_int, required=True)
+    th.add_argument("--ceiling", type=_positive_int, default=200)
     th.add_argument("--with-x4", action="store_true")
     th.add_argument("--even-only", action="store_true")
     th.add_argument("--out")

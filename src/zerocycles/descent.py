@@ -78,19 +78,14 @@ def h0_by_recurrence(d_S: int, l: int) -> int:
 
 
 def genus(d_S: int, l: int) -> int:
-    """Genus of a smooth curve in |O(l)|: 1 + d_S*l*(l-1)/2."""
+    """Genus of a smooth curve C in |O(l)|: h0(l-1) = 1 + d_S*l*(l-1)/2.
+
+    By adjunction K_C = O(l-1)|_C, and every section of it comes from the
+    surface, since h0 and h1 of O(-1) = K vanish.
+    """
     if l < 1:
         raise ValueError("l must be >= 1")
-    return 1 + d_S * l * (l - 1) // 2
-
-
-def genus_by_recurrence(d_S: int, l: int) -> int:
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    value = 1
-    for k in range(1, l):
-        value += d_S * k
-    return value
+    return h0(d_S, l - 1)
 
 
 def _require_object(obj, what: str) -> None:
@@ -196,28 +191,25 @@ class CycleState:
         return cls.make(obj["sign"], obj["unknown_degree"], coeffs)
 
 
-def _shift_coeffs(state: CycleState, delta: Dict[str, int], factor: int) -> Dict[str, int]:
-    out = state.coeff_dict()
-    for name, mult in delta.items():
-        out[name] = out.get(name, 0) + factor * mult
-    return out
-
-
 @dataclass(frozen=True)
 class Move:
     """One rewrite step; `kind` selects the rule, parameters are rule-specific.
 
-    kinds and their data:
-      Complement(l)           -- replace z' by c1(O(l+1))^2 - z'
-      VariantComplement(l)    -- replace z' by l(l+1)*c1(O(1))^2 - z'
-      VBSubtract(l, target)   -- replace z' by z' - (effective basis combo)
-      InvolutionFlip          -- degree-2 only: z' + iota(z') = (deg z')*h
-      CurveRR(l, combo)       -- replace z' by combo - z' via Riemann-Roch on
-                                 a curve in |O(l)| supporting the pieces
-      AddBasis(combo)         -- absorb a nonnegative basis combo into z'
-      EntryRR(gamma)          -- entry only: an abstract class z of degree d
-                                 satisfies z + gamma*h effective for some
-                                 gamma; records one concrete choice
+    Each rule names a class C: the flipping ones replace z' by C - z', the
+    others replace z' by z' - C (`apply_move`).  kinds and their data:
+      Complement(l)           -- flips, C = c1(O(l+1))^2 = (l+1)^2*h
+      VariantComplement(l)    -- flips, C = l(l+1)*c1(O(1))^2 = l(l+1)*h
+      VBSubtract(l, target)   -- C = target, an effective basis combo
+      InvolutionFlip          -- degree-2 only, flips: z' + iota(z') =
+                                 (deg z')*h, so C = (deg z')*h
+      CurveRR(l, combo)       -- flips, C = combo, via Riemann-Roch on a
+                                 curve in |O(l)| supporting the pieces
+      AddBasis(combo)         -- C = -combo: absorb a nonnegative basis
+                                 combo into z'
+      EntryRR(gamma)          -- entry only, C = -gamma*h: an abstract class
+                                 z of degree d satisfies z + gamma*h
+                                 effective for some gamma; records one
+                                 concrete choice
     """
 
     kind: str
@@ -274,14 +266,17 @@ class Move:
 
 
 def apply_move(
-    surface: DelPezzo,
-    state: CycleState,
-    move: Move,
-    h0_fn=h0,
-    genus_fn=genus,
-    is_entry: bool = False,
+    surface: DelPezzo, state: CycleState, move: Move, h0_fn=h0, is_entry: bool = False
 ) -> Tuple[CycleState, dict]:
     """Apply one move, checking its side conditions exactly.
+
+    Each rule checks its guards and names a class C (a basis combo), its
+    degree c and a witness of the section counts it used; then one of two
+    rewrites applies, and either adds sign * C to the basis coefficients:
+    z' -> C - z' (sign flips, new degree c - d) for Complement,
+    VariantComplement, InvolutionFlip and CurveRR, and z' -> z' - C (sign
+    kept, new degree d - c) for VBSubtract, AddBasis and EntryRR.  CurveRR
+    reads its genus as h0_fn(l - 1), as `genus` does.
 
     Returns (new state, witness dict of the section counts used).  Raises
     PreconditionFailed naming the violated inequality.
@@ -290,9 +285,16 @@ def apply_move(
     d = state.unknown_degree
     sign = state.sign
     kind = move.kind
+    witness = {}
 
     def fail(condition: str):
         raise PreconditionFailed(kind, condition)
+
+    def checked_degree(combo: Dict[str, int]) -> int:
+        for name in combo:
+            if name not in surface.basis:
+                fail(f"basis cycle {name!r} is not available on this surface")
+        return surface.combo_degree(combo)
 
     if kind == "Complement":
         m = move.l + 1
@@ -301,11 +303,9 @@ def apply_move(
         count = h0_fn(d_S, m)
         if not d <= count - 2:
             fail(f"d={d} <= h0({d_S},{m})-2={count - 2} fails")
-        new_degree = d_S * m * m - d
-        coeffs = _shift_coeffs(state, {BASIS_H: m * m}, sign)
-        return CycleState.make(-sign, new_degree, coeffs), {"h0_m": count}
-
-    if kind == "VariantComplement":
+        flips, combo, c = True, {BASIS_H: m * m}, d_S * m * m
+        witness = {"h0_m": count}
+    elif kind == "VariantComplement":
         l = move.l
         if l < GLOBALLY_GENERATED_MIN[d_S]:
             fail(f"O({l}) is not globally generated on dP{d_S}")
@@ -316,51 +316,37 @@ def apply_move(
             fail(f"h0({d_S},{l})={count_l} >= d+1={d + 1} fails")
         if not count_l1 - d > count_1:
             fail(f"h0({d_S},{l + 1})-d={count_l1 - d} > h0({d_S},1)={count_1} fails")
-        new_degree = d_S * l * (l + 1) - d
-        coeffs = _shift_coeffs(state, {BASIS_H: l * (l + 1)}, sign)
+        flips, combo, c = True, {BASIS_H: l * (l + 1)}, d_S * l * (l + 1)
         witness = {"h0_l": count_l, "h0_l1": count_l1, "h0_1": count_1}
-        return CycleState.make(-sign, new_degree, coeffs), witness
-
-    def checked_degree(combo: Dict[str, int]) -> int:
-        for name in combo:
-            if name not in surface.basis:
-                fail(f"basis cycle {name!r} is not available on this surface")
-        return surface.combo_degree(combo)
-
-    if kind == "VBSubtract":
+    elif kind == "VBSubtract":
         l = move.l
-        target = move.combo_dict()
-        if not target or any(v <= 0 for v in target.values()):
+        combo = move.combo_dict()
+        if not combo or any(v <= 0 for v in combo.values()):
             fail("subtraction target must be a nonzero nonnegative basis combo")
-        if d_S in (1, 2) and set(target) != {BASIS_H}:
+        if d_S in (1, 2) and set(combo) != {BASIS_H}:
             fail(f"on dP{d_S} only multiples of h may be subtracted")
-        s = checked_degree(target)
+        flips, c = False, checked_degree(combo)
         if d_S == 3 and l < 0 or d_S in (1, 2) and l < 1:
             fail(f"l={l} out of range for dP{d_S}")
         count_l = h0_fn(d_S, l)
         count_l1 = h0_fn(d_S, l + 1)
         if not count_l < d:
             fail(f"h0({d_S},{l})={count_l} < d={d} fails")
-        if not count_l1 - d >= 2 * s:
-            fail(f"h0({d_S},{l + 1})-d={count_l1 - d} >= 2s={2 * s} fails")
-        if d - s < 0:
+        if not count_l1 - d >= 2 * c:
+            fail(f"h0({d_S},{l + 1})-d={count_l1 - d} >= 2s={2 * c} fails")
+        if d - c < 0:
             fail("subtracted degree exceeds the unknown degree")
-        coeffs = _shift_coeffs(state, target, sign)
         witness = {"h0_l": count_l, "h0_l1": count_l1}
-        return CycleState.make(sign, d - s, coeffs), witness
-
-    if kind == "InvolutionFlip":
+    elif kind == "InvolutionFlip":
         if d_S != 2:
             fail("the anticanonical involution exists only on dP2")
-        coeffs = _shift_coeffs(state, {BASIS_H: d}, sign)
-        return CycleState.make(-sign, d, coeffs), {}
-
-    if kind == "CurveRR":
+        flips, combo, c = True, {BASIS_H: d}, d_S * d
+    elif kind == "CurveRR":
         l = move.l
         combo = move.combo_dict()
         if l < 1:
             fail("CurveRR needs l >= 1")
-        combo_degree = checked_degree(combo)
+        flips, c = True, checked_degree(combo)
         positive = {n: v for n, v in combo.items() if v > 0}
         negative = {n: -v for n, v in combo.items() if v < 0}
         if set(positive) != {BASIS_H} or positive.get(BASIS_H, 0) % l != 0:
@@ -368,36 +354,33 @@ def apply_move(
         support = d + sum(surface.basis[n] * v for n, v in negative.items())
         count_l = h0_fn(d_S, l)
         if not support <= count_l - 2:
-            fail(
-                f"support degree {support} <= h0({d_S},{l})-2={count_l - 2} fails"
-            )
-        g = genus_fn(d_S, l)
-        new_degree = combo_degree - d
-        if not new_degree >= g:
-            fail(f"rewritten degree {new_degree} >= genus {g} fails")
-        coeffs = _shift_coeffs(state, combo, sign)
+            fail(f"support degree {support} <= h0({d_S},{l})-2={count_l - 2} fails")
+        g = h0_fn(d_S, l - 1)
+        if not c - d >= g:
+            fail(f"rewritten degree {c - d} >= genus {g} fails")
         witness = {"h0_l": count_l, "genus_l": g}
-        return CycleState.make(-sign, new_degree, coeffs), witness
-
-    if kind == "AddBasis":
-        combo = move.combo_dict()
-        if not combo or any(v <= 0 for v in combo.values()):
+    elif kind == "AddBasis":
+        absorbed = move.combo_dict()
+        if not absorbed or any(v <= 0 for v in absorbed.values()):
             fail("absorbed combo must be nonzero and nonnegative")
-        s = checked_degree(combo)
-        coeffs = _shift_coeffs(state, combo, -sign)
-        return CycleState.make(sign, d + s, coeffs), {}
-
-    if kind == "EntryRR":
+        flips, c = False, -checked_degree(absorbed)
+        combo = {name: -mult for name, mult in absorbed.items()}
+    elif kind == "EntryRR":
         if not is_entry:
             fail("EntryRR is only valid as the first move of a certificate")
         if sign != 1 or state.coeffs:
             fail("EntryRR applies to a bare class state")
         if move.gamma is None or move.gamma < 1:
             fail("gamma must be a positive integer")
-        coeffs = {BASIS_H: -move.gamma}
-        return CycleState.make(1, d + move.gamma * d_S, coeffs), {}
+        flips, combo, c = False, {BASIS_H: -move.gamma}, -move.gamma * d_S
+    else:
+        fail(f"unknown move kind {kind!r}")
 
-    fail(f"unknown move kind {kind!r}")
+    coeffs = state.coeff_dict()
+    for name, mult in combo.items():
+        coeffs[name] = coeffs.get(name, 0) + sign * mult
+    new_sign, new_degree = (-sign, c - d) if flips else (sign, d - c)
+    return CycleState.make(new_sign, new_degree, coeffs), witness
 
 
 @dataclass(frozen=True)
@@ -515,12 +498,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     for idx, (move, recorded) in enumerate(zip(cert.moves, cert.witnesses)):
         try:
             state, witness = apply_move(
-                surface,
-                state,
-                move,
-                h0_fn=h0_by_recurrence,
-                genus_fn=genus_by_recurrence,
-                is_entry=(idx == 0),
+                surface, state, move, h0_fn=h0_by_recurrence, is_entry=(idx == 0)
             )
         except PreconditionFailed as exc:
             return VerificationReport(False, f"move {idx}: {exc}", states)
@@ -852,8 +830,11 @@ def prove_bound_suite(
     """Find and verify a descent certificate for every start degree 1..ceiling.
 
     Raises CertificateNotFound if any degree fails; a sound suite is the
-    machine-checked content of the effectivity bounds.
+    machine-checked content of the effectivity bounds.  Raises ValueError
+    if the ceiling is below 1, which leaves nothing to certify.
     """
+    if ceiling < 1:
+        raise ValueError(f"the range 1..{ceiling} holds no degree")
     goal = goal or default_goal(surface)
     rows = []
     for degree in range(1, ceiling + 1):
@@ -885,8 +866,13 @@ def effectivity_threshold_report(
     nonnegative -- which is what makes the original class effective.  With
     a mixed (h, x4) basis the leftover combo is effective as soon as its
     degree is at least the genus of a supporting quadric section, and that
-    rule is reported instead.
+    rule is reported instead.  Raises ValueError if the range holds no
+    degree, which leaves nothing to check.
     """
+    degrees = [D for D in range(threshold, ceiling + 1) if not even_only or D % 2 == 0]
+    if not degrees:
+        even = "even " if even_only else ""
+        raise ValueError(f"the range {threshold}..{ceiling} holds no {even}degree")
     goal = default_goal(surface)
     if surface.degree == 3:
         goal = GOALS["cubic-x4-pos"] if surface.with_x4 else GOALS["cubic-pos"]
@@ -897,9 +883,7 @@ def effectivity_threshold_report(
         rule = "h coefficient >= 0"
     rows = []
     ok = True
-    for degree in range(threshold, ceiling + 1):
-        if even_only and degree % 2 != 0:
-            continue
+    for degree in degrees:
         cert = entry_certificate(surface, degree, 1, goal)
         verified = verify_certificate(cert).ok
         final = cert.final

@@ -643,3 +643,42 @@ class TestHostileInput:
             run(["descent", "suite", "--dS", "3", "--ceiling", "0"])
         assert info.value.code == 2
         assert "--ceiling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--threshold", "-5"], ["--threshold", "0"], ["--threshold", "18", "--ceiling", "0"]],
+        ids=["threshold-negative", "threshold-zero", "ceiling-zero"],
+    )
+    def test_threshold_flags_below_one_are_usage_errors(self, capsys, flags):
+        with pytest.raises(SystemExit) as info:
+            run(["descent", "threshold", "--dS", "3", *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flags[-2]}: must be >= 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dS", "3", "--threshold", "5", "--ceiling", "3"], "the range 5..3 holds no degree"),
+            (["--dS", "2", "--threshold", "13", "--ceiling", "13", "--even-only"],
+             "the range 13..13 holds no even degree"),
+        ],
+        ids=["above-ceiling", "no-even-degree"],
+    )
+    def test_empty_threshold_range_is_structured(self, capsys, flags, message):
+        code, out = run_cli(capsys, "descent", "threshold", *flags)
+        assert code == 1
+        assert json.loads(out) == {"error": {"kind": "ValueError", "message": message}}
+
+    def test_directory_argument_names_its_path(self, capsys, tmp_path):
+        for argv in (
+            ["geom", "delta", "--surface", str(tmp_path), "--line", LINE],
+            ["descent", "verify", str(tmp_path)],
+        ):
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and "Traceback" not in captured.err
+            error = json.loads(captured.out)["error"]
+            assert error["kind"] == "IsADirectoryError"
+            assert str(tmp_path) in error["message"]

@@ -26,7 +26,6 @@ from zerocycles.descent import (
     entry_certificate,
     find_certificate,
     genus,
-    genus_by_recurrence,
     h0,
     h0_by_recurrence,
     induction_step_moves,
@@ -50,8 +49,9 @@ class TestSectionCounts:
         for d_S in (1, 2, 3):
             for l in range(0, 30):
                 assert h0_by_recurrence(d_S, l) == h0(d_S, l)
-                if l >= 1:
-                    assert genus_by_recurrence(d_S, l) == genus(d_S, l)
+            for l in range(1, 41):
+                assert genus(d_S, l) == h0_by_recurrence(d_S, l - 1)
+                assert 2 * genus(d_S, l) - 2 == d_S * l * (l - 1)  # adjunction
 
     def test_genus_values(self):
         assert genus(3, 2) == 4
@@ -66,6 +66,8 @@ class TestSectionCounts:
             h0(3, -1)
         with pytest.raises(ValueError):
             genus(3, 0)
+        with pytest.raises(ValueError):
+            genus(4, 2)
 
 
 def state(sign, degree, coeffs=None):
@@ -157,6 +159,161 @@ class TestApplyMove:
                 except PreconditionFailed:
                     continue
                 assert st.total_degree(surface) == total
+
+
+def curve_rr(l, combo):
+    return Move(kind="CurveRR", l=l, combo=tuple(sorted(combo.items())))
+
+
+#: Section counts for guards that no true count can reach, each named once.
+def _flat_10(d_S, l):
+    return 10
+
+
+def _steep_100(d_S, l):
+    return 100 * l
+
+
+FLIP, VARIANT = Move(kind="InvolutionFlip"), Move(kind="VariantComplement", l=2)
+
+#: (surface, state, move, is_entry, h0_fn or None for both routes, the exact error text)
+GUARDS = [
+    (DP1, state(1, 1), Move.complement(1), False, None,
+     "Complement: O(2) is not very ample on dP1"),
+    (CUBIC, state(1, 9), Move.complement(1), False, None,
+     "Complement: d=9 <= h0(3,2)-2=8 fails"),
+    (DP1, state(1, 1), Move(kind="VariantComplement", l=1), False, None,
+     "VariantComplement: O(1) is not globally generated on dP1"),
+    (CUBIC, state(1, 10), VARIANT, False, None,
+     "VariantComplement: h0(3,2)=10 >= d+1=11 fails"),
+    (CUBIC, state(1, 5), VARIANT, False, _flat_10,
+     "VariantComplement: h0(3,3)-d=5 > h0(3,1)=10 fails"),
+    (CUBIC, state(1, 5), Move(kind="VBSubtract", l=2), False, None,
+     "VBSubtract: subtraction target must be a nonzero nonnegative basis combo"),
+    (CUBIC, state(1, 5), Move.vb_subtract(2, {BASIS_H: 0}), False, None,
+     "VBSubtract: subtraction target must be a nonzero nonnegative basis combo"),
+    (DP2, state(1, 9), Move.vb_subtract(2, {BASIS_X4: 1}), False, None,
+     "VBSubtract: on dP2 only multiples of h may be subtracted"),
+    (CUBIC, state(1, 11), Move.vb_subtract(2, {BASIS_X4: 1}), False, None,
+     "VBSubtract: basis cycle 'x4' is not available on this surface"),
+    (CUBIC, state(1, 2), Move.vb_subtract(-1, {BASIS_H: 1}), False, None,
+     "VBSubtract: l=-1 out of range for dP3"),
+    (DP2, state(1, 2), Move.vb_subtract(0, {BASIS_H: 1}), False, None,
+     "VBSubtract: l=0 out of range for dP2"),
+    (CUBIC, state(1, 10), Move.vb_subtract(2, {BASIS_H: 1}), False, None,
+     "VBSubtract: h0(3,2)=10 < d=10 fails"),
+    (CUBIC, state(1, 18), Move.vb_subtract(2, {BASIS_H: 1}), False, None,
+     "VBSubtract: h0(3,3)-d=1 >= 2s=6 fails"),
+    (CUBIC, state(1, 2), Move.vb_subtract(0, {BASIS_H: 1}), False, _steep_100,
+     "VBSubtract: subtracted degree exceeds the unknown degree"),
+    (CUBIC, state(1, 5), FLIP, False, None,
+     "InvolutionFlip: the anticanonical involution exists only on dP2"),
+    (CUBIC, state(1, 3), curve_rr(0, {BASIS_H: 3}), False, None,
+     "CurveRR: CurveRR needs l >= 1"),
+    (CUBIC, state(-1, 4), curve_rr(2, {BASIS_H: 4, BASIS_X4: -1}), False, None,
+     "CurveRR: basis cycle 'x4' is not available on this surface"),
+    (CUBIC_X4, state(-1, 4), curve_rr(2, {BASIS_H: 3}), False, None,
+     "CurveRR: the intrinsic part of the combo must be a multiple of l times h"),
+    (CUBIC_X4, state(-1, 5), curve_rr(2, {BASIS_H: 4, BASIS_X4: -1}), False, None,
+     "CurveRR: support degree 9 <= h0(3,2)-2=8 fails"),
+    (CUBIC, state(1, 3), curve_rr(2, {BASIS_H: 2}), False, None,
+     "CurveRR: rewritten degree 3 >= genus 4 fails"),
+    (CUBIC, state(1, 4), Move.add_basis({BASIS_H: 0}), False, None,
+     "AddBasis: absorbed combo must be nonzero and nonnegative"),
+    (CUBIC, state(1, 4), Move.add_basis({BASIS_X4: 1}), False, None,
+     "AddBasis: basis cycle 'x4' is not available on this surface"),
+    (CUBIC, state(1, 9), Move.entry_rr(2), False, None,
+     "EntryRR: EntryRR is only valid as the first move of a certificate"),
+    (CUBIC, state(-1, 9), Move.entry_rr(2), True, None,
+     "EntryRR: EntryRR applies to a bare class state"),
+    (CUBIC, state(1, 9, {BASIS_H: 1}), Move.entry_rr(2), True, None,
+     "EntryRR: EntryRR applies to a bare class state"),
+    (CUBIC, state(1, 9), Move.entry_rr(0), True, None,
+     "EntryRR: gamma must be a positive integer"),
+    (CUBIC, state(1, 9), Move(kind="Twist"), False, None,
+     "Twist: unknown move kind 'Twist'"),
+]
+
+#: (surface, state, move, new state, witness): one legal move of each kind on
+#: each surface where that kind is legal.  EntryRR runs as a first move.
+LEGAL = [
+    (CUBIC, state(1, 28, {BASIS_H: -3}), Move.complement(3),
+     state(-1, 20, {BASIS_H: 13}), {"h0_m": 31}),
+    (CUBIC_X4, state(1, 5, {BASIS_X4: 1}), Move.complement(1),
+     state(-1, 7, {BASIS_H: 4, BASIS_X4: 1}), {"h0_m": 10}),
+    (DP2, state(-1, 5), Move.complement(1), state(1, 3, {BASIS_H: -4}), {"h0_m": 7}),
+    (DP1, state(1, 4), Move.complement(2), state(-1, 5, {BASIS_H: 9}), {"h0_m": 7}),
+    (CUBIC, state(1, 9), VARIANT,
+     state(-1, 9, {BASIS_H: 6}), {"h0_l": 10, "h0_l1": 19, "h0_1": 4}),
+    (CUBIC_X4, state(-1, 3, {BASIS_X4: 2}), Move(kind="VariantComplement", l=1),
+     state(1, 3, {BASIS_H: -2, BASIS_X4: 2}), {"h0_l": 4, "h0_l1": 10, "h0_1": 4}),
+    (DP2, state(1, 6), VARIANT,
+     state(-1, 6, {BASIS_H: 6}), {"h0_l": 7, "h0_l1": 13, "h0_1": 3}),
+    (DP1, state(1, 3), VARIANT,
+     state(-1, 3, {BASIS_H: 6}), {"h0_l": 4, "h0_l1": 7, "h0_1": 2}),
+    (CUBIC, state(-1, 11, {BASIS_H: 7}), Move.vb_subtract(2, {BASIS_H: 1}),
+     state(-1, 8, {BASIS_H: 6}), {"h0_l": 10, "h0_l1": 19}),
+    (CUBIC_X4, state(1, 11), Move.vb_subtract(2, {BASIS_X4: 1}),
+     state(1, 7, {BASIS_X4: 1}), {"h0_l": 10, "h0_l1": 19}),
+    (DP2, state(1, 9), Move.vb_subtract(2, {BASIS_H: 1}),
+     state(1, 7, {BASIS_H: 1}), {"h0_l": 7, "h0_l1": 13}),
+    (DP1, state(1, 5), Move.vb_subtract(2, {BASIS_H: 1}),
+     state(1, 4, {BASIS_H: 1}), {"h0_l": 4, "h0_l1": 7}),
+    (DP2, state(1, 9, {BASIS_H: 2}), FLIP, state(-1, 9, {BASIS_H: 11}), {}),
+    (CUBIC, state(1, 3), curve_rr(2, {BASIS_H: 4}),
+     state(-1, 9, {BASIS_H: 4}), {"h0_l": 10, "genus_l": 4}),
+    (CUBIC_X4, state(-1, 4, {BASIS_H: 2, BASIS_X4: 1}), curve_rr(2, {BASIS_H: 4, BASIS_X4: -1}),
+     state(1, 4, {BASIS_H: -2, BASIS_X4: 2}), {"h0_l": 10, "genus_l": 4}),
+    (DP2, state(1, 2), curve_rr(2, {BASIS_H: 4}),
+     state(-1, 6, {BASIS_H: 4}), {"h0_l": 7, "genus_l": 3}),
+    (DP1, state(1, 1), curve_rr(3, {BASIS_H: 6}),
+     state(-1, 5, {BASIS_H: 6}), {"h0_l": 7, "genus_l": 4}),
+    (CUBIC, state(1, 4), Move.add_basis({BASIS_H: 2}), state(1, 10, {BASIS_H: -2}), {}),
+    (CUBIC_X4, state(-1, 4, {BASIS_H: 1}), Move.add_basis({BASIS_X4: 1}),
+     state(-1, 8, {BASIS_H: 1, BASIS_X4: 1}), {}),
+    (DP2, state(-1, 3), Move.add_basis({BASIS_H: 1}), state(-1, 5, {BASIS_H: 1}), {}),
+    (DP1, state(1, 2), Move.add_basis({BASIS_H: 3}), state(1, 5, {BASIS_H: -3}), {}),
+    (CUBIC, state(1, 9), Move.entry_rr(2), state(1, 15, {BASIS_H: -2}), {}),
+    (CUBIC_X4, state(1, 5), Move.entry_rr(1), state(1, 8, {BASIS_H: -1}), {}),
+    (DP2, state(1, 5), Move.entry_rr(3), state(1, 11, {BASIS_H: -3}), {}),
+    (DP1, state(1, 0), Move.entry_rr(1), state(1, 1, {BASIS_H: -1}), {}),
+]
+
+
+def _case_id(surface, move):
+    return f"{move.kind}-dP{surface.degree}{'+x4' if surface.with_x4 else ''}"
+
+
+class TestRuleTable:
+    """Every guard's exact text, and one legal move of each kind per surface,
+    under the closed-form and the recurrence section counts."""
+
+    @pytest.mark.parametrize(
+        "surface, st, move, is_entry, h0_fn, message",
+        GUARDS,
+        ids=[f"{_case_id(c[0], c[2])}-{i}" for i, c in enumerate(GUARDS)],
+    )
+    def test_guard_texts(self, surface, st, move, is_entry, h0_fn, message):
+        for route in [h0_fn] if h0_fn else [h0, h0_by_recurrence]:
+            with pytest.raises(PreconditionFailed) as info:
+                apply_move(surface, st, move, h0_fn=route, is_entry=is_entry)
+            assert str(info.value) == message
+            assert info.value.move_kind == move.kind
+
+    @pytest.mark.parametrize("route", [h0, h0_by_recurrence], ids=["h0", "h0_by_recurrence"])
+    @pytest.mark.parametrize(
+        "surface, st, move, new, witness", LEGAL, ids=[_case_id(c[0], c[2]) for c in LEGAL]
+    )
+    def test_legal_moves(self, surface, st, move, new, witness, route):
+        is_entry = move.kind == "EntryRR"
+        assert apply_move(surface, st, move, h0_fn=route, is_entry=is_entry) == (new, witness)
+        assert new.total_degree(surface) == st.total_degree(surface)
+
+    def test_every_kind_is_in_both_tables(self):
+        kinds = {"Complement", "VariantComplement", "VBSubtract", "InvolutionFlip",
+                 "CurveRR", "AddBasis", "EntryRR"}
+        assert {case[2].kind for case in LEGAL} == kinds
+        assert {case[2].kind for case in GUARDS} == kinds | {"Twist"}
 
 
 class TestCertificates:
@@ -335,6 +492,14 @@ class TestThresholds:
 
     def test_dp1_threshold_15(self):
         assert effectivity_threshold_report(DP1, 15, ceiling=80)["all_effective"]
+
+    def test_empty_ranges_are_refused(self):
+        with pytest.raises(ValueError, match=r"^the range 5\.\.3 holds no degree$"):
+            effectivity_threshold_report(CUBIC, 5, ceiling=3)
+        with pytest.raises(ValueError, match=r"^the range 13\.\.13 holds no even degree$"):
+            effectivity_threshold_report(DP2, 13, ceiling=13, even_only=True)
+        with pytest.raises(ValueError, match=r"^the range 1\.\.0 holds no degree$"):
+            prove_bound_suite(CUBIC, ceiling=0)
 
 
 class TestSurfaceModel:
