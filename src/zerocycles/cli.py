@@ -276,12 +276,7 @@ def _cmd_points(args) -> str:
         return _dump({"count": len(records), "points": [r.to_json() for r in records]})
     if args.subcommand == "saturate":
         seeds = [
-            PointRecord(
-                point=point_from_json(p).normalized(),
-                degree=1,
-                height=None,
-                source="seed",
-            )
+            PointRecord(point=point_from_json(p), degree=1, height=None, source="seed")
             for p in _json_list(_load_json_arg(args.seeds), "seeds")
         ]
         records = saturate(surface, seeds, args.rounds, max_points=args.max_points)

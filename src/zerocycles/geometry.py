@@ -265,12 +265,15 @@ class ProjPoint:
         return f"ProjPoint({list(self.coords)!r})"
 
     def to_json(self):
+        if self.is_rational:  # v / last off the primitive vector, printed as by fraction_to_string
+            ints = self.primitive()
+            last = next(v for v in reversed(ints) if v)
+            gcds = [gcd(v, last) if last > 0 else -gcd(v, last) for v in ints]
+            return [str(v // g) if g == last else f"{v // g}/{last // g}" for v, g in zip(ints, gcds)]
         try:
             pt = self.normalized()
         except ZeroDivisorFound:
             pt = self
-        if self.is_rational:
-            return [fraction_to_string(q) for q in pt.rational_coords()]
         return {
             "modulus": [fraction_to_string(q) for q in self.algebra.coefficients],
             "coords": [[fraction_to_string(q) for q in rational_coeffs(c.num, c.den)] for c in pt.coords],
@@ -399,74 +402,71 @@ class CubicForm:
         return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
 
     def _integer_kernel(self) -> tuple:
-        """(den, terms, partials), built on first use: den is the least common
-        denominator of the coefficients, `terms` holds den*F as (exponents,
-        integer coefficient) pairs, and partials[m] holds den*dF/dX_m as
-        ((i, j), integer coefficient) pairs, one per monomial X_i X_j."""
+        """(unit, terms, partials), built on first use: `terms` holds P = F / unit,
+        the primitive integer multiple of F (den*F over its content), as (exponents,
+        integer coefficient) pairs, and partials[m] holds dP/dX_m as ((i, j),
+        integer coefficient) pairs, one per monomial X_i X_j."""
         if self._kernel is None:
             den = lcm(*(coeff.denominator for coeff in self.terms.values()))
-            terms = tuple((exp, c.numerator * (den // c.denominator)) for exp, c in self.terms.items())
+            ints = [c.numerator * (den // c.denominator) for c in self.terms.values()]
+            content = gcd(*ints)
+            terms = tuple((exp, k // content) for exp, k in zip(self.terms, ints))
             partials = ([], [], [], [])
             for exp, k in terms:
                 for m, pair, e in _DERIVATIVES[exp]:
                     partials[m].append((pair, k * e))
-            object.__setattr__(self, "_kernel", (den, terms, partials))
+            object.__setattr__(self, "_kernel", (Fraction(content, den), terms, partials))
         return self._kernel
 
     def _partial_polys(self, nums: list) -> list:
         """den*dF/dX_m, m = 0..3, at integer numerator polynomials, unreduced."""
-        partials = self._integer_kernel()[2]
+        unit, _, partials = self._integer_kernel()
         pairs = {pair for part in partials for pair, _ in part}
         squares = {(i, j): _convolve(nums[i], nums[j]) for i, j in pairs}
         out = []
         for part in partials:
             total = [0] * (2 * len(nums[0]) - 1)
             for pair, k in part:
+                k *= unit.numerator
                 for r, v in enumerate(squares[pair]):
                     total[r] += k * v
             out.append(total)
         return out
 
     def value_at(self, coords: Sequence):
-        """F at 4 coordinates of one ring: ints, Fractions or AlgElements, exactly.
+        """F at 4 coordinates of one ring, exactly, but on ints up to a fixed factor.
 
-        On ints it runs on the integer terms and returns an int, or a Fraction
-        when F has non-integral coefficients.  Fractions are cleared onto the
-        integer path, and the result is always a Fraction.  AlgElements are
-        put over one denominator as integer numerator polynomials, F is summed
-        unreduced by Euler's relation 3F = sum X_m dF/dX_m, and the sum is
-        reduced once."""
-        den, terms, _ = self._integer_kernel()
+        On ints it returns P there, an int: one positive multiple of F at every
+        point.  Fractions are cleared onto the integer path, and F comes back a
+        Fraction.  AlgElements are put over one denominator as integer numerator
+        polynomials, F is summed unreduced by Euler's relation 3F = sum X_m dF/dX_m,
+        and the sum is reduced once."""
+        unit, terms, _ = self._integer_kernel()
         if all(type(c) is int for c in coords):
-            return _scaled_value(terms, den, coords)
+            return _terms_value(terms, coords)
         algebra, nums, scale = _common_numerators(coords)
         if algebra is None:
-            return Fraction(_scaled_value(terms, 1, nums), den * scale**3)
+            return Fraction(unit.numerator * _terms_value(terms, nums), unit.denominator * scale**3)
         total = [0] * (3 * len(nums[0]) - 2)
         for x, partial in zip(nums, self._partial_polys(nums)):
             _convolve(x, partial, total)
-        return algebra._reduced(total, 3 * den * scale**3)
-
-    def evaluate(self, point: ProjPoint) -> AlgElement:
-        """F at a rational point's primitive integer vector, else at the point's
-        coordinates; zero iff the point lies on the surface."""
-        return point.algebra.element(self.value_at(_kernel_coords(point)))
+        return algebra._reduced(total, 3 * unit.denominator * scale**3)
 
     def gradient_at(self, coords: Sequence) -> tuple:
-        """The partial derivatives at `coords`, exactly, in the coordinates' ring,
-        by the same three paths as `value_at`: ints, Fractions (always
-        returned as Fractions) and AlgElements (one reduction per partial)."""
-        den, _, partials = self._integer_kernel()
+        """The partial derivatives at `coords` by the same three paths as
+        `value_at`: those of P on ints (ints), those of F exactly on Fractions
+        (always Fractions) and on AlgElements (one reduction per partial)."""
+        unit, _, partials = self._integer_kernel()
         ints = all(type(c) is int for c in coords)
         algebra, nums, scale = (None, coords, 1) if ints else _common_numerators(coords)
         if algebra is not None:
-            return tuple(algebra._reduced(p, den * scale * scale) for p in self._partial_polys(nums))
+            return tuple(algebra._reduced(p, unit.denominator * scale * scale) for p in self._partial_polys(nums))
         out = tuple(sum(k * nums[i] * nums[j] for (i, j), k in part) for part in partials)
-        return out if ints and den == 1 else tuple(Fraction(v, den * scale * scale) for v in out)
+        return out if ints else tuple(Fraction(unit.numerator * v, unit.denominator * scale * scale) for v in out)
 
-    def integer_terms(self) -> list:
-        """Terms with denominators cleared, for integer-kernel evaluation."""
-        return list(self._integer_kernel()[1])
+    def integer_terms(self) -> tuple:
+        """P, the primitive integer multiple of F, as (exponents, coefficient) pairs."""
+        return self._integer_kernel()[1]
 
     def __eq__(self, other):
         return isinstance(other, CubicForm) and self.terms == other.terms
@@ -502,15 +502,14 @@ class CubicForm:
         return cls(terms)
 
 
-def _scaled_value(terms: tuple, den: int, x: Sequence[int]):
-    """sum(k * x^e for e, k in terms) / den, exactly; an int when den is 1."""
+def _terms_value(terms: tuple, x: Sequence[int]) -> int:
+    """sum(k * x^e for e, k in terms) at four ints."""
     x0, x1, x2, x3 = x
     p0 = (1, x0, x0 * x0, x0 * x0 * x0)
     p1 = (1, x1, x1 * x1, x1 * x1 * x1)
     p2 = (1, x2, x2 * x2, x2 * x2 * x2)
     p3 = (1, x3, x3 * x3, x3 * x3 * x3)
-    total = sum(k * p0[a] * p1[b] * p2[c] * p3[d] for (a, b, c, d), k in terms)
-    return total if den == 1 else Fraction(total, den)
+    return sum(k * p0[a] * p1[b] * p2[c] * p3[d] for (a, b, c, d), k in terms)
 
 
 def _common_numerators(coords: Sequence) -> tuple:

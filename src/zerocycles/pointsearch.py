@@ -1,8 +1,8 @@
 """Height-bounded point enumeration and secant/tangent saturation on cubic surfaces.
 
 Both hot loops run on integers.  Enumeration solves each fibre cubic in the
-last coordinate over the height box, with the form's denominators cleared,
-from a cube table when the fibre is a binomial and by a scan otherwise;
+last coordinate over the height box, on the form's primitive integer
+multiple, from a cube table when the fibre is a binomial and by a scan otherwise;
 every emitted point is rechecked exactly.  Saturation closes a seed set under
 the chord construction and under residuals of low-height tangent directions,
 in geometry's integer kernel on each point's primitive integer coordinates.
@@ -11,10 +11,12 @@ in geometry's integer kernel on each point's primitive integer coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, List, Optional, Sequence
 
+from .algebra import ZeroDivisorFound
 from .geometry import (
     CubicForm,
     GeometryError,
@@ -116,25 +118,25 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     return records
 
 
+@cache
+def _directions(height: int) -> tuple:
+    """Primitive integer vectors of height up to `height`, first nonzero entry > 0, in `product` order."""
+    box = range(-height, height + 1)
+    return tuple(v for v in product(box, repeat=4) if gcd(*v) == 1 and next(x for x in v if x) > 0)
+
+
 def _tangent_direction_residuals(
     surface: CubicForm, p: Sequence[int], direction_height: int
 ) -> Iterable[ProjPoint]:
     """Residual points of low-height tangent lines at a rational surface point.
 
-    `p` is the point's primitive integer vector.  Directions are primitive
-    integer vectors (first nonzero entry positive) in the tangent plane at
-    `p`; along each, `restrict` gives twice the coefficients of
-    F(p + t*v) = c2*t^2 + c3*t^3, and the residual c3*p - c2*v is returned,
-    normalized, when it is a genuine point.
+    `p` is the point's primitive integer vector.  Directions are `_directions`
+    in the tangent plane at `p`; along each, `restrict` gives the coefficients
+    of F(p + t*v) = c2*t^2 + c3*t^3 up to one factor, and the residual
+    c3*p - c2*v is returned, normalized, when it is a genuine point.
     """
-    # the tangent test needs the gradient only up to scale: clear its denominators
     grad = surface.gradient_at(p)
-    den = lcm(*(g.denominator for g in grad))
-    grad = [g.numerator * (den // g.denominator) for g in grad]
-    box = range(-direction_height, direction_height + 1)
-    for v in product(box, repeat=4):
-        if gcd(*v) != 1 or next(x for x in v if x) < 0:
-            continue
+    for v in _directions(direction_height):
         if sum(g * x for g, x in zip(grad, v)) != 0:
             continue
         # skip directions proportional to the point itself
@@ -158,15 +160,19 @@ def saturate(
 
     Runs the stated number of rounds, deduplicating normalized points, and
     caps the result size.  Tangent directions have height at most 1.
-    Monotone in rounds: the seeds are always kept.
+    Monotone in rounds: the seeds are always kept.  Each seed is re-based
+    onto its primitive integer vector over Q, whatever algebra it came in;
+    a seed with no rational normal form is refused.
     """
-    for record in seeds:
-        if not _on_surface(surface, record.point):
-            raise ValueError("seed point is not on the surface")
     known = {}
     for record in seeds:
-        fixed = rational_record(record.point, record.source)
-        known.setdefault(fixed.point.key(), fixed)
+        try:
+            point = ProjPoint.from_integers(record.point.normalized().primitive())
+        except (ValueError, ZeroDivisorFound):
+            raise ValueError("saturation seeds must be rational points") from None
+        if not _on_surface(surface, point):
+            raise ValueError("seed point is not on the surface")
+        known.setdefault(point.key(), rational_record(point, record.source))
     for _ in range(rounds):
         if len(known) >= max_points:
             break

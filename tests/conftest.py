@@ -210,6 +210,12 @@ def form_gradient(surface, coords):
     return out
 
 
+def evaluate(surface, point):
+    """F at the point's algebra coordinates, exactly, as an element of its
+    algebra: zero iff the point lies on the surface."""
+    return surface.value_at(point.coords)
+
+
 def random_point(rng, height=4):
     while True:
         v = [rng.randint(-height, height) for _ in range(4)]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from conftest import (
     component_point,
+    evaluate,
     expand_along_line,
     random_point,
     secant_instance,
@@ -298,7 +299,7 @@ def test_c9_triple_map_productivity():
                 scheme = tangent_triple(surface, PlanePencil(axis), line)
             except (GeometryError, ZeroDivisorFound, ValueError):
                 continue
-            ok = ok and surface.evaluate(scheme.point).is_zero
+            ok = ok and evaluate(surface, scheme.point).is_zero
             outputs.add(json.dumps(scheme.to_json(), sort_keys=True))
         ok = ok and len(outputs) >= 20
     check("C9 triple-map productivity (>=20 distinct outputs per surface)", ok)

@@ -234,6 +234,48 @@ class TestPoints:
         payload = json.loads(out)
         assert payload["count"] >= 3
 
+    @pytest.mark.parametrize(
+        "seeds, rational",
+        [
+            # (i : -i : 0 : 0) over Q(i) is the rational point (1 : -1 : 0 : 0)
+            ([{"modulus": [1, 0, 1], "coords": [[0, 1], [0, -1], [0], [0]]}], [[1, -1, 0, 0]]),
+            # a seed over Q[t]/(t - 2) next to a plain rational seed
+            (
+                [{"modulus": [-2, 1], "coords": [[1], [-1], [0], [0]]}, [0, 1, -1, 0]],
+                [[1, -1, 0, 0], [0, 1, -1, 0]],
+            ),
+        ],
+        ids=["Q(i)", "Q[t]/(t-2)"],
+    )
+    def test_saturation_seeds_are_rebased_onto_q(self, capsys, fermat_path, seeds, rational):
+        outs = []
+        for given in (seeds, rational):
+            argv = ["points", "saturate", "--surface", fermat_path, "--seeds", json.dumps(given), "--rounds", "1"]
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        points = [record["point"] for record in json.loads(outs[0])["points"]]
+        assert points.count(["-1", "1", "0", "0"]) == 1
+        assert all(isinstance(p, list) for p in points)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            # (1 : -1 : i : -i) lies on the Fermat cubic, with no rational normal form
+            {"modulus": [1, 0, 1], "coords": [[1], [-1], [0, 1], [0, -1]]},
+            # over Q[t]/(t^2 - t) no coordinate of (t : t : 0 : 0) is a unit
+            {"modulus": [0, -1, 1], "coords": [[0, 1], [0, 1], [0], [0]]},
+        ],
+        ids=["Q(i)", "no-unit"],
+    )
+    def test_irrational_saturation_seed_is_refused(self, capsys, fermat_path, seed):
+        seeds = json.dumps([[0, 1, -1, 0], seed])
+        code, out = run_cli(capsys, "points", "saturate", "--surface", fermat_path, "--seeds", seeds, "--rounds", "1")
+        assert code == 1
+        error = {"kind": "ValueError", "message": "saturation seeds must be rational points"}
+        assert json.loads(out) == {"error": error}
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, fermat_path):

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -10,6 +10,7 @@ from conftest import (
     Poly,
     collinear,
     component_point,
+    evaluate,
     expand_along_line,
     form_gradient,
     from_roots,
@@ -21,7 +22,7 @@ from conftest import (
     weierstrass_surface,
 )
 from zerocycles import algebra as algebra_module
-from zerocycles.algebra import AlgElement, EtaleAlgebra, ZeroDivisorFound
+from zerocycles.algebra import AlgElement, EtaleAlgebra, ZeroDivisorFound, fraction_to_string
 from zerocycles.geometry import (
     CubicForm,
     EqualPoints,
@@ -50,8 +51,8 @@ FERMAT = CubicForm.fermat()
 
 class TestEvaluate:
     def test_fermat_examples(self):
-        assert FERMAT.evaluate(ProjPoint.rational([1, -1, 0, 0])).is_zero
-        one = FERMAT.evaluate(ProjPoint.rational([1, 0, 0, 0]))
+        assert evaluate(FERMAT, ProjPoint.rational([1, -1, 0, 0])).is_zero
+        one = evaluate(FERMAT, ProjPoint.rational([1, 0, 0, 0]))
         assert one == RATIONALS.one
 
     def test_against_monomial_oracle(self):
@@ -201,7 +202,7 @@ class TestThirdPoint:
                 z = third_point(surface, x, y)
             except LineInSurface:
                 continue
-            assert surface.evaluate(z).is_zero
+            assert evaluate(surface, z).is_zero
             assert collinear(x, y, z)
             assert third_point(surface, y, x) == z
             # involution on the fixed line: the residual of (x, z) is y again
@@ -302,7 +303,7 @@ class TestTangentResidual:
     def check_point(self, a, b, xy):
         surface = weierstrass_surface(a, b)
         point = self.embed(xy)
-        assert surface.evaluate(point).is_zero
+        assert evaluate(surface, point).is_zero
         pencil = PlanePencil(self.axis_for(point))
         got = tangent_residual(surface, pencil, point)
         expected = self.minus_two(Fraction(a), xy)
@@ -358,7 +359,7 @@ class TestTangentResidual:
                 residual = tangent_residual(surface, pencil, x)
             except (GeometryError, ZeroDivisorFound, ValueError):
                 continue
-            assert surface.evaluate(residual).is_zero
+            assert evaluate(surface, residual).is_zero
             assert sum(a * b for a, b in zip(n, residual.rational_coords())) == 0
             if residual != x:
                 # the line through x and the residual is the tangent line:
@@ -397,7 +398,7 @@ class TestLineSection:
     def test_generic_fermat_line(self):
         scheme = line_section(FERMAT, Line.rational([1, 2, 0, 3], [0, 1, 1, -1]))
         assert scheme.degree == 3 and not scheme.known_parameters
-        assert FERMAT.evaluate(scheme.point).is_zero
+        assert evaluate(FERMAT, scheme.point).is_zero
 
     def test_non_reduced_flagged(self):
         # tangent line at (-1, 0, 1) inside the Weierstrass plane: double contact
@@ -439,7 +440,7 @@ class TestLineSection:
                 )
             except (EqualPoints, LineInSurface):
                 continue
-            assert surface.evaluate(scheme.point).is_zero
+            assert evaluate(surface, scheme.point).is_zero
             assert scheme.degree in (1, 2, 3)
             done += 1
 
@@ -450,7 +451,7 @@ class TestTangentTriple:
         axis = Line.rational([1, 1, 1, 1], [1, 2, 4, 8])
         pencil = PlanePencil(axis)
         triple = tangent_triple(FERMAT, pencil, line)
-        assert FERMAT.evaluate(triple.point).is_zero
+        assert evaluate(FERMAT, triple.point).is_zero
         source = line_section(FERMAT, line)
         assert triple.fully_split
         for tau in source.known_parameters:
@@ -463,7 +464,7 @@ class TestTangentTriple:
         axis = Line.rational([1, 1, 1, 1], [0, 1, 2, 3])
         triple = tangent_triple(surface, PlanePencil(axis), line)
         assert triple.degree == 3
-        assert surface.evaluate(triple.point).is_zero
+        assert evaluate(surface, triple.point).is_zero
         assert rep_of(triple.point.coords[0]).degree <= 2
 
     def test_axis_meeting_section_is_rejected(self):
@@ -487,7 +488,7 @@ class TestTangentTriple:
                 algebra.element(Poly([0, Fraction(1, 2), Fraction(-1, 2)])),
             ],
         )
-        assert FERMAT.evaluate(x).is_zero
+        assert evaluate(FERMAT, x).is_zero
         axis = Line.rational([1, -1, 2, -1], [3, 2, 3, 2])
 
         splits = []
@@ -511,7 +512,7 @@ class TestTangentTriple:
         # per split: the factor check, then one check per component reduction
         # of the point, not one per coordinate
         assert len(divisions) == 3 * len(splits)
-        assert FERMAT.evaluate(out).is_zero
+        assert evaluate(FERMAT, out).is_zero
         for tau in (0, 1, -1):
             comp_in = component_point(x, tau)
             direct = tangent_residual(FERMAT, PlanePencil(axis), comp_in)
@@ -660,6 +661,23 @@ class TestNormalization:
                 assert repr(point) == repr(eager)
                 assert point.coords == eager.coords
 
+    def test_rational_json_matches_fraction_formatting(self):
+        # the JSON is formatted off the primitive vector with no Fraction; it
+        # must print v / last exactly as fraction_to_string(Fraction(v, last))
+        rng = random.Random(53)
+        for case in range(400):
+            bound = 10**18 + 7 if case % 3 == 0 else 12
+            values = [rng.choice([0, rng.randint(-bound, bound)]) for _ in range(4)]
+            if not any(values):
+                continue
+            last = next(v for v in reversed(values) if v)
+            want = [fraction_to_string(Fraction(v, last)) for v in values]
+            assert ProjPoint.from_integers(values).to_json() == want
+            assert ProjPoint.rational(values).to_json() == want
+            fractions = [Fraction(v, rng.randint(1, bound)) for v in values]
+            last = next(q for q in reversed(fractions) if q)
+            assert ProjPoint.rational(fractions).to_json() == [fraction_to_string(q / last) for q in fractions]
+
     def test_json_roundtrip(self):
         pt = ProjPoint.rational([2, -4, 6, 0])
         assert point_from_json(pt.to_json()) == pt
@@ -691,6 +709,8 @@ class TestIntegerKernel:
         return [k * v for v in point.primitive()]
 
     def test_value_at_on_ints_is_exact(self):
+        # on ints the kernel is s*F, for s the positive rational that makes
+        # F's coefficients coprime integers; Fractions still give F itself
         rng = random.Random(51)
         for case in range(120):
             if case % 2:
@@ -699,15 +719,17 @@ class TestIntegerKernel:
                 surface = CubicForm(terms)
             else:
                 surface = random_surface_through(rng, [])
+            den = lcm(*(c.denominator for c in surface.terms.values()))
+            s = Fraction(den, gcd(*(int(c * den) for c in surface.terms.values())))
             pt = [rng.randint(-10**6, 10**6) for _ in range(4)]
-            fractions = [Fraction(v) for v in pt]
+            exact = sum(c * monomial_value(e, pt) for e, c in surface.terms.items())
             value = surface.value_at(pt)
-            assert value == surface.value_at(fractions)
+            assert type(value) is int and value == s * exact
+            assert surface.value_at([Fraction(v) for v in pt]) == exact
             grad = surface.gradient_at(pt)
-            assert grad == surface.gradient_at(fractions)
+            assert all(type(g) is int for g in grad)
+            assert list(grad) == [s * g for g in form_gradient(surface, pt)]
             assert sum(g * v for g, v in zip(grad, pt)) == 3 * value  # Euler's relation
-            if not case % 2:  # integral coefficients give plain ints
-                assert type(value) is int
 
     def test_third_point_matches_split_algebra(self):
         # two different secants of one surface: (x, y), and (z, r) with z

@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 
 import zerocycles.pointsearch as pointsearch
-from conftest import MONOMIALS, modulus_of, random_surface_through, rep_of, secant_instance
+from conftest import MONOMIALS, evaluate, modulus_of, random_surface_through, rep_of, secant_instance
 from zerocycles.algebra import AlgElement
 from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section, point_from_json
 from zerocycles.pointsearch import (
@@ -57,7 +57,7 @@ class TestEnumerate:
             a, b, c, d = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4))
             surface = CubicForm.diagonal(a, b, c, d)
             for record in enumerate_rational(surface, 3):
-                assert surface.evaluate(record.point).is_zero
+                assert evaluate(surface, record.point).is_zero
                 primitive = record.point.primitive()
                 assert record.height == max(abs(v) for v in primitive)
 
@@ -305,7 +305,7 @@ class TestSaturate:
     def test_every_output_on_surface(self):
         seeds = [seed([1, -1, 0, 0]), seed([1, 0, -1, 0])]
         for record in saturate(FERMAT, seeds, rounds=2, max_points=60):
-            assert FERMAT.evaluate(record.point).is_zero
+            assert evaluate(FERMAT, record.point).is_zero
 
     def test_off_surface_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -315,6 +315,35 @@ class TestSaturate:
         seeds = [seed([1, -1, 0, 0]), seed([0, 1, -1, 0]), seed([0, 0, 1, -1])]
         out = saturate(FERMAT, seeds, rounds=3, max_points=10)
         assert len(out) <= 10
+
+
+class TestScaleInvariance:
+    """Point search sees a surface only through its primitive integer cubic,
+    so F, F/6 and (5/7)*F give the same points in the same order."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(62)
+        cases = []
+        while len(cases) < 4:  # non-integral forms through two points, as the bench builds
+            instance = secant_instance(rng)
+            if instance is not None:
+                cases.append((instance[0], [instance[1], instance[2]]))
+        for name in ("fermat", "diagonal", "diagonal-rational"):
+            surface = ENUMERATION_FORMS[name]
+            cases.append((surface, [r.point for r in enumerate_rational(surface, 2)[:4]]))
+        return cases
+
+    def test_enumerate_and_saturate_ignore_the_scale(self):
+        for surface, points in self.cases():
+            forms = [CubicForm({e: k * c for e, c in surface.terms.items()}) for k in (1, Fraction(1, 6), Fraction(5, 7))]
+            assert len({form.integer_terms() for form in forms}) == 1
+            enumerated = [[r.to_json() for r in enumerate_rational(form, 2)] for form in forms]
+            assert enumerated[0] == enumerated[1] == enumerated[2]
+            seeds = [rational_record(p, "seed") for p in points]
+            saturated = [[r.to_json() for r in saturate(form, seeds, rounds=2, max_points=80)] for form in forms]
+            assert len(saturated[0]) > len(seeds)
+            assert saturated[0] == saturated[1] == saturated[2]
 
 
 class TestRecordJson:
