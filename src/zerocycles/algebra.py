@@ -35,11 +35,9 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], out: list = None) -> list:
-    """Schoolbook product of two nonempty integer coefficient lists, unreduced;
-    added into `out` when it is given."""
-    if out is None:
-        out = [0] * (len(a) + len(b) - 1)
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
+    """Schoolbook product of two nonempty integer coefficient lists, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

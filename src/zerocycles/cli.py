@@ -10,7 +10,7 @@ import argparse
 import json
 import random
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from .algebra import ZeroDivisorFound
@@ -60,14 +60,17 @@ def _load_json_arg(value: str):
     return json.loads(value)
 
 
-def _positive_int(value: str) -> int:
+def _int_at_least(minimum: int, value: str) -> int:
     try:
         number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    if number < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {number}")
     return number
+
+
+_positive_int, _non_negative_int = partial(_int_at_least, 1), partial(_int_at_least, 0)
 
 
 def _load_surface(value: str) -> CubicForm:
@@ -126,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--pair-points", type=int, default=12)
     rep.add_argument("--out")
     pen = chow_sub.add_parser("pencil", help="pencil condition rank sampling")
-    pen.add_argument("--samples", type=int, default=200)
+    pen.add_argument("--samples", type=_non_negative_int, default=200)
     pen.add_argument("--seed", type=int, default=0)
     pen.add_argument("--out")
 
@@ -164,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     sa = points_sub.add_parser("saturate", help="close seeds under chords and tangents")
     sa.add_argument("--surface", required=True)
     sa.add_argument("--seeds", required=True, help="JSON list of points (inline or path)")
-    sa.add_argument("--rounds", type=int, default=1)
-    sa.add_argument("--max-points", type=int, default=400)
+    sa.add_argument("--rounds", type=_non_negative_int, default=1)
+    sa.add_argument("--max-points", type=_non_negative_int, default=400)
     sa.add_argument("--out")
 
     return parser

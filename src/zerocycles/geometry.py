@@ -30,7 +30,6 @@ from .algebra import (
     AlgElement,
     EtaleAlgebra,
     ZeroDivisorFound,
-    _convolve,
     _radical,
     crt_combiner,
     fraction_to_string,
@@ -87,34 +86,19 @@ def _det2(a, b, c, d):
     return a * d - b * c
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 #: Index pairs (i, j), i < j, of the 2x2 minors of a 4x2 matrix, in scan order.
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
-#: Per cubic monomial X_t0 X_t1 X_t2 (as its exponent vector), the (m, pair, e)
-#: with d/dX_m of it equal to e * X_pair0 X_pair1.
-_DERIVATIVES = {
-    tuple(t.count(v) for v in range(4)): tuple(
-        (m, t[: t.index(m)] + t[t.index(m) + 1 :], t.count(m)) for m in sorted(set(t))
-    )
-    for t in itertools.combinations_with_replacement(range(4), 3)
-}
+#: The quadratic monomials X_i X_j, i <= j, and the cubic ones as exponent vectors,
+#: in the orders `_quadratic` and `_cubic` read coefficients, and per cubic monomial
+#: the (m, r, e) with d/dX_m of it e times the r-th quadratic monomial.
+_QUADRICS = tuple(itertools.combinations_with_replacement(range(4), 2))
+_TRIPLES = tuple(itertools.combinations_with_replacement(range(4), 3))
+_CUBICS = tuple(tuple(t.count(v) for v in range(4)) for t in _TRIPLES)
+_DERIVATIVES = tuple(
+    tuple((m, _QUADRICS.index(t[: t.index(m)] + t[t.index(m) + 1 :]), t.count(m)) for m in sorted(set(t)))
+    for t in _TRIPLES
+)
 
 
 def _first_unit(values: Iterable):
@@ -402,67 +386,55 @@ class CubicForm:
         return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
 
     def _integer_kernel(self) -> tuple:
-        """(unit, terms, partials), built on first use: `terms` holds P = F / unit,
-        the primitive integer multiple of F (den*F over its content), as (exponents,
-        integer coefficient) pairs, and partials[m] holds dP/dX_m as ((i, j),
-        integer coefficient) pairs, one per monomial X_i X_j."""
+        """(unit, terms, cubic, quadrics, weights), built on first use: `terms` holds P =
+        F / unit, the primitive integer multiple of F (den*F over its content), as
+        (exponents, integer coefficient) pairs, `cubic` P's coefficients in `_CUBICS`
+        order, quadrics[m] those of dP/dX_m in `_QUADRICS` order, and `weights` the
+        `_packed` weights of unit.numerator * P and of its partials."""
         if self._kernel is None:
             den = lcm(*(coeff.denominator for coeff in self.terms.values()))
             ints = [c.numerator * (den // c.denominator) for c in self.terms.values()]
             content = gcd(*ints)
             terms = tuple((exp, k // content) for exp, k in zip(self.terms, ints))
-            partials = ([], [], [], [])
-            for exp, k in terms:
-                for m, pair, e in _DERIVATIVES[exp]:
-                    partials[m].append((pair, k * e))
-            object.__setattr__(self, "_kernel", (Fraction(content, den), terms, partials))
+            cubic = tuple(map(dict(terms).get, _CUBICS, itertools.repeat(0)))
+            quadrics = [[0] * len(_QUADRICS) for _ in range(4)]
+            for k, derivatives in zip(cubic, _DERIVATIVES):
+                for m, r, e in derivatives:
+                    quadrics[m][r] += k * e
+            weights = content * sum(map(abs, cubic)), content * max(sum(map(abs, row)) for row in quadrics)
+            object.__setattr__(self, "_kernel", (Fraction(content, den), terms, cubic, quadrics, weights))
         return self._kernel
-
-    def _partial_polys(self, nums: list) -> list:
-        """den*dF/dX_m, m = 0..3, at integer numerator polynomials, unreduced."""
-        unit, _, partials = self._integer_kernel()
-        pairs = {pair for part in partials for pair, _ in part}
-        squares = {(i, j): _convolve(nums[i], nums[j]) for i, j in pairs}
-        out = []
-        for part in partials:
-            total = [0] * (2 * len(nums[0]) - 1)
-            for pair, k in part:
-                k *= unit.numerator
-                for r, v in enumerate(squares[pair]):
-                    total[r] += k * v
-            out.append(total)
-        return out
 
     def value_at(self, coords: Sequence):
         """F at 4 coordinates of one ring, exactly, but on ints up to a fixed factor.
 
         On ints it returns P there, an int: one positive multiple of F at every
-        point.  Fractions are cleared onto the integer path, and F comes back a
-        Fraction.  AlgElements are put over one denominator as integer numerator
-        polynomials, F is summed unreduced by Euler's relation 3F = sum X_m dF/dX_m,
-        and the sum is reduced once."""
-        unit, terms, _ = self._integer_kernel()
+        point.  On Fractions and AlgElements it returns F there, a Fraction or an
+        AlgElement, through `_exact`."""
+        _, _, cubic, _, weights = self._integer_kernel()
         if all(type(c) is int for c in coords):
-            return _terms_value(terms, coords)
-        algebra, nums, scale = _common_numerators(coords)
-        if algebra is None:
-            return Fraction(unit.numerator * _terms_value(terms, nums), unit.denominator * scale**3)
-        total = [0] * (3 * len(nums[0]) - 2)
-        for x, partial in zip(nums, self._partial_polys(nums)):
-            _convolve(x, partial, total)
-        return algebra._reduced(total, 3 * unit.denominator * scale**3)
+            return _cubic(cubic, *coords)
+        return self._exact(_cubic, (cubic,), coords, weights[0], 3)[0]
 
     def gradient_at(self, coords: Sequence) -> tuple:
-        """The partial derivatives at `coords` by the same three paths as
-        `value_at`: those of P on ints (ints), those of F exactly on Fractions
-        (always Fractions) and on AlgElements (one reduction per partial)."""
-        unit, _, partials = self._integer_kernel()
-        ints = all(type(c) is int for c in coords)
-        algebra, nums, scale = (None, coords, 1) if ints else _common_numerators(coords)
-        if algebra is not None:
-            return tuple(algebra._reduced(p, unit.denominator * scale * scale) for p in self._partial_polys(nums))
-        out = tuple(sum(k * nums[i] * nums[j] for (i, j), k in part) for part in partials)
-        return out if ints else tuple(Fraction(unit.numerator * v, unit.denominator * scale * scale) for v in out)
+        """The partial derivatives at `coords` by the same paths as `value_at`: those
+        of P on ints, and those of F exactly on Fractions and on AlgElements."""
+        _, _, _, quadrics, weights = self._integer_kernel()
+        if all(type(c) is int for c in coords):
+            return tuple([_quadratic(row, *coords) for row in quadrics])
+        return tuple(self._exact(_quadratic, quadrics, coords, weights[1], 2))
+
+    def _exact(self, evaluate, tables: Sequence, coords: Sequence, weight: int, degree: int) -> list:
+        """F's forms of a degree with P's coefficient `tables` at Fractions or AlgElements:
+        `evaluate` runs on `_packed` numerators, and each result is reduced once."""
+        unit = self._integer_kernel()[0]
+        algebra, nums, den, bits = _packed(coords, weight, degree)
+        den = unit.denominator * den**degree
+        out = [unit.numerator * evaluate(table, *nums) for table in tables]
+        if algebra is None:
+            return [Fraction(v, den) for v in out]
+        count = degree * (algebra.degree - 1) + 1
+        return [algebra._reduced(_unpack(v, bits, count), den) for v in out]
 
     def integer_terms(self) -> tuple:
         """P, the primitive integer multiple of F, as (exponents, coefficient) pairs."""
@@ -502,26 +474,55 @@ class CubicForm:
         return cls(terms)
 
 
-def _terms_value(terms: tuple, x: Sequence[int]) -> int:
-    """sum(k * x^e for e, k in terms) at four ints."""
-    x0, x1, x2, x3 = x
-    p0 = (1, x0, x0 * x0, x0 * x0 * x0)
-    p1 = (1, x1, x1 * x1, x1 * x1 * x1)
-    p2 = (1, x2, x2 * x2, x2 * x2 * x2)
-    p3 = (1, x3, x3 * x3, x3 * x3 * x3)
-    return sum(k * p0[a] * p1[b] * p2[c] * p3[d] for (a, b, c, d), k in terms)
+def _cubic(k: Sequence, x0, x1, x2, x3):
+    """sum(k[r] * X^e for r, e in enumerate(_CUBICS)) at four values X of one
+    commutative ring, as a straight line of 11 products of two values."""
+    (k000, k001, k002, k003, k011, k012, k013, k022, k023, k033,
+     k111, k112, k113, k122, k123, k133, k222, k223, k233, k333) = k
+    x33 = x3 * x3
+    rest = x2 * (x2 * (k222 * x2 + k223 * x3) + k233 * x33) + k333 * x3 * x33
+    rest += x1 * (x1 * (k111 * x1 + k112 * x2 + k113 * x3) + x2 * (k122 * x2 + k123 * x3) + k133 * x33)
+    head = x0 * (k000 * x0 + k001 * x1 + k002 * x2 + k003 * x3)
+    head += x1 * (k011 * x1 + k012 * x2 + k013 * x3) + x2 * (k022 * x2 + k023 * x3) + k033 * x33
+    return x0 * head + rest
 
 
-def _common_numerators(coords: Sequence) -> tuple:
-    """(algebra, nums, den) with coords[i] = nums[i] / den: integers for ints and
-    Fractions (algebra None), integer coefficient lists for AlgElements."""
+def _quadratic(q: Sequence, x0, x1, x2, x3):
+    """sum(q[r] * X_i X_j for r, (i, j) in enumerate(_QUADRICS)) at four values of
+    one commutative ring, as a straight line of 5 products of two values."""
+    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
+    head = x0 * (q00 * x0 + q01 * x1 + q02 * x2 + q03 * x3) + x1 * (q11 * x1 + q12 * x2 + q13 * x3)
+    return head + x2 * (q22 * x2 + q23 * x3) + q33 * x3 * x3
+
+
+def _packed(coords: Sequence, weight: int, degree: int) -> tuple:
+    """(algebra, values, den, bits), coords = values / den, to evaluate a form of the
+    given degree and weight (sum of |integer coefficients|) on: integer numerators
+    on ints and Fractions (algebra None); on AlgElements, each numerator polynomial
+    over the common den packed into one int at t = 2^bits (Kronecker substitution),
+    where the form gives its unreduced value.  Each coefficient of that value sums
+    at most n^(degree-1) products of `degree` numerator coefficients per monomial
+    (n the modulus degree), so is at most weight * n^(degree-1) * M^degree for M
+    the largest |numerator coefficient|: `bits` holds that bound and a sign bit."""
     algebra = next((c.algebra for c in coords if isinstance(c, AlgElement)), None)
     if algebra is None:
         den = lcm(*(c.denominator for c in coords))
-        return None, [c.numerator * (den // c.denominator) for c in coords], den
+        return None, [c.numerator * (den // c.denominator) for c in coords], den, 0
     coords = [algebra.element(c) for c in coords]
     den = lcm(*(c.den for c in coords))
-    return algebra, [[x * (den // c.den) for x in c.num] for c in coords], den
+    scales = [den // c.den for c in coords]
+    top = max(abs(x) * k for c, k in zip(coords, scales) for x in c.num)
+    bits = (weight * algebra.degree ** (degree - 1) * top**degree).bit_length() + 1
+    return algebra, [k * sum(x << (bits * j) for j, x in enumerate(c.num)) for c, k in zip(coords, scales)], den, bits
+
+
+def _unpack(value: int, bits: int, count: int) -> list:
+    """The `count` signed base-2^bits digits of `value`, lowest first, each below
+    2^(bits-1) in absolute value: the coefficients of the polynomial that `_packed`
+    packs into `value`.  Adding 2^(bits-1) to every digit makes them all unsigned."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    value += sum(half << (bits * j) for j in range(count))
+    return [((value >> (bits * j)) & mask) - half for j in range(count)]
 
 
 def _kernel_coords(point: ProjPoint) -> tuple:
@@ -551,7 +552,7 @@ def restrict(value, p, q) -> tuple:
     to a common factor.  All four vanish iff the line lies in the surface.
     """
     c0, c3 = value(p), value(q)
-    plus, minus = value(_vadd(p, q)), value(_vsub(p, q))
+    plus, minus = value([a + b for a, b in zip(p, q)]), value([a - b for a, b in zip(p, q)])
     return c0 + c0, plus - minus - c3 - c3, plus + minus - c0 - c0, c3 + c3
 
 
@@ -579,21 +580,20 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
 def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
     """The unique plane of the pencil through x, as a linear form on X0..X3.
 
-    Computed as the signed 3x3 minors of the rows (axis basepoints, x): the
-    rational axis gives its primitive integers, and x gives integers when
+    Computed as the signed 3x3 minors of the rows (axis basepoints, x), each
+    expanded along x: the rational axis gives the integer 2x2 minors (its
+    Plucker coordinates) of its primitive vectors, and x gives integers when
     rational and algebra elements otherwise.  All minors vanishing means x
     lies on the axis.
     """
-    axis = pencil.axis
-    rows = [axis.p.primitive(), axis.q.primitive(), _kernel_coords(x)]
-    n = []
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        minor = _det3([row[j] for j in cols] for row in rows)
-        n.append(minor if i % 2 == 0 else -minor)
+    a, b = pencil.axis.p.primitive(), pencil.axis.q.primitive()
+    p01, p02, p03, p12, p13, p23 = (a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
+    x0, x1, x2, x3 = _kernel_coords(x)
+    n = (x1 * p23 - x2 * p13 + x3 * p12, x2 * p03 - x0 * p23 - x3 * p02,
+         x0 * p13 - x1 * p03 + x3 * p01, x1 * p02 - x0 * p12 - x2 * p01)
     if _first_unit(reversed(n)) is None:
         raise PointOnAxis("point lies on the pencil axis")
-    return tuple(n)
+    return n
 
 
 def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> ProjPoint:
@@ -678,6 +678,14 @@ class LengthThreeScheme:
         }
 
 
+def _chart(point: ProjPoint) -> tuple:
+    """(P, num, den): the rational point's raw coordinates are (num / den) * P for its
+    primitive vector P, read off P's first nonzero entry, which is positive."""
+    prim = point.primitive()
+    x, v = next((x, v) for x, v in zip(point.rational_coords(), prim) if v)
+    return prim, x.numerator, x.denominator * v
+
+
 def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     """The length-3 subscheme cut on the surface by a rational line.
 
@@ -687,26 +695,33 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     factorization (basepoints on S, plus a leftover linear factor) are
     reported in `known_parameters`.
     """
-    p = line.p.rational_coords()
-    q = line.q.rational_coords()
-    c = restrict(surface.value_at, p, q)
-    if all(v == 0 for v in c):
+    # The chart s*p + t*q is on the raw basepoints p = (pn/pd)*P and q = (qn/qd)*Q,
+    # with P and Q primitive and pd, qd > 0.  As pd*qd*(p, k*p + q) = (u*P, k*u*P +
+    # w*Q), every restriction runs on ints: on P and the primitive vector of the
+    # second basepoint, then scaled back to the chart up to a common factor.
+    (P, pn, pd), (Q, qn, qd) = _chart(line.p), _chart(line.q)
+    u, w = pn * qd, pd * qn
+
+    def section(k):
+        second = tuple(k * u * x + w * y for x, y in zip(P, Q))
+        prim = _primitive(second)
+        g = next(v // x for v, x in zip(second, prim) if x)
+        return second, tuple(v * u ** (3 - i) * g**i for i, v in enumerate(restrict(surface.value_at, P, prim)))
+
+    second, c = section(0)
+    if not any(c):
         raise LineInSurface("the line is contained in the surface")
 
     # Visible roots (s : t) of the binary cubic, found without factoring:
     # (1:0) and (0:1) are the basepoints, and stripping both may leave a
     # linear factor whose root is rational by inspection.
-    lead_zeros = 0
-    while c[lead_zeros] == 0:
-        lead_zeros += 1
-    trail_zeros = 0
-    while c[3 - trail_zeros] == 0:
-        trail_zeros += 1
+    lead_zeros = next(i for i, v in enumerate(c) if v)
+    trail_zeros = next(i for i, v in enumerate(reversed(c)) if v)
     visible = []
     if lead_zeros:
-        visible.append((Fraction(1), Fraction(0)))
+        visible.append((1, 0))
     if trail_zeros:
-        visible.append((Fraction(0), Fraction(1)))
+        visible.append((0, 1))
     mids = c[lead_zeros : 4 - trail_zeros]
     if len(mids) == 2:
         visible.append((mids[1], -mids[0]))
@@ -714,13 +729,11 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     # Reparametrize (p, q) -> (p, k*p + q) so the new second basepoint is off
     # the surface; a nonzero binary cubic has at most 3 roots, so some k in
     # 0..3 works.
-    for k in range(4):
-        q_new = _vadd(_vscale(k, p), q)
-        shifted = restrict(surface.value_at, p, q_new) if k else c
-        if shifted[3] != 0:
-            break
-    else:
-        raise InvariantViolated("a nonzero binary cubic cannot vanish at 4 parameters")
+    k, shifted = 0, c
+    while not shifted[3]:
+        k += 1
+        check_invariant(k < 4, "a nonzero binary cubic cannot vanish at 4 parameters")
+        second, shifted = section(k)
     reduced = _radical(_primitive(shifted))
     non_reduced = len(reduced) < 4
 
@@ -729,16 +742,15 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
         # parameter in the new chart: s*p + t*q = (s - k t)*p + t*q_new
         denom = s - k * t
         check_invariant(denom != 0, "a visible root landed on the new basepoint")
-        tau = t / denom
-        root = sum(r * tau**i for i, r in enumerate(reduced)) == 0
+        root = sum(r * t**i * denom ** (len(reduced) - 1 - i) for i, r in enumerate(reduced)) == 0
         check_invariant(root, "a visible root is not a root of the section")
+        tau = Fraction(t, denom)
         if tau not in params:
             params.append(tau)
     params.sort()
 
     algebra = EtaleAlgebra(rational_coeffs(reduced, reduced[-1]))
-    tbar = algebra.generator
-    coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
+    coords = [algebra._reduced([u * x, y], pd * qd) for x, y in zip(P, second)]
     point = ProjPoint(algebra, coords)
     check_invariant(_on_surface(surface, point), "the line section must lie on the surface")
     return LengthThreeScheme(

@@ -164,6 +164,8 @@ def saturate(
     onto its primitive integer vector over Q, whatever algebra it came in;
     a seed with no rational normal form is refused.
     """
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     known = {}
     for record in seeds:
         try:

@@ -12,7 +12,16 @@ import itertools
 import math
 from fractions import Fraction
 
-from zerocycles.geometry import CubicForm, ProjPoint
+from zerocycles.algebra import EtaleAlgebra, _radical, rational_coeffs
+from zerocycles.geometry import (
+    CubicForm,
+    InvariantViolated,
+    LengthThreeScheme,
+    LineInSurface,
+    ProjPoint,
+    _primitive,
+    restrict,
+)
 
 
 class Poly:
@@ -343,3 +352,40 @@ def weierstrass_surface(a, b) -> CubicForm:
     if Fraction(b) != 0:
         terms[(0, 0, 3, 0)] = -Fraction(b)
     return CubicForm(terms)
+
+
+def fraction_line_section(surface, line) -> LengthThreeScheme:
+    """`line_section` on Fractions: the restricted cubic on the raw basepoints'
+    coordinates, the same visible roots, reparametrization and squarefree part,
+    and the point's coordinates p + t*q_new built in the algebra.  The reference
+    the integer chart of `line_section` must agree with byte for byte."""
+    p, q = line.p.rational_coords(), line.q.rational_coords()
+    c = restrict(surface.value_at, p, q)
+    if not any(c):
+        raise LineInSurface("the line is contained in the surface")
+    lead_zeros = next(i for i, v in enumerate(c) if v)
+    trail_zeros = next(i for i, v in enumerate(reversed(c)) if v)
+    visible = [(Fraction(1), Fraction(0))] if lead_zeros else []
+    if trail_zeros:
+        visible.append((Fraction(0), Fraction(1)))
+    mids = c[lead_zeros : 4 - trail_zeros]
+    if len(mids) == 2:
+        visible.append((mids[1], -mids[0]))
+    for k in range(4):
+        q_new = tuple(k * a + b for a, b in zip(p, q))
+        shifted = restrict(surface.value_at, p, q_new) if k else c
+        if shifted[3] != 0:
+            break
+    else:
+        raise InvariantViolated("a nonzero binary cubic cannot vanish at 4 parameters")
+    reduced = _radical(_primitive(shifted))
+    params = []
+    for s, t in visible:
+        tau = t / (s - k * t)
+        assert sum(r * tau**i for i, r in enumerate(reduced)) == 0
+        if tau not in params:
+            params.append(tau)
+    algebra = EtaleAlgebra(rational_coeffs(reduced, reduced[-1]))
+    tbar = algebra.generator
+    coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
+    return LengthThreeScheme(algebra, ProjPoint(algebra, coords), len(reduced) < 4, tuple(sorted(params)))

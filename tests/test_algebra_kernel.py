@@ -41,7 +41,7 @@ from zerocycles.algebra import (
     _radical,
     crt_combiner,
 )
-from zerocycles.geometry import CubicForm, ProjPoint
+from zerocycles.geometry import CubicForm, ProjPoint, _packed, _unpack
 
 
 def random_fraction(rng, height=9):
@@ -414,3 +414,91 @@ def test_form_on_fractions_is_exact_and_a_fraction():
         grad = surface.gradient_at(pt)
         assert all(type(d) is Fraction for d in grad)
         assert list(grad) == form_gradient(surface, pt)
+
+
+class TestKroneckerKernel:
+    """On AlgElements, `value_at` and `gradient_at` pack each coordinate's integer
+    numerator polynomial into one int at t = 2^bits, run the straight-line
+    evaluator on the packed ints and read the unreduced value back as signed
+    base-2^bits digits.  `bits` comes from a proven digit bound plus a sign bit;
+    these inputs put the digits at the top of that bound, and are checked against
+    the monomial-by-monomial `form_value`/`form_gradient` on Poly
+    representatives, reduced at the end."""
+
+    MODULI = [
+        Poly([Fraction(-5, 3), 1]),  # degree 1, scale 3
+        Poly([0, 1]),
+        Poly([-2, 0, 1]),  # irreducible
+        Poly([Fraction(1, 4), Fraction(-3, 2), 1]),  # reducible (roots 1/2 and 1), scale 4
+        Poly([-2, 0, 0, 1]),
+        from_roots([0, 1, -1]),  # reducible
+        Poly([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), 1]),  # scale 30
+    ]
+
+    def check(self, surface, alg, f, coords):
+        reps = [rep_of(c) for c in coords]
+        value = surface.value_at(coords)
+        assert_normalized(value)
+        assert rep_of(value) == (Poly.zero() + form_value(surface, reps)) % f
+        for got, want in zip(surface.gradient_at(coords), form_gradient(surface, reps)):
+            assert_normalized(got)
+            assert rep_of(got) == (Poly.zero() + want) % f
+
+    def test_digits_at_the_bound(self):
+        # every coordinate M * (1 + t + ... + t^(n-1)) and every coefficient of one
+        # sign: the middle digits of the value reach sum|c| * N * M^3, N up to
+        # n^2, and those of the partials sum|q| * N * M^2, N up to n
+        rng = random.Random(71)
+        for f in self.MODULI:
+            alg = EtaleAlgebra(f)
+            for bits in (1, 2, 31, 64, 200):
+                top = 2**bits - 1
+                for sign in (1, -1):
+                    terms = rng.sample(MONOMIALS, rng.randint(1, 20))
+                    surface = CubicForm({e: sign * rng.randint(1, 9) for e in terms})
+                    coords = [alg.element([s * top] * alg.degree) for s in (1, 1, sign, 1)]
+                    self.check(surface, alg, f, coords)
+                    self.check(CubicForm({e: 1 for e in MONOMIALS}), alg, f, coords)
+
+    def test_random_wide_numerators(self):
+        # numerators of 0 to 200 bits with mixed signs and denominators, forms of
+        # 1 to 20 terms, a zero coordinate and single-coefficient coordinates
+        rng = random.Random(72)
+        for case in range(120):
+            f = self.MODULI[case % len(self.MODULI)]
+            alg = EtaleAlgebra(f)
+            surface = CubicForm(
+                {e: Fraction(rng.randint(-10**6, 10**6) or 1, rng.choice([1, 1, 3, 10**9])) for e in
+                 rng.sample(MONOMIALS, 1 + case % 20)})
+            coords = []
+            for i in range(4):
+                num = [rng.choice([-1, 1]) * rng.getrandbits(rng.randint(0, 200)) for _ in range(alg.degree)]
+                if i == case % 4 and case % 3 == 0:
+                    num = [0] * alg.degree
+                elif i == (case + 1) % 4 and case % 2:
+                    num = [0] * alg.degree
+                    num[rng.randrange(alg.degree)] = rng.getrandbits(150) + 1
+                coords.append(alg.element([Fraction(x, rng.choice([1, 1, 7, 2**61 - 1])) for x in num]))
+            if not any(coords):
+                continue
+            self.check(surface, alg, f, coords)
+
+    def test_pack_unpack_round_trip_at_the_widest_digits(self):
+        # digits of +-(2^(B-1) - 1) are the widest `_unpack` reads back at width B;
+        # `_packed` at weight 1 and degree 1 packs them at exactly that width
+        rng = random.Random(73)
+        for f in self.MODULI:
+            alg = EtaleAlgebra(f)
+            for width in (2, 3, 17, 64, 201):
+                edge = 2 ** (width - 1) - 1
+                digits = [[rng.choice([edge, -edge, 0, rng.randint(-edge, edge)]) for _ in range(alg.degree)]
+                          for _ in range(4)]
+                digits[0][-1] = rng.choice([edge, -edge])
+                coords = [alg.element(d) for d in digits]
+                algebra, values, den, bits = _packed(coords, 1, 1)
+                assert (algebra, den, bits) == (alg, 1, width)
+                for d, value in zip(digits, values):
+                    assert value == sum(x * 2 ** (width * j) for j, x in enumerate(d))
+                    assert _unpack(value, bits, alg.degree) == d
+                stacked = sum(x * 2 ** (width * j) for j, x in enumerate(sum(digits, [])))
+                assert _unpack(stacked, width, 4 * alg.degree) == sum(digits, [])

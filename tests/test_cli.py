@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,66 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _fresh_process_env():
     # COLUMNS pins argparse's help width, which is read at format time
     return dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+
+
+class TestLineSectionPins:
+    """`geom delta` and `geom psi` outputs, pinned by sha256.  `line_section` runs on
+    the basepoints' primitive integer vectors but keeps the chart of their raw
+    coordinates, so these lines carry fractional, negative and scaled basepoints,
+    basepoints on the surface (the reparametrization shift), a non-reduced
+    section, sections of degree 1, 2 and 3, and refusals."""
+
+    SURFACES = {
+        "fermat": CubicForm.fermat(),
+        "dense": CubicForm({(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1,
+                            (1, 1, 1, 0): 1, (0, 1, 1, 1): -2, (2, 0, 0, 1): Fraction(1, 3)}),
+    }
+    AXIS1 = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    AXIS2 = [[1, 2, 0, -1], [0, "1/2", 3, 1]]
+
+    @pytest.mark.parametrize(
+        "command, surface, axis, line, exit_code, sha256",
+        [
+            ("delta", "fermat", None, [[0, "-3/2", "3/2", 0], ["-8/7", "-5/4", "5/4", "-1/3"]], 0, "4b0461614e6b10a34c210fc0ab327a86cf5e2204bb1c4526885850d8150cad7c"),
+            ("psi", "fermat", "AXIS2", [[0, "-3/2", "3/2", 0], ["-8/7", "-5/4", "5/4", "-1/3"]], 0, "4b0461614e6b10a34c210fc0ab327a86cf5e2204bb1c4526885850d8150cad7c"),
+            ("delta", "fermat", None, [[1, -3, -1, -1], [1, 0, 0, -1]], 0, "24d4ba105f600682c5aab7624f09a754693a342d261980ebd43e87d34d71ce7c"),
+            ("psi", "fermat", "AXIS2", [[1, -3, -1, -1], [1, 0, 0, -1]], 0, "24d4ba105f600682c5aab7624f09a754693a342d261980ebd43e87d34d71ce7c"),
+            ("delta", "dense", None, [[2, -2, 0, 0], ["43/9", -4, 3, 2]], 0, "be803666e616751af011f6d683ed5f2ff76939b49f86bd238c3ea3a60f346004"),
+            ("psi", "dense", "AXIS1", [[2, -2, 0, 0], ["43/9", -4, 3, 2]], 1, "94703f0cb39d30501b7e09dfd6c5fd98f1dbe1d093efc71688d5c32fd907c273"),
+            ("psi", "dense", "AXIS2", [[2, -2, 0, 0], ["43/9", -4, 3, 2]], 0, "6ae7274cababd474b620d243c16a22a15d0105328a82132825664aaf2fb2c908"),
+            ("delta", "dense", None, [[0, 0, 2, -2], [-9, 0, 1, -1]], 0, "5a66e739e850709922102d0948ddcfea37565c04cc49e4b4f6d2babb94d5eaef"),
+            ("psi", "dense", "AXIS1", [[0, 0, 2, -2], [-9, 0, 1, -1]], 0, "9eddae91c9a5f145b3bf9985480ea9b5a44c7d8da6317300d1cccf0d23d883bb"),
+            ("psi", "dense", "AXIS2", [[0, 0, 2, -2], [-9, 0, 1, -1]], 0, "663db3c02f1a01afc96d7f58c1d022681abf665d56cac80e1a496698057fc855"),
+            ("delta", "dense", None, [["-9/7", -2, 2, 3], [-3, 3, -5, -9]], 0, "271461d4277bd6fa5e529a6caea436efa651ab217432029835266ce693af7b32"),
+            ("psi", "dense", "AXIS1", [["-9/7", -2, 2, 3], [-3, 3, -5, -9]], 0, "d484c8900791db036cc9a10fc6edc39871993c57168086d3b478a9e7869cbe42"),
+            ("psi", "dense", "AXIS2", [["-9/7", -2, 2, 3], [-3, 3, -5, -9]], 0, "440c3901139a5c593383f1f83bb8baf72049affe6afffeeb7437bdb181331f36"),
+            ("delta", "fermat", None, [["-1/7", 5, "-3/2", -3], [1, 0, -1, 0]], 0, "e152b6ea0e6619ac9f409c68764a71de435927de646fd1bac9cd38c3d6319042"),
+            ("psi", "fermat", "AXIS2", [["-1/7", 5, "-3/2", -3], [1, 0, -1, 0]], 0, "b2b1ee6f60c83c3ee9327d52653355d122e9ca9d36108c4fc3fcdb69701afe01"),
+            ("delta", "fermat", None, [[-1, 1, 0, 0], [0, "1/3", 0, "-1/3"]], 0, "8a58a6b5e4b507babceede19b551f5c79465a071c69892fece7291d9486427e8"),
+            ("psi", "fermat", "AXIS2", [[-1, 1, 0, 0], [0, "1/3", 0, "-1/3"]], 0, "f70d01ac38eaeadf5ce742b6f0392841e4669da33ddeaec005ede653e23ee23c"),
+            ("delta", "dense", None, [[2, -2, 0, 0], [-2, 0, 2, 0]], 0, "4ac96bcb8f78cbf6d182de87396c96a97cf2ab737ec5db6dec04940a4d724f09"),
+            ("psi", "dense", "AXIS2", [[2, -2, 0, 0], [-2, 0, 2, 0]], 0, "3b3e0bead37b4c393418c437652c306c106539ee1e2748dce2719e587df05caa"),
+            ("delta", "fermat", None, [[0, "5/7", "-5/7", 0], [1, 0, 0, -1]], 1, "c287e6c6d23f245dc4d8c543da6a7a3cd698a6584fda3a952f05f75e11770259"),
+            ("psi", "fermat", "AXIS2", [[0, "5/7", "-5/7", 0], [1, 0, 0, -1]], 1, "c287e6c6d23f245dc4d8c543da6a7a3cd698a6584fda3a952f05f75e11770259"),
+            ("delta", "dense", None, [[0, -1, 1, 0], ["-1/3", 0, "-1/6", 4]], 0, "243e89b385923732fecf6630ea40e8312222b0dc79fabdeb540446255f063c48"),
+            ("psi", "dense", "AXIS2", [[0, -1, 1, 0], ["-1/3", 0, "-1/6", 4]], 0, "b7e72f1fa954f71bb8ec6803c7dc220625af0588f1c82b510a4ddb4de1289a4d"),
+        ],
+        ids=[
+            "d1-frac-scaled", "p1", "d1-shift", "p1-shift", "d2-frac-scaled", "p2-on-axis", "p2",
+            "d2", "p2-ax1", "p2-ax2", "d3-frac-neg", "p3-ax1", "p3-ax2", "d3-frac-shift", "p3-frac-shift",
+            "d3-split-neg-scaled", "p3-split", "d3-split-scaled", "p3-split-scaled", "d-in-surface",
+            "p-in-surface", "d3-frac-one-known", "p3-frac-one-known",
+        ],
+    )
+    def test_pinned_output(self, capsys, tmp_path, command, surface, axis, line, exit_code, sha256):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(self.SURFACES[surface].to_json()))
+        argv = ["geom", command, "--surface", str(path), "--line", json.dumps(line)]
+        if axis is not None:
+            argv += ["--axis", json.dumps(getattr(self, axis))]
+        code, out = run_cli(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestParserReuse:
@@ -698,6 +759,41 @@ class TestHostileInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flags[-2]}: must be >= 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["points", "saturate", "--rounds", "-1"],
+            ["points", "saturate", "--max-points", "-4"],
+            ["chow", "pencil", "--samples", "-1"],
+        ],
+        ids=["rounds", "max-points", "samples"],
+    )
+    def test_negative_counts_are_usage_errors(self, capsys, fermat_path, argv):
+        if argv[0] == "points":
+            argv = argv + ["--surface", fermat_path, "--seeds", '[["1","-1","0","0"]]']
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[2]}: must be >= 0, got {argv[3]}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["points", "saturate", "--rounds", "0"], "count"),
+            (["points", "saturate", "--max-points", "0"], "count"),
+            (["chow", "pencil", "--samples", "0"], "samples"),
+        ],
+        ids=["rounds", "max-points", "samples"],
+    )
+    def test_zero_counts_keep_their_meaning(self, capsys, fermat_path, argv, key):
+        if argv[0] == "points":  # no rounds or no room: the seeds come back as they are
+            argv = argv + ["--surface", fermat_path, "--seeds", '[["1","-1","0","0"]]']
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)[key] == (1 if key == "count" else 0)
 
     @pytest.mark.parametrize(
         "flags, message",

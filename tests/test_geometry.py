@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -13,6 +14,7 @@ from conftest import (
     evaluate,
     expand_along_line,
     form_gradient,
+    fraction_line_section,
     from_roots,
     monomial_value,
     random_point,
@@ -271,6 +273,49 @@ class TestFiberPlane:
             for pt in (p, q, x):
                 assert sum(a * b for a, b in zip(n, pt)) == 0
 
+    def test_plucker_plane_is_the_signed_3x3_minors(self):
+        # n_i = (-1)^i det(rows p, q, x without column i), on the axis' primitive
+        # vectors and x's kernel coordinates: rational, and over degree 2 and 3
+        rng = random.Random(17)
+        algebras = [EtaleAlgebra((-2, 0, 1)), EtaleAlgebra((Fraction(-1, 3), 1, 0, 1)), EtaleAlgebra((-2, 0, 0, 1))]
+        done = on_axis = 0
+        for case in range(300):
+            try:
+                axis = Line.rational(random_point(rng), random_point(rng))
+            except EqualPoints:
+                continue
+            a, b = axis.p.primitive(), axis.q.primitive()
+            if case % 3 == 0:
+                x = ProjPoint.rational(random_point(rng))
+                xs = x.primitive()
+            else:
+                alg = algebras[case // 3 % 3]
+                if case % 7 == 0:  # on the axis, spread over the algebra
+                    u, v = alg.element([rng.randint(-4, 4) for _ in range(alg.degree)]), rng.randint(-4, 4)
+                    coords = [u * i + v * j for i, j in zip(a, b)]
+                else:
+                    coords = [alg.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(alg.degree)])
+                              for _ in range(4)]
+                try:
+                    x = ProjPoint(alg, coords)
+                except ValueError:
+                    continue
+                xs = x.coords
+            rows = [a, b, xs]
+            want = []
+            for i in range(4):
+                (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = ([row[j] for j in range(4) if j != i] for row in rows)
+                minor = t0 * (r1 * s2 - r2 * s1) - t1 * (r0 * s2 - r2 * s0) + t2 * (r0 * s1 - r1 * s0)
+                want.append(minor if i % 2 == 0 else -minor)
+            if not any(want):
+                with pytest.raises(PointOnAxis):
+                    fiber_plane(PlanePencil(axis), x)
+                on_axis += 1
+                continue
+            assert list(fiber_plane(PlanePencil(axis), x)) == want
+            done += 1
+        assert done >= 200 and on_axis >= 10
+
 
 class TestTangentResidual:
     def embed(self, xy):
@@ -443,6 +488,60 @@ class TestLineSection:
             assert evaluate(surface, scheme.point).is_zero
             assert scheme.degree in (1, 2, 3)
             done += 1
+
+
+class TestLineSectionChart:
+    """`line_section` restricts on the basepoints' primitive integer vectors and
+    scales back to the chart of their raw coordinates; `fraction_line_section`
+    runs the same construction on the raw Fractions.  Both must agree on every
+    output byte, including the raw coordinates of the section point."""
+
+    @staticmethod
+    def raw(rng, v):
+        """The integer vector v as raw JSON-like coordinates: scaled by a random
+        nonzero rational, or with one entry replaced by a random Fraction."""
+        if rng.random() < 0.2:
+            v = list(v)
+            v[rng.randrange(4)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            return v
+        lam = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3, 7]))
+        return [lam * c for c in v]
+
+    def test_matches_the_fraction_chart(self):
+        rng = random.Random(62)
+        kinds = Counter()
+        for case in range(240):
+            x, y = random_point(rng), random_point(rng)
+            surface = random_surface_through(rng, [x, y])
+            grad = None if surface is None else form_gradient(surface, x)
+            if surface is None or not any(grad):
+                continue
+            i = next(i for i, g in enumerate(grad) if g)
+            tangent = [Fraction(c) for c in random_point(rng)]  # moved into the tangent plane at x
+            tangent[i] = 0
+            tangent[i] = -sum(g * c for g, c in zip(grad, tangent)) / grad[i]
+            lines = [(x, y), (y, x), (x, tangent), (x, random_point(rng)), (random_point(rng), random_point(rng))]
+            if case % 10 == 0:  # a line inside the Fermat cubic, and an inflectional tangent of it
+                lines = [(FERMAT, [1, -1, 0, 0], [0, 0, 1, -1]), (FERMAT, [1, -1, 0, 0], [2, -2, 1, 3])]
+            for surface_and_line in lines:
+                f, p, q = surface_and_line if len(surface_and_line) == 3 else (surface, *surface_and_line)
+                try:
+                    line = Line.rational(self.raw(rng, p), self.raw(rng, q))
+                except (EqualPoints, ValueError):
+                    continue
+                outcomes = []
+                for construct in (line_section, fraction_line_section):
+                    try:
+                        scheme = construct(f, line)
+                        outcomes.append((scheme.to_json(), scheme.point.coords))
+                    except GeometryError as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1]
+                json = outcomes[0][0]
+                kinds[(json["degree"], json["non_reduced"], len(json["known_parameters"])) if isinstance(json, dict) else json] += 1
+        assert sum(kinds.values()) >= 1000
+        for kind in [(1, True, 1), (2, True, 2), (3, False, 0), (3, False, 1), (3, False, 3), LineInSurface]:
+            assert kinds[kind] >= 10, kinds
 
 
 class TestTangentTriple:

@@ -311,6 +311,10 @@ class TestSaturate:
         with pytest.raises(ValueError):
             saturate(FERMAT, [seed([1, 0, 0, 0])], rounds=1)
 
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
+            saturate(FERMAT, [seed([1, -1, 0, 0])], rounds=-1)
+
     def test_size_cap(self):
         seeds = [seed([1, -1, 0, 0]), seed([0, 1, -1, 0]), seed([0, 0, 1, -1])]
         out = saturate(FERMAT, seeds, rounds=3, max_points=10)
