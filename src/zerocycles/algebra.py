@@ -422,7 +422,10 @@ class AlgElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        da, db = self.den, other.den
+        if da == db:
+            return AlgElement(self.algebra, [x - y for x, y in zip(self.num, other.num)], da)
+        return AlgElement(self.algebra, [x * db - y * da for x, y in zip(self.num, other.num)], da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)

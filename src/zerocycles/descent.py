@@ -17,6 +17,7 @@ cannot share an arithmetic bug.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import deque
@@ -30,6 +31,9 @@ BASIS_X4 = "x4"
 VERY_AMPLE_MIN = {3: 1, 2: 2, 1: 3}
 #: Smallest l with O(l) globally generated, per surface degree.
 GLOBALLY_GENERATED_MIN = {3: 1, 2: 1, 1: 2}
+#: Each surface's basis, name -> degree, one dict shared by its instances.
+_BASES = {(d, False): {BASIS_H: d} for d in (1, 2, 3)}
+_BASES[3, True] = {BASIS_H: 3, BASIS_X4: 4}
 
 
 class DescentError(Exception):
@@ -71,6 +75,13 @@ def h0_by_recurrence(d_S: int, l: int) -> int:
     """Independent route to h0 for the verifier: h0(l) = h0(l-1) + d_S*l."""
     if d_S not in (1, 2, 3):
         raise ValueError(f"surface degree must be 1, 2 or 3, got {d_S}")
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    return _recurrence(d_S, l)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)  # l = 2.0 must not read l = 2's entry
+def _recurrence(d_S: int, l: int) -> int:
     value = 1
     for k in range(1, l + 1):
         value += d_S * k
@@ -98,35 +109,42 @@ def _require_int(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+def _require_combo(combo, what: str) -> None:
+    _require_object(combo, what)
+    for name, value in combo.items():
+        if type(name) is not str:
+            raise ValueError(f"basis cycle names must be strings, not {type(name).__name__}")
+        _require_int(value, f"coefficient of {name!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class DelPezzo:
     """Surface degree plus the available basis of 0-cycle classes."""
 
     degree: int
     with_x4: bool = False
+    _basis: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.degree not in (1, 2, 3):
+        if type(self.degree) is not int or self.degree not in (1, 2, 3):
             raise ValueError("surface degree must be 1, 2 or 3")
         if self.with_x4 and self.degree != 3:
             raise ValueError("a degree-4 basis cycle is only tracked on cubic surfaces")
+        object.__setattr__(self, "_basis", _BASES[self.degree, bool(self.with_x4)])
 
     @property
     def basis(self) -> Dict[str, int]:
-        out = {BASIS_H: self.degree}
-        if self.with_x4:
-            out[BASIS_X4] = 4
-        return out
+        return dict(self._basis)
 
     def combo_degree(self, combo: Dict[str, int]) -> int:
-        basis = self.basis
+        basis = self._basis
         for name in combo:
             if name not in basis:
                 raise ValueError(f"unknown basis cycle {name!r}")
         return sum(basis[name] * mult for name, mult in combo.items())
 
     def to_json(self) -> dict:
-        return {"dS": self.degree, "basis": sorted(self.basis)}
+        return {"dS": self.degree, "basis": sorted(self._basis)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "DelPezzo":
@@ -138,7 +156,7 @@ class DelPezzo:
         return cls(degree=obj["dS"], with_x4=BASIS_X4 in basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleState:
     """z = sign * z' + sum(coeffs[b] * b), with z' effective of unknown_degree."""
 
@@ -160,14 +178,14 @@ class CycleState:
     def make(cls, sign: int, unknown_degree: int, coeffs: Dict[str, int]) -> "CycleState":
         if unknown_degree == 0:
             sign = 1  # the sign of an empty cycle carries no content
-        items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
-        return cls(sign=sign, unknown_degree=unknown_degree, coeffs=items)
+        items = [(k, v) for k, v in coeffs.items() if v != 0]
+        return cls(sign, unknown_degree, tuple(sorted(items)) if len(items) > 1 else tuple(items))
 
     def coeff_dict(self) -> Dict[str, int]:
         return dict(self.coeffs)
 
     def total_degree(self, surface: DelPezzo) -> int:
-        basis = surface.basis
+        basis = surface._basis
         return self.sign * self.unknown_degree + sum(
             basis[name] * mult for name, mult in self.coeffs
         )
@@ -183,15 +201,13 @@ class CycleState:
     def from_json(cls, obj: dict) -> "CycleState":
         _require_object(obj, "cycle state")
         coeffs = obj.get("coeffs", {})
-        _require_object(coeffs, "coeffs")
+        _require_combo(coeffs, "coeffs")
         _require_int(obj["sign"], "sign")
         _require_int(obj["unknown_degree"], "unknown_degree")
-        for name, value in coeffs.items():
-            _require_int(value, f"coefficient of {name!r}")
         return cls.make(obj["sign"], obj["unknown_degree"], coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One rewrite step; `kind` selects the rule, parameters are rule-specific.
 
@@ -216,6 +232,14 @@ class Move:
     l: Optional[int] = None
     gamma: Optional[int] = None
     combo: Tuple[Tuple[str, int], ...] = ()
+    _plain: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # 1.0 == 1 and hash alike, so only a move of ints and names uses `_rule`'s memo
+        plain = type(self.kind) is str and type(self.l) in (int, type(None))
+        pairs = self.combo if type(self.combo) is tuple else [None]
+        plain = plain and all(type(p) is tuple and tuple(map(type, p)) == (str, int) for p in pairs)
+        object.__setattr__(self, "_plain", plain)
 
     @classmethod
     def complement(cls, l: int) -> "Move":
@@ -253,7 +277,7 @@ class Move:
     def from_json(cls, obj: dict) -> "Move":
         _require_object(obj, "move")
         combo = obj.get("target", obj.get("combo", {}))
-        _require_object(combo, "move target/combo")
+        _require_combo(combo, "move target/combo")
         for key in ("l", "gamma"):
             if obj.get(key) is not None:
                 _require_int(obj[key], key)
@@ -276,111 +300,111 @@ def apply_move(
     z' -> C - z' (sign flips, new degree c - d) for Complement,
     VariantComplement, InvolutionFlip and CurveRR, and z' -> z' - C (sign
     kept, new degree d - c) for VBSubtract, AddBasis and EntryRR.  CurveRR
-    reads its genus as h0_fn(l - 1), as `genus` does.
+    reads its genus as h0_fn(l - 1), as `genus` does.  Every rule but EntryRR
+    reads only d of the state, and is memoized (`_rule`).
 
     Returns (new state, witness dict of the section counts used).  Raises
     PreconditionFailed naming the violated inequality.
     """
-    d_S = surface.degree
-    d = state.unknown_degree
-    sign = state.sign
-    kind = move.kind
-    witness = {}
+    d, sign = state.unknown_degree, state.sign
+    if move.kind == "EntryRR":  # the one rule that reads more than d
+        if not is_entry:
+            raise PreconditionFailed("EntryRR", "EntryRR is only valid as the first move of a certificate")
+        if sign != 1 or state.coeffs:
+            raise PreconditionFailed("EntryRR", "EntryRR applies to a bare class state")
+        if move.gamma is None or move.gamma < 1:
+            raise PreconditionFailed("EntryRR", "gamma must be a positive integer")
+        flips, combo, c, witness = False, ((BASIS_H, -move.gamma),), -move.gamma * surface.degree, {}
+    else:
+        rule = _rule if move._plain and type(d) is int else _rule.__wrapped__
+        args = surface.degree, surface.with_x4, move.kind, move.l, move.combo, d, h0_fn
+        flips, combo, c, witness = rule(*args)
+    coeffs = dict(state.coeffs)
+    for name, mult in combo:
+        coeffs[name] = coeffs.get(name, 0) + sign * mult
+    new_sign, new_degree = (-sign, c - d) if flips else (sign, d - c)
+    return CycleState.make(new_sign, new_degree, coeffs), witness.copy()
+
+
+@functools.lru_cache(maxsize=512)
+def _rule(d_S: int, with_x4: bool, kind: str, l: Optional[int], combo: tuple, d: int, h0_fn) -> tuple:
+    """(flips, C as (name, multiple) pairs, c, witness) of a move but EntryRR
+    at unknown degree d, or PreconditionFailed, which is not cached.  Search
+    and verifier share the memo, each keyed on its own pure `h0_fn`; the
+    witness is the memo's, so `apply_move` hands out a copy."""
+    surface = DelPezzo(d_S, with_x4)
 
     def fail(condition: str):
         raise PreconditionFailed(kind, condition)
 
     def checked_degree(combo: Dict[str, int]) -> int:
         for name in combo:
-            if name not in surface.basis:
+            if name not in surface._basis:
                 fail(f"basis cycle {name!r} is not available on this surface")
         return surface.combo_degree(combo)
 
     if kind == "Complement":
-        m = move.l + 1
+        m = l + 1
         if m < VERY_AMPLE_MIN[d_S]:
             fail(f"O({m}) is not very ample on dP{d_S}")
         count = h0_fn(d_S, m)
         if not d <= count - 2:
             fail(f"d={d} <= h0({d_S},{m})-2={count - 2} fails")
-        flips, combo, c = True, {BASIS_H: m * m}, d_S * m * m
-        witness = {"h0_m": count}
-    elif kind == "VariantComplement":
-        l = move.l
+        return True, ((BASIS_H, m * m),), d_S * m * m, {"h0_m": count}
+    if kind == "VariantComplement":
         if l < GLOBALLY_GENERATED_MIN[d_S]:
             fail(f"O({l}) is not globally generated on dP{d_S}")
-        count_l = h0_fn(d_S, l)
-        count_l1 = h0_fn(d_S, l + 1)
-        count_1 = h0_fn(d_S, 1)
+        count_l, count_l1, count_1 = h0_fn(d_S, l), h0_fn(d_S, l + 1), h0_fn(d_S, 1)
         if not count_l >= d + 1:
             fail(f"h0({d_S},{l})={count_l} >= d+1={d + 1} fails")
         if not count_l1 - d > count_1:
             fail(f"h0({d_S},{l + 1})-d={count_l1 - d} > h0({d_S},1)={count_1} fails")
-        flips, combo, c = True, {BASIS_H: l * (l + 1)}, d_S * l * (l + 1)
         witness = {"h0_l": count_l, "h0_l1": count_l1, "h0_1": count_1}
-    elif kind == "VBSubtract":
-        l = move.l
-        combo = move.combo_dict()
+        return True, ((BASIS_H, l * (l + 1)),), d_S * l * (l + 1), witness
+    if kind == "VBSubtract":
+        combo = dict(combo)
         if not combo or any(v <= 0 for v in combo.values()):
             fail("subtraction target must be a nonzero nonnegative basis combo")
         if d_S in (1, 2) and set(combo) != {BASIS_H}:
             fail(f"on dP{d_S} only multiples of h may be subtracted")
-        flips, c = False, checked_degree(combo)
+        c = checked_degree(combo)
         if d_S == 3 and l < 0 or d_S in (1, 2) and l < 1:
             fail(f"l={l} out of range for dP{d_S}")
-        count_l = h0_fn(d_S, l)
-        count_l1 = h0_fn(d_S, l + 1)
+        count_l, count_l1 = h0_fn(d_S, l), h0_fn(d_S, l + 1)
         if not count_l < d:
             fail(f"h0({d_S},{l})={count_l} < d={d} fails")
         if not count_l1 - d >= 2 * c:
             fail(f"h0({d_S},{l + 1})-d={count_l1 - d} >= 2s={2 * c} fails")
         if d - c < 0:
             fail("subtracted degree exceeds the unknown degree")
-        witness = {"h0_l": count_l, "h0_l1": count_l1}
-    elif kind == "InvolutionFlip":
+        return False, tuple(combo.items()), c, {"h0_l": count_l, "h0_l1": count_l1}
+    if kind == "InvolutionFlip":
         if d_S != 2:
             fail("the anticanonical involution exists only on dP2")
-        flips, combo, c = True, {BASIS_H: d}, d_S * d
-    elif kind == "CurveRR":
-        l = move.l
-        combo = move.combo_dict()
+        return True, ((BASIS_H, d),), d_S * d, {}
+    if kind == "CurveRR":
+        combo = dict(combo)
         if l < 1:
             fail("CurveRR needs l >= 1")
-        flips, c = True, checked_degree(combo)
+        c = checked_degree(combo)
         positive = {n: v for n, v in combo.items() if v > 0}
-        negative = {n: -v for n, v in combo.items() if v < 0}
         if set(positive) != {BASIS_H} or positive.get(BASIS_H, 0) % l != 0:
             fail("the intrinsic part of the combo must be a multiple of l times h")
-        support = d + sum(surface.basis[n] * v for n, v in negative.items())
+        support = d - sum(surface._basis[n] * v for n, v in combo.items() if v < 0)
         count_l = h0_fn(d_S, l)
         if not support <= count_l - 2:
             fail(f"support degree {support} <= h0({d_S},{l})-2={count_l - 2} fails")
         g = h0_fn(d_S, l - 1)
         if not c - d >= g:
             fail(f"rewritten degree {c - d} >= genus {g} fails")
-        witness = {"h0_l": count_l, "genus_l": g}
-    elif kind == "AddBasis":
-        absorbed = move.combo_dict()
+        return True, tuple(combo.items()), c, {"h0_l": count_l, "genus_l": g}
+    if kind == "AddBasis":
+        absorbed = dict(combo)
         if not absorbed or any(v <= 0 for v in absorbed.values()):
             fail("absorbed combo must be nonzero and nonnegative")
-        flips, c = False, -checked_degree(absorbed)
-        combo = {name: -mult for name, mult in absorbed.items()}
-    elif kind == "EntryRR":
-        if not is_entry:
-            fail("EntryRR is only valid as the first move of a certificate")
-        if sign != 1 or state.coeffs:
-            fail("EntryRR applies to a bare class state")
-        if move.gamma is None or move.gamma < 1:
-            fail("gamma must be a positive integer")
-        flips, combo, c = False, {BASIS_H: -move.gamma}, -move.gamma * d_S
-    else:
-        fail(f"unknown move kind {kind!r}")
-
-    coeffs = state.coeff_dict()
-    for name, mult in combo.items():
-        coeffs[name] = coeffs.get(name, 0) + sign * mult
-    new_sign, new_degree = (-sign, c - d) if flips else (sign, d - c)
-    return CycleState.make(new_sign, new_degree, coeffs), witness
+        c = -checked_degree(absorbed)
+        return False, tuple((name, -mult) for name, mult in absorbed.items()), c, {}
+    fail(f"unknown move kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -588,7 +612,12 @@ def _menu(surface: DelPezzo, degree: int) -> list:
 
 
 def _move_of(entry: tuple) -> Move:
-    _, _, l, kind, name, mult = entry
+    return _move(*entry[2:])
+
+
+@functools.lru_cache(maxsize=1024)
+def _move(l: int, kind: str, name: Optional[str], mult: int) -> Move:
+    """The one `Move` that every chain taking this menu move shares."""
     return Move(kind=kind, l=None if l < 0 else l, combo=((name, mult),) if name else ())
 
 

@@ -165,6 +165,26 @@ def test_ring_operations_match_poly_reference():
                 assert rep_of(got) == want
 
 
+def test_difference_is_the_sum_with_the_negation():
+    """`a - b` is computed in one step; it is the element `a + (-b)` builds,
+    field for field, with equal and unequal denominators, and with an int or
+    a Fraction on either side (`__rsub__`)."""
+    rng, algs = algebras(7, 60)
+    for alg, _ in algs:
+        for _ in range(10):
+            a = alg.element(random_poly(rng, alg.degree - 1))
+            b = alg.element(random_poly(rng, alg.degree - 1))
+            # numerators shifted by multiples of a.den keep gcd 1, so the denominator stays a.den
+            same = AlgElement(alg, [x + rng.randint(-9, 9) * a.den for x in a.num], a.den)
+            assert same.den == a.den
+            q, k = random_fraction(rng), rng.randint(-5, 5)
+            cases = [(a - b, a + (-b)), (a - same, a + (-same)), (b - a, b + (-a)),
+                     (a - q, a + (-q)), (q - a, (-a) + q), (a - k, a + (-k)), (k - a, (-a) + k)]
+            for got, want in cases:
+                assert_normalized(got)
+                assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_inverse_and_zero_divisors_match_poly_gcd():
     rng, algs = algebras(4, 90)
     seen_zero_divisor = False

@@ -623,11 +623,16 @@ class TestHostileInput:
             (("surface", "basis"), 5),
             (("surface", "basis"), [4]),
             (("surface", "dS"), True),
+            (("moves", 2, "target"), {"h": 1.0}),
+            (("moves", 2, "target"), {"h": True}),
+            (("moves", 2, "target"), {"h": "1"}),
+            (("moves", 0, "combo"), {"h": 3.0}),
         ],
         ids=[
             "combo-list", "move-not-object", "moves-string", "initial-list", "coeffs-list",
             "degree-string", "sign-bool", "coeff-string", "final-degree-float", "l-string",
             "l-bool", "gamma-float", "basis-scalar", "basis-not-names", "dS-bool",
+            "target-float", "target-bool", "target-string", "combo-float",
         ],
     )
     def test_verify_rejects_malformed_certificate_shapes(self, capsys, tmp_path, where, value):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -68,6 +69,14 @@ class TestSectionCounts:
             genus(3, 0)
         with pytest.raises(ValueError):
             genus(4, 2)
+        for route in (h0, h0_by_recurrence):
+            with pytest.raises(ValueError, match="^l must be nonnegative$"):
+                route(3, -1)
+            with pytest.raises(ValueError, match="^surface degree must be 1, 2 or 3, got 4$"):
+                route(4, 1)
+        assert h0_by_recurrence(3, 3) == 19
+        with pytest.raises(TypeError):  # a float l never reads the memo entry of its int
+            h0_by_recurrence(3, 3.0)
 
 
 def state(sign, degree, coeffs=None):
@@ -314,6 +323,103 @@ class TestRuleTable:
                  "CurveRR", "AddBasis", "EntryRR"}
         assert {case[2].kind for case in LEGAL} == kinds
         assert {case[2].kind for case in GUARDS} == kinds | {"Twist"}
+
+
+def _outcome(surface, st, move, route, is_entry):
+    """What one `apply_move` call gives, exact to the type of every number."""
+    try:
+        new, witness = apply_move(surface, st, move, h0_fn=route, is_entry=is_entry)
+    except Exception as exc:  # every exception must match, whatever it is
+        return type(exc), str(exc)
+    return repr(new), repr(witness)
+
+
+def _random_cases(rng):
+    """A move, a twin of it with one int field (or the state's degree) made an
+    equal float or bool, and the move again, in random order, each a (surface,
+    state, move, is_entry); a field may also be None, a string, a list, an
+    unknown kind or an unknown basis name."""
+    surface = rng.choice([CUBIC, CUBIC_X4, DP2, DP1])
+    coeffs = rng.choice([{}, {BASIS_H: rng.randint(-9, 9)}, {BASIS_H: 2, BASIS_X4: -1}])
+    st = CycleState.make(rng.choice([1, -1]), rng.randint(0, 30), coeffs)
+    kind = rng.choice(["Complement", "VariantComplement", "VBSubtract", "InvolutionFlip", "CurveRR",
+                       "AddBasis", "EntryRR", "Twist", ["Complement"]])
+    l = rng.choice([rng.randint(-1, 6)] * 6 + [None, "3", [2]])
+    gamma = rng.choice([None, 0, 1, 2, "1"])
+    mult = rng.choice([rng.randint(-2, 6)] * 5 + ["1", [1], None])
+    combo = rng.choice([
+        (), ((BASIS_H, mult),), ((BASIS_X4, mult),), ((BASIS_H, 4), (BASIS_X4, -1)),
+        ((BASIS_H, 6), (BASIS_X4, mult)), (("zz", 1),), [[BASIS_H, 1]], ((BASIS_H, 1), (BASIS_H, 2)),
+    ])
+
+    def twin(v):
+        if type(v) is not int:
+            return v
+        return bool(v) if v in (0, 1) and rng.random() < 0.5 else float(v)
+
+    field = rng.choice(["degree", "l", "gamma", "combo"])
+    twin_st = CycleState(st.sign, twin(st.unknown_degree), st.coeffs) if field == "degree" else st
+    twin_combo = tuple((n, twin(v)) for n, v in combo) if type(combo) is tuple else combo
+    twin_move = Move(kind, twin(l) if field == "l" else l, twin(gamma) if field == "gamma" else gamma,
+                     twin_combo if field == "combo" else combo)
+    move, is_entry = Move(kind, l, gamma, combo), rng.random() < 0.2
+    cases = [(surface, st, move, is_entry), (surface, twin_st, twin_move, is_entry),
+             (surface, st, move, is_entry)]
+    rng.shuffle(cases)
+    return cases
+
+
+class TestRuleMemo:
+    """`apply_move` memoizes each rule on (surface, move, unknown degree, h0_fn):
+    search and verifier share the memo, and no answer may depend on it."""
+
+    def test_memo_changes_no_outcome(self, monkeypatch):
+        rng = random.Random(18)
+        cases = [case for _ in range(34_000) for case in _random_cases(rng)]
+        routes = (h0, h0_by_recurrence)
+        memo = descent._rule
+        monkeypatch.setattr(descent, "_rule", functools.lru_cache(maxsize=0)(memo.__wrapped__))
+        uncached = [_outcome(*case[:3], route, case[3]) for case in cases for route in routes]
+        monkeypatch.setattr(descent, "_rule", memo)
+        memo.cache_clear()
+        memoized = [_outcome(*case[:3], route, case[3]) for case in cases for route in routes]
+        assert memoized == uncached
+        info = memo.cache_info()
+        assert info.hits > 2_000 and info.currsize == info.maxsize
+        assert {PreconditionFailed, TypeError} <= {kind for kind, _ in uncached}
+        assert sum(isinstance(kind, str) for kind, _ in uncached) > 20_000  # legal moves
+
+    def test_returned_witness_is_fresh(self):
+        st = state(1, 28, {BASIS_H: -3})
+        for route in (h0, h0_by_recurrence):
+            _, witness = apply_move(CUBIC, st, Move.complement(3), h0_fn=route)
+            witness["h0_m"] = -1
+            witness["extra"] = 0
+            assert apply_move(CUBIC, st, Move.complement(3), h0_fn=route)[1] == {"h0_m": 31}
+
+    def test_memo_stays_within_its_bound(self):
+        n = 10_000
+        moves = [Move.add_basis({BASIS_H: k}) for k in range(1, n + 1)]
+        cert = descent._replay(CUBIC, CycleState.entry(0), moves)
+        assert cert.final.unknown_degree == 3 * n * (n + 1) // 2
+        assert verify_certificate(cert).ok
+        info = descent._rule.cache_info()
+        assert info.maxsize <= 1024 and info.currsize == info.maxsize
+
+    def test_verifier_counts_come_from_its_own_route(self, monkeypatch):
+        cert = find_certificate(CUBIC, 40, GOALS["cubic"])
+        assert verify_certificate(cert).ok
+        payload = json.loads(json.dumps(cert.to_json()))
+        idx = next(i for i, m in enumerate(payload["moves"]) if m["witness"])
+        key = sorted(payload["moves"][idx]["witness"])[0]
+        payload["moves"][idx]["witness"][key] += 1
+        report = verify_certificate(Certificate.from_json(payload))
+        assert not report.ok and report.failure.startswith(f"move {idx}: recorded witness")
+        # a verifier route that disagrees with the closed form must not read
+        # the entries the search left under `h0`
+        monkeypatch.setattr(descent, "h0_by_recurrence", lambda d_S, l: h0(d_S, l) + 1)
+        report = verify_certificate(cert)
+        assert not report.ok and "recorded witness" in report.failure
 
 
 class TestCertificates:
