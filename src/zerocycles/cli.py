@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cs = geom_sub.add_parser("check-smooth", help="sample enumerated points for singularities")
     cs.add_argument("--surface", required=True)
-    cs.add_argument("--height", type=int, default=3)
+    cs.add_argument("--height", type=_positive_int, default=3)
     cs.add_argument("--out")
 
     ch = sub.add_parser("chow", help="triple-product Chow-ring reports")
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     points_sub = po.add_subparsers(dest="subcommand", required=True)
     en = points_sub.add_parser("enum", help="enumerate rational points up to a height")
     en.add_argument("--surface", required=True)
-    en.add_argument("--height", type=int, required=True)
+    en.add_argument("--height", type=_positive_int, required=True)
     en.add_argument("--out")
     sa = points_sub.add_parser("saturate", help="close seeds under chords and tangents")
     sa.add_argument("--surface", required=True)

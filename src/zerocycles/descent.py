@@ -270,7 +270,7 @@ class Move:
             key = "target" if self.kind == "VBSubtract" else "combo"
             out[key] = self.combo_dict()
         if witness is not None:
-            out["witness"] = witness
+            out["witness"] = dict(witness)
         return out
 
     @classmethod

@@ -15,13 +15,17 @@ from fractions import Fraction
 from zerocycles.algebra import EtaleAlgebra, _radical, rational_coeffs
 from zerocycles.geometry import (
     CubicForm,
+    GeometryError,
     InvariantViolated,
     LengthThreeScheme,
     LineInSurface,
     ProjPoint,
+    _on_surface,
     _primitive,
     restrict,
+    third_point,
 )
+from zerocycles.pointsearch import SOURCE_TANGENT, SOURCE_THIRD, _tangent_direction_residuals, rational_record
 
 
 class Poly:
@@ -389,3 +393,38 @@ def fraction_line_section(surface, line) -> LengthThreeScheme:
     tbar = algebra.generator
     coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
     return LengthThreeScheme(algebra, ProjPoint(algebra, coords), len(reduced) < 4, tuple(sorted(params)))
+
+
+def naive_saturate(surface, seeds, rounds, max_points=400):
+    """Saturation as the full rounds run it, the reference for `saturate`: every round
+    sorts the known points by `ProjPoint.key` (Fractions), redoes every chord and
+    every tangent scan, and adds what is new in that order up to the cap."""
+    known = {}
+    for record in seeds:
+        point = ProjPoint.from_integers(record.point.normalized().primitive())
+        if not _on_surface(surface, point):
+            raise ValueError("seed point is not on the surface")
+        known.setdefault(point.key(), rational_record(point, record.source))
+    for _ in range(rounds):
+        if len(known) >= max_points:
+            break
+        current = sorted(known.values(), key=lambda r: r.point.key())
+        fresh = []
+        for a, b in itertools.combinations(current, 2):
+            try:
+                fresh.append(rational_record(third_point(surface, a.point, b.point), SOURCE_THIRD))
+            except GeometryError:
+                continue
+        for record in current:
+            for residual in _tangent_direction_residuals(surface, record.point.primitive(), 1):
+                fresh.append(rational_record(residual, SOURCE_TANGENT))
+        added = False
+        for record in fresh:
+            if len(known) >= max_points:
+                break
+            if record.point.key() not in known:
+                known[record.point.key()] = record
+                added = True
+        if not added:
+            break
+    return sorted(known.values(), key=lambda r: r.point.key())

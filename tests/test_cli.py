@@ -784,6 +784,26 @@ class TestHostileInput:
         assert captured.out == ""
         assert f"{argv[2]}: must be >= 0, got {argv[3]}" in captured.err
 
+    @pytest.mark.parametrize("command", [["points", "enum"], ["geom", "check-smooth"]], ids=["enum", "check-smooth"])
+    @pytest.mark.parametrize("height", ["0", "-3"])
+    def test_height_below_one_is_a_usage_error(self, capsys, fermat_path, command, height):
+        with pytest.raises(SystemExit) as info:
+            run([*command, "--surface", fermat_path, "--height", height])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--height: must be >= 1, got {height}" in captured.err
+
+    @pytest.mark.parametrize("command", [["points", "enum"], ["geom", "check-smooth"]], ids=["enum", "check-smooth"])
+    def test_height_above_the_cap_is_structured(self, capsys, fermat_path, command):
+        # refused before any table is built
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *command, "--surface", fermat_path, "--height", "257")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1
+        message = "height bound must lie in 1..256, got 257"
+        assert json.loads(out) == {"error": {"kind": "ValueError", "message": message}}
+
     @pytest.mark.parametrize(
         "argv, key",
         [

@@ -421,6 +421,18 @@ class TestRuleMemo:
         report = verify_certificate(cert)
         assert not report.ok and "recorded witness" in report.failure
 
+    def test_payload_witnesses_are_copies(self):
+        # editing a `to_json` payload in place must leave the certificate as it was
+        cert = find_certificate(CUBIC, 40, GOALS["cubic"])
+        before = [dict(w) for w in cert.witnesses]
+        payload = cert.to_json()
+        idx = next(i for i, m in enumerate(payload["moves"]) if m["witness"])
+        key = sorted(payload["moves"][idx]["witness"])[0]
+        payload["moves"][idx]["witness"][key] += 1
+        assert cert.witnesses == before
+        assert verify_certificate(cert).ok
+        assert not verify_certificate(Certificate.from_json(payload)).ok
+
 
 class TestCertificates:
     def test_coray_chain_from_degree_10(self):

@@ -6,13 +6,23 @@ from math import gcd, lcm
 import pytest
 
 import zerocycles.pointsearch as pointsearch
-from conftest import MONOMIALS, evaluate, modulus_of, random_surface_through, rep_of, secant_instance
+from conftest import (
+    MONOMIALS,
+    evaluate,
+    modulus_of,
+    monomial_value,
+    naive_saturate,
+    random_surface_through,
+    rep_of,
+    secant_instance,
+)
 from zerocycles.algebra import AlgElement
 from zerocycles.geometry import CubicForm, Line, LineInSurface, ProjPoint, line_section, point_from_json
 from zerocycles.pointsearch import (
     SOURCE_ENUMERATED,
     SOURCE_TANGENT,
     SOURCE_THIRD,
+    _in_key_order,
     _tangent_direction_residuals,
     enumerate_rational,
     rational_record,
@@ -126,6 +136,11 @@ ENUMERATION_FORMS = {
     "x0x1x2+x3^3+x0^2x3": CubicForm({(1, 1, 1, 0): 1, (0, 0, 0, 3): 1, (2, 0, 0, 1): 1}),
     # c1 = 0 but c2 = c: binomial only where c = 0, and d = -c is a root
     "x0x1^2+x2x3^2+x3^3": CubicForm({(1, 2, 0, 0): 1, (0, 0, 1, 2): 1, (0, 0, 0, 3): 1}),
+    # P = G(x_i, x_j) + H(x_k, x_l) with binary blocks that are not diagonal, one
+    # form for each way to pair the coordinates: these run the join, not the scan
+    "split01": CubicForm({(2, 1, 0, 0): 1, (0, 3, 0, 0): -2, (0, 0, 1, 2): 3, (0, 0, 3, 0): 1}),
+    "split02": CubicForm({(1, 0, 2, 0): 1, (3, 0, 0, 0): 2, (0, 0, 3, 0): -1, (0, 2, 0, 1): 1, (0, 0, 0, 3): -3}),
+    "split03": CubicForm({(2, 0, 0, 1): Fraction(1, 2), (1, 0, 0, 2): -1, (0, 1, 2, 0): 3, (0, 3, 0, 0): -3}),
     **{f"dense{i}": _random_form(_rng, sparse=False) for i in range(3)},
     **{f"sparse{i}": _random_form(_rng, sparse=True) for i in range(3)},
 }
@@ -143,10 +158,36 @@ class TestEnumerationKernel:
             assert [r.height for r in records] == [max(map(abs, v)) for v in coords]
 
 
+    @pytest.mark.parametrize(
+        "name, pairing",
+        [("split01", ((0, 1), (2, 3))), ("split02", ((0, 2), (1, 3))), ("split03", ((0, 3), (1, 2))),
+         ("fermat", ((0, 1), (2, 3))), ("x1^3", ((0, 1), (2, 3))), ("x0x3^2", ((0, 3), (1, 2))),
+         ("dense0", None), ("x0x1x2", None), ("x0x1x2+x3^3+x0^2x3", None)],
+    )
+    def test_split_forms_take_the_join(self, monkeypatch, name, pairing):
+        # the form's pairing picks the path; the other path is never entered
+        surface = ENUMERATION_FORMS[name]
+        split = pointsearch._split(surface.integer_terms())
+        assert (split and split[0]) == pairing
+        unused = "_scan" if pairing else "_join"
+        monkeypatch.setattr(pointsearch, unused, lambda *args: pytest.fail(f"{unused} ran"))
+        assert enumerate_rational(surface, 3)
+
+    def test_three_plus_one_split_keeps_the_scan(self):
+        # G(a, b, c) + k*d^3 with a G that mixes all three splits into no two pairs
+        surface = CubicForm({(1, 1, 1, 0): 1, (3, 0, 0, 0): 2, (0, 0, 0, 3): -1})
+        assert pointsearch._split(surface.integer_terms()) is None
+
+    def test_height_bound_is_capped(self):
+        with pytest.raises(ValueError, match="height bound must lie in 1..256, got 257"):
+            enumerate_rational(FERMAT, pointsearch.MAX_HEIGHT + 1)
+
+
 class TestRationalKernel:
     def test_enumeration_builds_no_algebra_element(self, monkeypatch):
         # enumerated points stay primitive integer vectors through the surface
-        # check, the record and the JSON output
+        # check, the record and the JSON output, on the join path the Fermat form takes
+        assert pointsearch._split(FERMAT.integer_terms()) is not None
         built = []
         original = AlgElement.__init__
 
@@ -249,6 +290,9 @@ class TestPointKey:
             assert hash(point.key()) == hash(rep_key(point))
         assert sorted(points, key=ProjPoint.key) == sorted(points, key=rep_key)
         assert [p.key() for p in sorted(points, key=ProjPoint.key)] == sorted(map(rep_key, points))
+        # saturation's integer order is the same order
+        by_key = [p.primitive() for p in sorted(points, key=ProjPoint.key)]
+        assert _in_key_order([p.primitive() for p in points]) == by_key
 
 
 class TestDegree3FromLine:
@@ -319,6 +363,86 @@ class TestSaturate:
         seeds = [seed([1, -1, 0, 0]), seed([0, 1, -1, 0]), seed([0, 0, 1, -1])]
         out = saturate(FERMAT, seeds, rounds=3, max_points=10)
         assert len(out) <= 10
+
+
+def surface_through(rng, points):
+    """A random cubic through the integer points: random coefficients, then those of
+    len(points) random monomials solved for by Gauss-Jordan over Q; None when that
+    system is singular."""
+    coeffs = {e: Fraction(rng.randint(-3, 3)) for e in MONOMIALS}
+    unknowns = rng.sample(MONOMIALS, len(points))
+    rows = [
+        [monomial_value(m, x) for m in unknowns]
+        + [-sum(c * monomial_value(e, x) for e, c in coeffs.items() if e not in unknowns)]
+        for x in points
+    ]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    for col, m in enumerate(unknowns):
+        coeffs[m] = rows[col][-1] / rows[col][col]
+    return CubicForm(coeffs) if any(coeffs.values()) else None
+
+
+class TestSaturationReference:
+    """`saturate` (integer order, semi-naive rounds) gives the records of the full
+    rounds of `naive_saturate`: points, heights, sources and order."""
+
+    @staticmethod
+    def cases(rng_seed):
+        rng = random.Random(rng_seed)
+        cases = []
+        while len(cases) < 20:  # random surfaces through three distinct points, as the bench draws them
+            points = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+            if not all(map(any, points)) or len({ProjPoint.rational(p) for p in points}) < 3:
+                continue
+            surface = surface_through(rng, points)
+            if surface is not None:
+                cases.append((surface, [seed(p) for p in points]))
+        return cases
+
+    @pytest.mark.parametrize("rng_seed", [91, 92, 93])
+    def test_random_surfaces_through_three_seeds(self, rng_seed):
+        for surface, seeds in self.cases(rng_seed):
+            for rounds in range(4):
+                for cap in (1, 2, 5, 10, 400):
+                    got = [r.to_json() for r in saturate(surface, seeds, rounds, max_points=cap)]
+                    assert got == [r.to_json() for r in naive_saturate(surface, seeds, rounds, max_points=cap)]
+
+    @pytest.mark.parametrize("name", ["diagonal", "diagonal-rational", "sparse1", "split02"])
+    def test_surfaces_with_tangent_residuals(self, name):
+        surface = ENUMERATION_FORMS[name]
+        seeds = enumerate_rational(surface, 2)[:3]
+        sources = set()
+        for rounds in range(3):
+            for cap in (1, 2, 5, 10, 80):
+                got = saturate(surface, seeds, rounds, max_points=cap)
+                assert [r.to_json() for r in got] == [
+                    r.to_json() for r in naive_saturate(surface, seeds, rounds, max_points=cap)
+                ]
+                sources.update(r.source for r in got)
+        assert SOURCE_TANGENT in sources
+
+    def test_rounds_start_only_from_new_points(self, monkeypatch):
+        # each chord runs once over all rounds, and each tangent scan once per point
+        chords, scans = [], []
+        original_third, original_scan = pointsearch.third_point, pointsearch._tangent_direction_residuals
+        monkeypatch.setattr(
+            pointsearch, "third_point", lambda s, x, y: chords.append({x, y}) or original_third(s, x, y)
+        )
+        monkeypatch.setattr(
+            pointsearch, "_tangent_direction_residuals", lambda s, p, h: scans.append(p) or original_scan(s, p, h)
+        )
+        surface, seeds = self.cases(91)[0]
+        out = saturate(surface, seeds, rounds=3)
+        assert len(out) > 12
+        assert len(chords) == len(set(map(frozenset, chords))) and len(scans) == len(set(scans))
 
 
 class TestScaleInvariance:
