@@ -8,14 +8,14 @@ multiply by one schoolbook convolution (`_convolve`) and one fraction-free
 reduction (`EtaleAlgebra._reduced`); units and inverses come from the integer
 matrix of multiplication by the element, through the one Bareiss routine
 (`_eliminate`).  Zero-divisor factors and squarefree checks run the primitive
-pseudo-remainder sequence over Z (`_gcd`), and splitting and divisibility run
-integer pseudo-division (`_pseudo_divmod`).  `Fraction`s appear only at the
-boundary: rational scalars coming in, and coefficients for keys, JSON and
-messages going out (`rational_coeffs`).  No polynomial factorization is ever
+pseudo-remainder sequence over Z (`_gcd`), and divisibility runs integer
+pseudo-division (`_quotient`).  `Fraction`s appear only at the boundary:
+rational scalars coming in, and coefficients for keys, JSON and messages
+going out (`rational_coeffs`).  No polynomial factorization is ever
 performed; a reducible modulus is split lazily when some computation runs
-into a zero divisor (`ZeroDivisorFound` carries the discovered factor, and
-callers may continue componentwise, recombining through the CRT idempotent of
-the split).
+into a zero divisor: `ZeroDivisorFound` carries the factor, and
+`EtaleAlgebra.split` builds both components on integers, without a second
+squarefree check, and returns their CRT recombination.
 """
 
 from __future__ import annotations
@@ -216,6 +216,15 @@ class EtaleAlgebra:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "tail", tuple(ints[:-1]))
 
+    @classmethod
+    def _of(cls, modulus: Sequence[int]) -> "EtaleAlgebra":
+        """Q[t]/(modulus) for a primitive squarefree integer modulus with a positive
+        leading coefficient, unchecked; the fields are the rational constructor's."""
+        algebra = object.__new__(cls)
+        object.__setattr__(algebra, "scale", modulus[-1])
+        object.__setattr__(algebra, "tail", tuple(modulus[:-1]))
+        return algebra
+
     def __setattr__(self, name, value):
         raise AttributeError("EtaleAlgebra is immutable")
 
@@ -284,23 +293,28 @@ class EtaleAlgebra:
         return self.element((0, 1))
 
     def split(self, factor: Sequence[int]):
-        """Split along a proper divisor of the modulus, given by integer
+        """Split along a proper divisor g of the modulus, given by integer
         coefficients lowest degree first, as `ZeroDivisorFound.factor` carries it.
 
-        Returns (Q[t]/(factor), Q[t]/(cofactor)); the two moduli are coprime
-        because the modulus is squarefree.
+        Returns (Q[t]/(g), Q[t]/(h), combine) for the cofactor h, coprime to g as
+        the modulus is squarefree; combine(a, b) = a + e * (b - a) reduces to a mod
+        g and to b mod h, with the idempotent e = g * (g^-1 mod h).
         """
-        factor = _primitive_part(factor)
-        cofactor = _quotient(self.modulus, factor) if 2 <= len(factor) <= self.degree else None
-        if cofactor is None:
-            raise ValueError(f"{_poly_text(factor)} is not a proper divisor of the modulus of {self}")
-        return tuple(EtaleAlgebra(rational_coeffs(g, g[-1])) for g in (factor, cofactor))
+        g = _primitive_part(factor)
+        h = _quotient(self.modulus, g) if 2 <= len(g) <= self.degree else None
+        if h is None:
+            raise ValueError(f"{_poly_text(g)} is not a proper divisor of the modulus of {self}")
+        sub_a, sub_b = EtaleAlgebra._of(g), EtaleAlgebra._of(h)
+        g_inv = sub_b._reduced(list(g), 1).inverse()
+        e = self._reduced(_convolve(g, g_inv.num), g_inv.den)
 
-    def projection_from(self, algebra: "EtaleAlgebra"):
-        """The map x -> x mod this modulus on `algebra`, whose modulus it must divide (checked once, here)."""
-        if _quotient(algebra.modulus, self.modulus) is None:
-            raise ValueError("target modulus does not divide the current one")
-        return lambda x: self._reduced(list(x.num), x.den)
+        def combine(a: AlgElement, b: AlgElement) -> AlgElement:
+            if a.algebra != sub_a or b.algebra != sub_b:
+                raise ValueError("elements do not live over the split's components")
+            x = self._reduced(list(a.num), a.den)
+            return x + e * (self._reduced(list(b.num), b.den) - x)
+
+        return sub_a, sub_b, combine
 
     def __eq__(self, other):
         return self is other or (
@@ -463,25 +477,4 @@ class AlgElement:
 
     def __repr__(self):
         return f"({_poly_text(rational_coeffs(self.num, self.den))} mod {_poly_text(self.algebra.coefficients)})"
-
-
-def crt_combiner(algebra: EtaleAlgebra, sub_a: EtaleAlgebra, sub_b: EtaleAlgebra):
-    """The map (a, b) -> the element of `algebra` that reduces to a over sub_a and
-    to b over sub_b, whose moduli g and h multiply to algebra.modulus (so are
-    coprime).  The idempotent e = g * (g^-1 mod h), 0 mod g and 1 mod h, is
-    computed once (g as its primitive integer multiple, which gives the same e);
-    each call is a + e * (b - a), reading a and b in `algebra`."""
-    g = sub_a.modulus
-    if _convolve(g, sub_b.modulus) != list(algebra.modulus):
-        raise ValueError("component moduli do not multiply to the target modulus")
-    g_inv = sub_b._reduced(list(g), 1).inverse()
-    e = algebra._reduced(list(g), 1) * algebra._reduced(list(g_inv.num), g_inv.den)
-
-    def combine(a: AlgElement, b: AlgElement) -> AlgElement:
-        if a.algebra != sub_a or b.algebra != sub_b:
-            raise ValueError("elements do not live over the split's components")
-        x = algebra._reduced(list(a.num), a.den)
-        return x + e * (algebra._reduced(list(b.num), b.den) - x)
-
-    return combine
 

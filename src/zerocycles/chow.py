@@ -42,7 +42,8 @@ class TriClass:
             subset = frozenset(subset)
             if not subset <= set(GENERATORS):
                 raise ValueError(f"unknown generators in {set(subset)}")
-            value = int(value)
+            if type(value) is not int:
+                raise ValueError(f"coefficient {value!r} of {sorted(subset)} must be an integer")
             if value:
                 clean[subset] = clean.get(subset, 0) + value
         object.__setattr__(self, "coeffs", {k: v for k, v in clean.items() if v})
@@ -100,7 +101,7 @@ class TriClass:
 
     def __mul__(self, other):
         """Product with the square-zero rule: overlapping subsets annihilate."""
-        if isinstance(other, int):
+        if type(other) is int:
             return TriClass({s: v * other for s, v in self.coeffs.items()})
         if not isinstance(other, TriClass):
             return NotImplemented
@@ -143,7 +144,7 @@ class TriClass:
 def _coerce(value):
     if isinstance(value, TriClass):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return TriClass({frozenset(): value}) if value else TriClass.zero()
     return NotImplemented
 

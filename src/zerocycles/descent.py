@@ -109,9 +109,8 @@ def _require_int(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
 
 
-def _require_combo(combo, what: str) -> None:
-    _require_object(combo, what)
-    for name, value in combo.items():
+def _require_pairs(pairs) -> None:
+    for name, value in pairs:
         if type(name) is not str:
             raise ValueError(f"basis cycle names must be strings, not {type(name).__name__}")
         _require_int(value, f"coefficient of {name!r}")
@@ -165,6 +164,10 @@ class CycleState:
     coeffs: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.sign) is not int:
+            raise ValueError(f"sign must be an integer, not {type(self.sign).__name__}")
+        if type(self.unknown_degree) is not int:
+            raise ValueError(f"unknown_degree must be an integer, not {type(self.unknown_degree).__name__}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.unknown_degree < 0:
@@ -176,8 +179,8 @@ class CycleState:
 
     @classmethod
     def make(cls, sign: int, unknown_degree: int, coeffs: Dict[str, int]) -> "CycleState":
-        if unknown_degree == 0:
-            sign = 1  # the sign of an empty cycle carries no content
+        if unknown_degree == 0 and type(sign) is int and sign == -1:
+            sign = 1  # the sign of an empty cycle carries no content; any other is refused
         items = [(k, v) for k, v in coeffs.items() if v != 0]
         return cls(sign, unknown_degree, tuple(sorted(items)) if len(items) > 1 else tuple(items))
 
@@ -201,9 +204,8 @@ class CycleState:
     def from_json(cls, obj: dict) -> "CycleState":
         _require_object(obj, "cycle state")
         coeffs = obj.get("coeffs", {})
-        _require_combo(coeffs, "coeffs")
-        _require_int(obj["sign"], "sign")
-        _require_int(obj["unknown_degree"], "unknown_degree")
+        _require_object(coeffs, "coeffs")
+        _require_pairs(coeffs.items())
         return cls.make(obj["sign"], obj["unknown_degree"], coeffs)
 
 
@@ -232,14 +234,17 @@ class Move:
     l: Optional[int] = None
     gamma: Optional[int] = None
     combo: Tuple[Tuple[str, int], ...] = ()
-    _plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # 1.0 == 1 and hash alike, so only a move of ints and names uses `_rule`'s memo
-        plain = type(self.kind) is str and type(self.l) in (int, type(None))
-        pairs = self.combo if type(self.combo) is tuple else [None]
-        plain = plain and all(type(p) is tuple and tuple(map(type, p)) == (str, int) for p in pairs)
-        object.__setattr__(self, "_plain", plain)
+        # 1.0 == 1 and hash alike, so a float or bool would share `_rule`'s memo entries
+        if type(self.kind) is not str:
+            raise ValueError(f"kind must be a string, not {type(self.kind).__name__}")
+        for key, value in (("l", self.l), ("gamma", self.gamma)):
+            if value is not None:
+                _require_int(value, key)
+        if type(self.combo) is not tuple or not all(type(p) is tuple and len(p) == 2 for p in self.combo):
+            raise ValueError("combo must be a tuple of (basis cycle name, integer) pairs")
+        _require_pairs(self.combo)
 
     @classmethod
     def complement(cls, l: int) -> "Move":
@@ -277,10 +282,7 @@ class Move:
     def from_json(cls, obj: dict) -> "Move":
         _require_object(obj, "move")
         combo = obj.get("target", obj.get("combo", {}))
-        _require_combo(combo, "move target/combo")
-        for key in ("l", "gamma"):
-            if obj.get(key) is not None:
-                _require_int(obj[key], key)
+        _require_object(combo, "move target/combo")
         return cls(
             kind=obj["kind"],
             l=obj.get("l"),
@@ -316,9 +318,7 @@ def apply_move(
             raise PreconditionFailed("EntryRR", "gamma must be a positive integer")
         flips, combo, c, witness = False, ((BASIS_H, -move.gamma),), -move.gamma * surface.degree, {}
     else:
-        rule = _rule if move._plain and type(d) is int else _rule.__wrapped__
-        args = surface.degree, surface.with_x4, move.kind, move.l, move.combo, d, h0_fn
-        flips, combo, c, witness = rule(*args)
+        flips, combo, c, witness = _rule(surface.degree, surface.with_x4, move.kind, move.l, move.combo, d, h0_fn)
     coeffs = dict(state.coeffs)
     for name, mult in combo:
         coeffs[name] = coeffs.get(name, 0) + sign * mult

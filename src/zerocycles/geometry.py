@@ -31,7 +31,6 @@ from .algebra import (
     EtaleAlgebra,
     ZeroDivisorFound,
     _radical,
-    crt_combiner,
     fraction_to_string,
     rational_coeffs,
 )
@@ -361,9 +360,11 @@ class CubicForm:
     def __init__(self, terms):
         clean = {}
         for exp, coeff in dict(terms).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != 4 or any(e < 0 for e in exp) or sum(exp) != 3:
+            exp = tuple(exp)
+            if len(exp) != 4 or any(type(e) is not int or e < 0 for e in exp) or sum(exp) != 3:
                 raise ValueError(f"{exp} is not a degree-3 exponent vector on 4 variables")
+            if isinstance(coeff, (float, bool)):
+                raise ValueError(f"coefficient {coeff!r} of {exp} must be an integer or a Fraction")
             coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if coeff != 0:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff
@@ -632,14 +633,20 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     direction[j] = n[k] * grad[i] - n[i] * grad[k]
     direction[k] = minor
 
-    c0, c1, c2, c3 = restrict(surface.value_at, xs, direction)
-    check_invariant(not c0 and not c1, "tangency must force a double root")
-    if not c2 and not c3:
-        raise TangentLineInSurface("tangent line is contained in the surface")
-    residual = tuple(c3 * a - c2 * b for a, b in zip(xs, direction))
-    if not any(residual):
+    residual = _tangent_line_residual(surface, xs, direction)
+    if residual is None:
         raise TangentLineInSurface("tangent line is contained in the surface")
     return _point(x.algebra, residual)
+
+
+def _tangent_line_residual(surface: CubicForm, xs: Sequence, direction: Sequence):
+    """c3*x - c2*v, a kernel vector of the third point on the tangent line at the
+    surface point x along v, where F(x + t*v) = c2*t^2 + c3*t^3 up to one factor;
+    None when the line lies in the surface."""
+    c0, c1, c2, c3 = restrict(surface.value_at, xs, direction)
+    check_invariant(not c0 and not c1, "tangency must force a double root")
+    residual = tuple(c3 * a - c2 * b for a, b in zip(xs, direction))
+    return residual if any(residual) else None
 
 
 @dataclass(frozen=True)
@@ -749,7 +756,7 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
             params.append(tau)
     params.sort()
 
-    algebra = EtaleAlgebra(rational_coeffs(reduced, reduced[-1]))
+    algebra = EtaleAlgebra._of(reduced)
     coords = [algebra._reduced([u * x, y], pd * qd) for x, y in zip(P, second)]
     point = ProjPoint(algebra, coords)
     check_invariant(_on_surface(surface, point), "the line section must lie on the surface")
@@ -767,10 +774,9 @@ def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjP
     try:
         return tangent_residual(surface, pencil, point)
     except ZeroDivisorFound as zd:
-        sub_a, sub_b = point.algebra.split(zd.factor)
-        components = (ProjPoint(sub, map(sub.projection_from(point.algebra), point.coords)) for sub in (sub_a, sub_b))
-        a, b = (_tangent_on_components(surface, pencil, part) for part in components)
-        combine = crt_combiner(point.algebra, sub_a, sub_b)
+        sub_a, sub_b, combine = point.algebra.split(zd.factor)
+        parts = (ProjPoint(sub, [sub._reduced(list(c.num), c.den) for c in point.coords]) for sub in (sub_a, sub_b))
+        a, b = (_tangent_on_components(surface, pencil, part) for part in parts)
         return ProjPoint(point.algebra, [combine(x, y) for x, y in zip(a.coords, b.coords)])
 
 

@@ -22,8 +22,8 @@ from .geometry import (
     ProjPoint,
     _cubic,
     _on_surface,
+    _tangent_line_residual,
     check_invariant,
-    restrict,
     third_point,
 )
 
@@ -177,9 +177,9 @@ def _tangent_direction_residuals(
     """Residual points of low-height tangent lines at a rational surface point.
 
     `p` is the point's primitive integer vector.  Directions are `_directions`
-    in the tangent plane at `p`; along each, `restrict` gives the coefficients
-    of F(p + t*v) = c2*t^2 + c3*t^3 up to one factor, and the residual
-    c3*p - c2*v is returned, normalized, when it is a genuine point.
+    in the tangent plane at `p` and off `p`; along each, F(p + t*v) = c2*t^2 +
+    c3*t^3 up to one factor, and the residual c3*p - c2*v is returned when it
+    is a genuine point (`_tangent_line_residual`).
     """
     g0, g1, g2, g3 = surface.gradient_at(p)
     p0, p1, p2, p3 = p
@@ -191,11 +191,8 @@ def _tangent_direction_residuals(
         if (p0 * v1 == p1 * v0 and p0 * v2 == p2 * v0 and p0 * v3 == p3 * v0
                 and p1 * v2 == p2 * v1 and p1 * v3 == p3 * v1 and p2 * v3 == p3 * v2):
             continue
-        _, _, c2, c3 = restrict(surface.value_at, p, v)
-        if not c2 and not c3:
-            continue  # tangent line inside the surface
-        residual = (c3 * p0 - c2 * v0, c3 * p1 - c2 * v1, c3 * p2 - c2 * v2, c3 * p3 - c2 * v3)
-        if any(residual):
+        residual = _tangent_line_residual(surface, p, v)
+        if residual is not None:  # else the tangent line lies in the surface
             yield ProjPoint.from_integers(residual)
 
 

@@ -39,7 +39,6 @@ from zerocycles.algebra import (
     _gcd,
     _quotient,
     _radical,
-    crt_combiner,
 )
 from zerocycles.geometry import CubicForm, ProjPoint, _packed, _unpack
 
@@ -110,7 +109,7 @@ def test_integer_polynomial_kernel_matches_poly_oracle():
         assert _gcd(primitive(f), primitive(a)) == list(primitive(g))
         if 1 <= g.degree < degree:
             seen["proper gcd"] += 1
-            sub_a, sub_b = alg.split(primitive(g))
+            sub_a, sub_b, _ = alg.split(primitive(g))
             assert sub_a.modulus == primitive(g) and sub_b.modulus == primitive(f // g)
         for d in (g, f, random_poly(rng, 2), from_roots([random_fraction(rng, 5)])):
             if d.is_zero:
@@ -244,28 +243,48 @@ def test_degree_one_matches_fraction_arithmetic(root):
     assert any(not a.is_unit() for a in elements)
 
 
-def test_projection_checks_divisibility_once_and_matches_reduce_mod(monkeypatch):
-    # the projection onto a component is the remainder of the Poly reference
+def test_builder_matches_the_rational_constructor():
+    # `EtaleAlgebra._of` skips the parsing and the squarefree check, not the
+    # normalization: on a primitive squarefree modulus with a positive leading
+    # coefficient it gives the algebra of the monic rational modulus
+    rng = random.Random(13)
+    built = 0
+    while built < 240:
+        degree = 1 + built % 3
+        f = Poly([rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(1, 12)])
+        if not is_squarefree(f):
+            continue
+        g = primitive(f)
+        fast, public = EtaleAlgebra._of(g), EtaleAlgebra(f.monic())
+        assert (fast.scale, fast.tail) == (public.scale, public.tail) and fast.modulus == g
+        assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+        built += 1
+
+
+def test_split_divides_once_and_reductions_match_reduce_mod(monkeypatch):
+    # a split runs one divisibility test and no squarefree check, and reducing
+    # onto a component is the remainder of the Poly reference
     g, h = from_roots([Fraction(1)]), from_roots([Fraction(0), Fraction(-2, 3)])
     alg = EtaleAlgebra(g * h)
-    sub_a, sub_b = alg.split(primitive(g))
     rng = random.Random(11)
     elements = [alg.element(random_poly(rng, 4)) for _ in range(4)]
     checks = []
     original = algebra_module._quotient
     monkeypatch.setattr(algebra_module, "_quotient", lambda f, d: checks.append(d) or original(f, d))
+    monkeypatch.setattr(algebra_module, "_radical", lambda f: pytest.fail("a split reran the squarefree check"))
+    sub_a, sub_b, _ = alg.split(primitive(g))
+    assert checks == [list(primitive(g))]
     for sub, modulus in ((sub_a, g), (sub_b, h)):
-        del checks[:]
-        project = sub.projection_from(alg)
-        assert [project(x) for x in elements] == [sub.element(rep_of(x) % modulus) for x in elements]
-        assert len(checks) == 1
-    stranger = EtaleAlgebra(from_roots([Fraction(5)]))
-    with pytest.raises(ValueError):
-        stranger.projection_from(alg)
+        got = [sub._reduced(list(x.num), x.den) for x in elements]
+        assert got == [sub.element(rep_of(x) % modulus) for x in elements]
+    stranger = from_roots([Fraction(5)])
+    for factor in (stranger, g * h, Poly.one()):
+        with pytest.raises(ValueError):
+            alg.split(primitive(factor))
 
 
 def test_reduce_mod_and_crt_match_poly_reference():
-    # projections onto the split's components and the CRT recombination, on
+    # reductions onto the split's components and its CRT recombination, on
     # the Poly reference: remainders modulo the oracle factors g and h
     rng = random.Random(5)
     for _ in range(60):
@@ -273,10 +292,9 @@ def test_reduce_mod_and_crt_match_poly_reference():
         roots = rng.sample(sorted({Fraction(n, d) for n in range(-5, 6) for d in (1, 2, 3)}), degree)
         g, h = from_roots(roots[:1]), from_roots(roots[1:])
         alg = EtaleAlgebra(g * h)
-        sub_a, sub_b = alg.split(primitive(g))
-        combine = crt_combiner(alg, sub_a, sub_b)
+        sub_a, sub_b, combine = alg.split(primitive(g))
         a = alg.element(random_poly(rng, 2 * degree))
-        ra, rb = (sub.projection_from(alg)(a) for sub in (sub_a, sub_b))
+        ra, rb = (sub._reduced(list(a.num), a.den) for sub in (sub_a, sub_b))
         for got, modulus in ((ra, g), (rb, h)):
             assert_normalized(got)
             assert rep_of(got) == rep_of(a) % modulus
@@ -378,9 +396,7 @@ def test_crt_idempotent_matches_bezout_formula():
     rng = random.Random(9)
     for _ in range(150):
         alg, g, h = split_algebra(rng)
-        sub_a, sub_b = alg.split(primitive(g))
-        combine = crt_combiner(alg, sub_a, sub_b)
-        project_a, project_b = (sub.projection_from(alg) for sub in (sub_a, sub_b))
+        sub_a, sub_b, combine = alg.split(primitive(g))
         u = poly_xgcd(g, h)[1]
         for _ in range(3):
             a = sub_a.element(random_poly(rng, 3))
@@ -388,7 +404,7 @@ def test_crt_idempotent_matches_bezout_formula():
             got = combine(a, b)
             assert_normalized(got)
             assert rep_of(got) == g * ((u * (rep_of(b) - rep_of(a))) % h) + rep_of(a)
-            assert project_a(got) == a and project_b(got) == b
+            assert sub_a._reduced(list(got.num), got.den) == a and sub_b._reduced(list(got.num), got.den) == b
         with pytest.raises(ValueError):
             combine(b, a)
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,16 @@ class TestTriClass:
     def test_products(self):
         assert ALPHA * BETA == TriClass({frozenset({"x", "y"}): 1})
         assert (ALPHA * ALPHA).is_zero
+
+    def test_coefficients_and_scalars_are_ints(self):
+        for value in (1.7, True, Fraction(1), "1", None):
+            with pytest.raises(ValueError, match=re.escape(repr(value))):
+                TriClass({frozenset(): value})
+        assert TriClass({frozenset(): 2}) == 2 and 2 * ALPHA == ALPHA + ALPHA
+        assert TriClass.one() != True  # noqa: E712
+        for scalar_op in (lambda: ALPHA * True, lambda: ALPHA + True, lambda: 1.0 * ALPHA):
+            with pytest.raises(TypeError):
+                scalar_op()
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(20)

@@ -647,8 +647,11 @@ class TestHostileInput:
             (("final", "coeffs"), {"h": 1, "zz": -2}, "unknown basis cycle 'zz'"),
             (("abstract_entry",), "yes", "abstract_entry must be a boolean, not str"),
             (("abstract_entry",), 1, "abstract_entry must be a boolean, not int"),
+            (("moves", 1, "kind"), 5, "kind must be a string, not int"),
+            (("moves", 1, "kind"), ["Complement"], "kind must be a string, not list"),
         ],
-        ids=["initial-unknown-cycle", "final-unknown-cycle", "abstract-entry-string", "abstract-entry-int"],
+        ids=["initial-unknown-cycle", "final-unknown-cycle", "abstract-entry-string", "abstract-entry-int",
+             "kind-int", "kind-list"],
     )
     def test_verify_error_documents_for_the_loader_contract(self, capsys, tmp_path, where, value, message):
         code, out = _verify_edited_certificate(capsys, tmp_path, where, value)

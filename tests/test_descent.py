@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -335,47 +336,62 @@ def _outcome(surface, st, move, route, is_entry):
 
 
 def _random_cases(rng):
-    """A move, a twin of it with one int field (or the state's degree) made an
-    equal float or bool, and the move again, in random order, each a (surface,
-    state, move, is_entry); a field may also be None, a string, a list, an
-    unknown kind or an unknown basis name."""
+    """A well-typed move twice, as two equal objects, each a (surface, state,
+    move, is_entry); a kind may be unknown, `l` None and a basis name unknown.
+    Also a zero-argument builder of a twin of the move or state with one field
+    made ill-typed (an equal float or bool, a string, a list or None), and that
+    twin's type name."""
     surface = rng.choice([CUBIC, CUBIC_X4, DP2, DP1])
     coeffs = rng.choice([{}, {BASIS_H: rng.randint(-9, 9)}, {BASIS_H: 2, BASIS_X4: -1}])
     st = CycleState.make(rng.choice([1, -1]), rng.randint(0, 30), coeffs)
     kind = rng.choice(["Complement", "VariantComplement", "VBSubtract", "InvolutionFlip", "CurveRR",
-                       "AddBasis", "EntryRR", "Twist", ["Complement"]])
-    l = rng.choice([rng.randint(-1, 6)] * 6 + [None, "3", [2]])
-    gamma = rng.choice([None, 0, 1, 2, "1"])
-    mult = rng.choice([rng.randint(-2, 6)] * 5 + ["1", [1], None])
+                       "AddBasis", "EntryRR", "Twist"])
+    l = rng.choice([rng.randint(-1, 6)] * 6 + [None])
+    gamma = rng.choice([None, 0, 1, 2])
+    mult = rng.randint(-2, 6)
     combo = rng.choice([
         (), ((BASIS_H, mult),), ((BASIS_X4, mult),), ((BASIS_H, 4), (BASIS_X4, -1)),
-        ((BASIS_H, 6), (BASIS_X4, mult)), (("zz", 1),), [[BASIS_H, 1]], ((BASIS_H, 1), (BASIS_H, 2)),
+        ((BASIS_H, 6), (BASIS_X4, mult)), (("zz", 1),), ((BASIS_H, 1), (BASIS_H, 2)),
     ])
+    move, is_entry = Move(kind, l, gamma, combo), rng.random() < 0.2
+    cases = [(surface, st, move, is_entry),
+             (surface, CycleState(st.sign, st.unknown_degree, st.coeffs), Move(kind, l, gamma, combo), is_entry)]
 
     def twin(v):
-        if type(v) is not int:
-            return v
-        return bool(v) if v in (0, 1) and rng.random() < 0.5 else float(v)
+        if type(v) is int and rng.random() < 0.6:
+            return bool(v) if v in (0, 1) and rng.random() < 0.5 else float(v)
+        return rng.choice([str(v), [v], None])
 
-    field = rng.choice(["degree", "l", "gamma", "combo"])
-    twin_st = CycleState(st.sign, twin(st.unknown_degree), st.coeffs) if field == "degree" else st
-    twin_combo = tuple((n, twin(v)) for n, v in combo) if type(combo) is tuple else combo
-    twin_move = Move(kind, twin(l) if field == "l" else l, twin(gamma) if field == "gamma" else gamma,
-                     twin_combo if field == "combo" else combo)
-    move, is_entry = Move(kind, l, gamma, combo), rng.random() < 0.2
-    cases = [(surface, st, move, is_entry), (surface, twin_st, twin_move, is_entry),
-             (surface, st, move, is_entry)]
-    rng.shuffle(cases)
-    return cases
+    field = rng.choice(["degree", "sign", "kind", "l", "gamma", "combo", "pairs"])
+    if field in ("degree", "sign"):
+        bad = twin(st.unknown_degree if field == "degree" else st.sign)
+        args = (st.sign, bad) if field == "degree" else (bad, st.unknown_degree)
+        return cases, (lambda: CycleState(*args, st.coeffs)), type(bad).__name__
+    fields = {"kind": kind, "l": l, "gamma": gamma, "combo": combo}
+    if field == "kind":
+        fields["kind"] = rng.choice([[kind], None, 1])
+    elif field in ("l", "gamma"):
+        fields[field] = twin(rng.randint(0, 6)) if fields[field] is None else twin(fields[field])
+        if fields[field] is None:
+            fields[field] = [0]
+    elif field == "combo":
+        fields["combo"] = rng.choice([[list(p) for p in combo], None, dict(combo)])
+    else:
+        fields["combo"] = ((BASIS_H, twin(mult)),)
+    bad = fields["combo"][0][1] if field == "pairs" else fields[field]
+    return cases, (lambda: Move(**fields)), type(bad).__name__
 
 
 class TestRuleMemo:
     """`apply_move` memoizes each rule on (surface, move, unknown degree, h0_fn):
-    search and verifier share the memo, and no answer may depend on it."""
+    search and verifier share the memo, and no answer may depend on it.  A
+    float or bool equals and hashes like an int, so moves and states refuse
+    every field that is not of its exact type when they are built."""
 
     def test_memo_changes_no_outcome(self, monkeypatch):
         rng = random.Random(18)
-        cases = [case for _ in range(34_000) for case in _random_cases(rng)]
+        draws = [_random_cases(rng) for _ in range(34_000)]
+        cases = [case for pair, _, _ in draws for case in pair]
         routes = (h0, h0_by_recurrence)
         memo = descent._rule
         monkeypatch.setattr(descent, "_rule", functools.lru_cache(maxsize=0)(memo.__wrapped__))
@@ -388,6 +404,13 @@ class TestRuleMemo:
         assert info.hits > 2_000 and info.currsize == info.maxsize
         assert {PreconditionFailed, TypeError} <= {kind for kind, _ in uncached}
         assert sum(isinstance(kind, str) for kind, _ in uncached) > 20_000  # legal moves
+        refused = Counter()
+        for _, build, bad_type in draws:
+            with pytest.raises(ValueError, match="must be"):
+                build()
+            refused[bad_type] += 1
+        assert set(refused) == {"float", "bool", "str", "list", "NoneType", "int", "dict"}
+        assert min(refused[t] for t in ("float", "bool", "str", "list", "NoneType")) > 500
 
     def test_returned_witness_is_fresh(self):
         st = state(1, 28, {BASIS_H: -3})
@@ -512,6 +535,13 @@ class TestCertificates:
         payload["final"]["unknown_degree"] = 1
         report = verify_certificate(Certificate.from_json(payload))
         assert not report.ok and "final" in report.failure
+
+    def test_state_sign_is_checked_at_degree_zero_too(self):
+        # an empty cycle drops the sign -1, but no other value stands in for a sign
+        for sign in (5, 0, 1.0, -1.0, True, "1"):
+            with pytest.raises(ValueError, match="sign must be"):
+                CycleState.from_json({"sign": sign, "unknown_degree": 0})
+        assert CycleState.from_json({"sign": -1, "unknown_degree": 0}) == CycleState.entry(0)
 
     def test_non_object_documents_rejected(self):
         payload = find_certificate(CUBIC, 10, GOALS["coray"]).to_json()

@@ -24,6 +24,7 @@ from conftest import (
     weierstrass_surface,
 )
 from zerocycles import algebra as algebra_module
+from zerocycles import geometry as geometry_module
 from zerocycles.algebra import AlgElement, EtaleAlgebra, ZeroDivisorFound, fraction_to_string
 from zerocycles.geometry import (
     CubicForm,
@@ -52,6 +53,17 @@ FERMAT = CubicForm.fermat()
 
 
 class TestEvaluate:
+    def test_form_refuses_silent_coercion(self):
+        for terms, shown in [
+            ({(3.9, -0.9, 0, 0): 1, (0, 3, 0, 0): 1}, "3.9"),
+            ({(3, 0, 0, 0): 1, (True, 2, 0, 0): 1}, "True"),
+            ({(3, 0, 0, 0): 1, (0, 3, 0, 0): True}, "True"),
+            ({(3, 0, 0, 0): 0.1}, "0.1"),
+        ]:
+            with pytest.raises(ValueError, match=shown):
+                CubicForm(terms)
+        assert CubicForm({(3, 0, 0, 0): Fraction(1, 10), (0, 3, 0, 0): "2/3"}).terms[(0, 3, 0, 0)] == Fraction(2, 3)
+
     def test_fermat_examples(self):
         assert evaluate(FERMAT, ProjPoint.rational([1, -1, 0, 0])).is_zero
         one = evaluate(FERMAT, ProjPoint.rational([1, 0, 0, 0]))
@@ -452,6 +464,20 @@ class TestLineSection:
         assert scheme.non_reduced
         assert scheme.degree == 2
 
+    def test_one_squarefree_part_per_section(self, monkeypatch):
+        # the section's modulus is a radical, so its algebra is built without a second check
+        calls = []
+        original = algebra_module._radical
+        monkeypatch.setattr(algebra_module, "_radical", lambda f: calls.append(f) or original(f))
+        monkeypatch.setattr(geometry_module, "_radical", algebra_module._radical)
+        lines = [(weierstrass_surface(-1, 0), Line.rational([-1, 0, 1, 0], [0, 1, 0, 0])),
+                 (FERMAT, Line.rational([1, 2, 0, 3], [0, 1, 1, -1])),
+                 (FERMAT, Line.rational([1, -1, 0, 0], [0, 1, -1, 0]))]
+        for surface, line in lines:
+            del calls[:]
+            line_section(surface, line)
+            assert len(calls) == 1
+
     def test_reparametrization_stability(self):
         rng = random.Random(18)
         done = 0
@@ -606,11 +632,12 @@ class TestTangentTriple:
 
         monkeypatch.setattr(EtaleAlgebra, "split", spy)
         monkeypatch.setattr(algebra_module, "_quotient", divides_spy)
+        monkeypatch.setattr(algebra_module, "_radical", lambda f: pytest.fail("a split reran the squarefree check"))
         out = _tangent_on_components(FERMAT, PlanePencil(axis), x)
         assert splits, "expected the computation to hit a zero divisor"
-        # per split: the factor check, then one check per component reduction
-        # of the point, not one per coordinate
-        assert len(divisions) == 3 * len(splits)
+        # per split: the factor check only; the components' moduli are squarefree
+        # by construction and the point's reductions onto them need no check
+        assert len(divisions) == len(splits)
         assert evaluate(FERMAT, out).is_zero
         for tau in (0, 1, -1):
             comp_in = component_point(x, tau)
