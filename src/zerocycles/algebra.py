@@ -5,13 +5,13 @@ lists, lowest degree first, and an etale algebra is a quotient Q[t]/(f) with
 f monic and squarefree, kept as its primitive integer multiple.  Algebra
 elements are integer numerators over one reduced positive denominator.  They
 multiply by one schoolbook convolution (`_convolve`) and one fraction-free
-reduction (`EtaleAlgebra._reduced`); units and inverses come from the integer
-matrix of multiplication by the element, through the one Bareiss routine
-(`_eliminate`).  Zero-divisor factors and squarefree checks run the primitive
-pseudo-remainder sequence over Z (`_gcd`), and divisibility runs integer
-pseudo-division (`_quotient`).  `Fraction`s appear only at the boundary:
-rational scalars coming in, and coefficients for keys, JSON and messages
-going out (`rational_coeffs`).  No polynomial factorization is ever
+reduction (`EtaleAlgebra._remainder`, which geometry also runs on bare
+numerators); inverses come from the matrix of multiplication by the element,
+through the one Bareiss routine (`_eliminate`).  The unit test, zero-divisor
+factors and squarefree checks run the primitive pseudo-remainder sequence
+(`_gcd`), and divisibility runs pseudo-division (`_quotient`).  `Fraction`s
+appear only at the boundary: rational scalars coming in, and coefficients for
+keys, JSON and messages going out (`rational_coeffs`).  No factorization is ever
 performed; a reducible modulus is split lazily when some computation runs
 into a zero divisor: `ZeroDivisorFound` carries the factor, and
 `EtaleAlgebra.split` builds both components on integers, without a second
@@ -28,9 +28,7 @@ from typing import Iterable, Sequence
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
@@ -149,10 +147,10 @@ def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple:
 def _gcd(f: Sequence[int], g: Sequence[int]) -> list:
     """Primitive gcd of two integer polynomials, by the primitive pseudo-remainder
     sequence; [] when both are zero."""
-    f, g = _primitive_part(f), _primitive_part(g)
-    while g:
+    f, g = sorted((_primitive_part(f), _primitive_part(g)), key=len, reverse=True)
+    while len(g) > 1:
         f, g = g, _primitive_part(_pseudo_divmod(f, g)[1])
-    return f
+    return [1] if g else f
 
 
 def _quotient(f: Sequence[int], g: Sequence[int]):
@@ -242,25 +240,46 @@ class EtaleAlgebra:
         """f's rational coefficients, lowest degree first, for keys, JSON and messages."""
         return rational_coeffs(self.modulus, self.scale)
 
-    def _reduced(self, num: list, den: int) -> "AlgElement":
-        """The element sum(num[i] * t^i) / den, for any number of numerators."""
-        n = len(self.tail)
-        scale, tail = self.scale, self.tail
-        for k in range(len(num) - 1, n - 1, -1):
-            top = num[k]
-            if not top:
-                continue
-            if scale != 1:
-                for i in range(k):
-                    num[i] *= scale
-                den *= scale
-            base = k - n
-            for i, c in enumerate(tail):
-                if c:
+    def _remainder(self, num: Sequence[int]) -> list:
+        """scale^k * (num mod f) as n integers, k = max(len(num) - n, 0): num is scaled
+        once up front, then each of the k steps divides by scale exactly."""
+        n, scale, tail = len(self.tail), self.scale, self.tail
+        k = len(num) - n
+        if k <= 0:
+            return list(num) + [0] * -k
+        factor = scale**k
+        num = [c * factor for c in num]
+        for base in range(k - 1, -1, -1):
+            top = num.pop() // scale
+            if top:
+                for i, c in enumerate(tail):
                     num[base + i] -= top * c
-        if len(num) != n:
-            num = num[:n] + [0] * (n - len(num))
-        return AlgElement(self, num, den)
+        return num
+
+    def _reduced(self, num: Sequence[int], den: int) -> "AlgElement":
+        """The element sum(num[i] * t^i) / den, for any number of numerators."""
+        return AlgElement(self, self._remainder(num), den * self.scale ** max(len(num) - len(self.tail), 0))
+
+    def _factor(self, num: Sequence[int]) -> tuple:
+        """The one unit test: the primitive gcd of num and the modulus is (1,) iff num is
+        a unit, the modulus iff it is zero, else the factor a zero divisor splits along."""
+        return tuple(_gcd(num, self.modulus))
+
+    def _inverse(self, num: Sequence[int]):
+        """(inv, den) with sum(inv[i] * t^i) / den the inverse of the nonzero element
+        num / 1, or None for a non-unit.  Column j of the integer matrix M is num *
+        (scale*t)^j reduced, that is scale^j * (num * t^j), so M z = e0 (fraction-free,
+        by Bareiss) gives the inverse as sum(z_j * scale^j * t^j), at every degree."""
+        scale, tail, n = self.scale, self.tail, len(num)
+        cols = [list(num)]
+        for _ in range(n - 1):
+            col = cols[-1]
+            cols.append([scale * x - col[-1] * c for x, c in zip([0] + col[:-1], tail)])
+        pivots, rows = _eliminate([[c[i] for c in cols] + [int(i == 0)] for i in range(n)])
+        if pivots != list(range(n)):
+            return None
+        det = rows[0][0]  # every pivot entry, so z_j = rows[j][n] / det
+        return [row[n] * (1 if det > 0 else -1) * scale**j for j, row in enumerate(rows)], abs(det)
 
     def element(self, value) -> "AlgElement":
         """An element of this algebra, a rational, or rational coefficients lowest degree first."""
@@ -268,7 +287,7 @@ class EtaleAlgebra:
             if value.algebra != self:
                 raise ValueError("element belongs to a different algebra")
             return value
-        if isinstance(value, (int, Fraction, str)):
+        if isinstance(value, (int, Fraction)):
             return self.from_rational(value)
         coeffs = [_to_fraction(c) for c in value]
         den = lcm(*(c.denominator for c in coeffs))
@@ -335,7 +354,7 @@ class AlgElement:
     fields.  Build elements through `EtaleAlgebra.element`/`from_rational`.
     """
 
-    __slots__ = ("algebra", "num", "den", "_inv")
+    __slots__ = ("algebra", "num", "den")
 
     def __init__(self, algebra: EtaleAlgebra, num, den: int):
         if len(num) != len(algebra.tail) or den <= 0:
@@ -356,7 +375,7 @@ class AlgElement:
             if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("elements of different algebras")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.algebra.from_rational(other)
         return NotImplemented
 
@@ -367,32 +386,8 @@ class AlgElement:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def _inverse_parts(self):
-        """(num, den) of the inverse of a nonzero element, or None for a non-unit.
-        Column j of the integer matrix M is num * (scale*t)^j reduced, that is
-        den * scale^j * (self * t^j), so self is a unit iff M is nonsingular,
-        and then M z = e0 (fraction-free, by Bareiss) gives the inverse as
-        sum(z_j * den * scale^j * t^j), at every degree.  Kept in the `_inv`
-        slot, unset till then."""
-        parts = getattr(self, "_inv", False)
-        if parts is not False:
-            return parts
-        scale, tail, n = self.algebra.scale, self.algebra.tail, len(self.num)
-        cols = [list(self.num)]
-        for _ in range(n - 1):
-            col = cols[-1]
-            cols.append([scale * x - col[-1] * c for x, c in zip([0] + col[:-1], tail)])
-        pivots, rows = _eliminate([[c[i] for c in cols] + [int(i == 0)] for i in range(n)])
-        parts = None
-        if pivots == list(range(n)):
-            det = rows[0][0]  # every pivot entry, so z_j = rows[j][n] / det
-            unit = self.den if det > 0 else -self.den
-            parts = [row[n] * unit * scale**j for j, row in enumerate(rows)], abs(det)
-        object.__setattr__(self, "_inv", parts)
-        return parts
-
     def is_unit(self) -> bool:
-        return not self.is_zero and self._inverse_parts() is not None
+        return len(self.algebra._factor(self.num)) == 1
 
     def zero_divisor_factor(self) -> tuple:
         """Proper modulus divisor witnessing non-invertibility: the primitive
@@ -400,10 +395,10 @@ class AlgElement:
 
         Only meaningful for nonzero non-units.
         """
-        g = _gcd(self.num, self.algebra.modulus)
+        g = self.algebra._factor(self.num)
         if not 2 <= len(g) <= self.algebra.degree:
             raise ValueError("element is zero or a unit")
-        return tuple(g)
+        return g
 
     def inverse(self) -> "AlgElement":
         """Multiplicative inverse.
@@ -413,10 +408,10 @@ class AlgElement:
         """
         if self.is_zero:
             raise ZeroDivisionError("inverting zero in an etale algebra")
-        parts = self._inverse_parts()
+        parts = self.algebra._inverse(self.num)
         if parts is None:
             raise ZeroDivisorFound(self.algebra, self.zero_divisor_factor())
-        return AlgElement(self.algebra, *parts)
+        return AlgElement(self.algebra, [x * self.den for x in parts[0]], parts[1])
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -448,7 +443,7 @@ class AlgElement:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return AlgElement(self.algebra, [x * other.numerator for x in self.num], self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:

@@ -84,21 +84,6 @@ class TriClass:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TriClass({s: -v for s, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         """Product with the square-zero rule: overlapping subsets annihilate."""
         if type(other) is int:
@@ -124,15 +109,6 @@ class TriClass:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "TriClass(0)"
-        parts = []
-        for subset in sorted(self.coeffs, key=lambda s: (len(s), sorted(s))):
-            label = "".join(sorted(subset)) or "1"
-            parts.append(f"{self.coeffs[subset]}*{label}")
-        return "TriClass(" + " + ".join(parts) + ")"
 
     def to_json(self) -> dict:
         return {

@@ -223,7 +223,7 @@ def _cmd_chow(args) -> str:
             if (a, b) == (0, 0):
                 a = 1
             diagonal_ranks.append(chow.pencil_rank(*chow.diagonal_triple((a, b))))
-            u, v, w = (a, b), (b - 1, a + 2), (a + 1, b)
+            u, v, w = (a, b), (b - 1, a + 2), (a + 1, b) if a + 1 or b else (1, 1)
             if chow.matrix_rank([[u[0], u[1]], [v[0], v[1]]]) < 2:
                 v = (v[0] + 1, v[1] + 1)
             off_ranks.append(chow.pencil_rank(u, v, w))

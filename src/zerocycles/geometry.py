@@ -10,7 +10,9 @@ of the line's intersection triple.
 Coordinates live in an etale algebra so that points of degree up to 3 are
 first-class values.  Rational points compute on their primitive integer
 vectors and are kept as them; their algebra coordinates are built only when
-read.  Whenever a computation over a reducible algebra hits a
+read.  At a point of degree 2-3 the tangent process, membership and
+normalization run on packed numerator polynomials and build AlgElements only
+for their output.  Whenever a computation over a reducible algebra hits a
 zero divisor, `ZeroDivisorFound` escapes and the caller (see
 `tangent_triple`) splits the algebra and retries componentwise.
 
@@ -30,6 +32,7 @@ from .algebra import (
     AlgElement,
     EtaleAlgebra,
     ZeroDivisorFound,
+    _convolve,
     _radical,
     fraction_to_string,
     rational_coeffs,
@@ -100,24 +103,28 @@ _DERIVATIVES = tuple(
 )
 
 
-def _first_unit(values: Iterable):
+def _first_unit(values: Iterable, algebra: EtaleAlgebra = None):
     """The first unit among `values` as (index, value), reading them lazily.
 
     Find a unit, else split, else fail: with no unit, ZeroDivisorFound is
     raised from the first nonzero non-unit read (the mixed split case), and
     None is returned when every value vanishes, for the caller to refuse.
-    On ints and Fractions a unit is any nonzero value.
+    On ints and Fractions a unit is any nonzero value; an AlgElement, or with
+    an `algebra` a numerator polynomial over it, is one iff `_factor` is (1,).
     """
     witness = None
     for i, v in enumerate(values):
-        if not v:
-            continue
-        if not isinstance(v, AlgElement) or v.is_unit():
-            return i, v
-        if witness is None:
-            witness = v
-    if witness is not None:
-        raise ZeroDivisorFound(witness.algebra, witness.zero_divisor_factor())
+        over, num = (v.algebra, v.num) if isinstance(v, AlgElement) else (algebra, v)
+        if over is None:
+            if v:
+                return i, v
+        elif any(num):
+            factor = over._factor(num)
+            if len(factor) == 1:
+                return i, v
+            witness = witness or (over, factor)
+    if witness:
+        raise ZeroDivisorFound(*witness)
     return None
 
 
@@ -198,10 +205,7 @@ class ProjPoint:
         if self.is_rational:
             norm = ProjPoint.from_integers(self.primitive(), self.algebra)
         else:
-            _, unit = _first_unit(reversed(self.coords))  # the constructor rules out None
-            inv = unit.inverse()
-            norm = ProjPoint(self.algebra, [inv * c for c in self.coords])
-            object.__setattr__(norm, "_norm", norm)
+            norm = _point(self.algebra, _numerators(self.coords)[0])
         object.__setattr__(self, "_norm", norm)
         return norm
 
@@ -326,9 +330,6 @@ class Line:
     def rational(cls, p: Sequence, q: Sequence) -> "Line":
         return cls(ProjPoint.rational(p), ProjPoint.rational(q))
 
-    def __repr__(self):
-        return f"Line({self.p!r}, {self.q!r})"
-
     def to_json(self):
         return [self.p.to_json(), self.q.to_json()]
 
@@ -441,15 +442,6 @@ class CubicForm:
         """P, the primitive integer multiple of F, as (exponents, coefficient) pairs."""
         return self._integer_kernel()[1]
 
-    def __eq__(self, other):
-        return isinstance(other, CubicForm) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms.items()))
-
-    def __repr__(self):
-        return f"CubicForm({self.terms!r})"
-
     def to_json(self) -> dict:
         return {
             "vars": 4,
@@ -499,22 +491,32 @@ def _quadratic(q: Sequence, x0, x1, x2, x3):
 def _packed(coords: Sequence, weight: int, degree: int) -> tuple:
     """(algebra, values, den, bits), coords = values / den, to evaluate a form of the
     given degree and weight (sum of |integer coefficients|) on: integer numerators
-    on ints and Fractions (algebra None); on AlgElements, each numerator polynomial
-    over the common den packed into one int at t = 2^bits (Kronecker substitution),
-    where the form gives its unreduced value.  Each coefficient of that value sums
-    at most n^(degree-1) products of `degree` numerator coefficients per monomial
-    (n the modulus degree), so is at most weight * n^(degree-1) * M^degree for M
-    the largest |numerator coefficient|: `bits` holds that bound and a sign bit."""
+    on ints and Fractions (algebra None); on AlgElements, the `_numerators` packed
+    by `_pack`, where the form gives its unreduced value."""
     algebra = next((c.algebra for c in coords if isinstance(c, AlgElement)), None)
     if algebra is None:
         den = lcm(*(c.denominator for c in coords))
         return None, [c.numerator * (den // c.denominator) for c in coords], den, 0
-    coords = [algebra.element(c) for c in coords]
-    den = lcm(*(c.den for c in coords))
-    scales = [den // c.den for c in coords]
-    top = max(abs(x) * k for c, k in zip(coords, scales) for x in c.num)
-    bits = (weight * algebra.degree ** (degree - 1) * top**degree).bit_length() + 1
-    return algebra, [k * sum(x << (bits * j) for j, x in enumerate(c.num)) for c, k in zip(coords, scales)], den, bits
+    nums, den = _numerators([algebra.element(c) for c in coords])
+    values, bits = _pack(nums, weight, degree)
+    return algebra, values, den, bits
+
+
+def _pack(nums: Sequence, weight: int, degree: int) -> tuple:
+    """(values, bits): numerator polynomials of one length n as ints at t = 2^bits
+    (Kronecker substitution), where + and * act as on the polynomials.  A form of the
+    given degree and weight on them sums at most n^(degree-1) products per monomial in
+    a coefficient, so `bits` holds weight * n^(degree-1) * M^degree (M the largest
+    |coefficient|) and a sign bit."""
+    top = max(abs(x) for num in nums for x in num)
+    bits = (weight * len(nums[0]) ** (degree - 1) * top**degree).bit_length() + 1
+    return [sum(x << (bits * j) for j, x in enumerate(num)) for num in nums], bits
+
+
+def _reader(algebra: EtaleAlgebra, bits: int, count: int):
+    """Reads a packed value back as its `count` coefficients reduced modulo f, times
+    scale^(count - n): one factor for every value, so a vector keeps its point."""
+    return lambda value: algebra._remainder(_unpack(value, bits, count))
 
 
 def _unpack(value: int, bits: int, count: int) -> list:
@@ -522,26 +524,34 @@ def _unpack(value: int, bits: int, count: int) -> list:
     2^(bits-1) in absolute value: the coefficients of the polynomial that `_packed`
     packs into `value`.  Adding 2^(bits-1) to every digit makes them all unsigned."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    value += sum(half << (bits * j) for j in range(count))
+    value += half * ((1 << (bits * count)) - 1) // mask  # the geometric sum of half << (bits * j), j < count
     return [((value >> (bits * j)) & mask) - half for j in range(count)]
 
 
-def _kernel_coords(point: ProjPoint) -> tuple:
-    """The coordinates constructions compute with: a rational point's primitive
-    integer vector, else its algebra coordinates."""
-    return point.primitive() if point.is_rational else point.coords
+def _numerators(coords: Sequence) -> tuple:
+    """(nums, den): AlgElement coordinates as numerator polynomials over one denominator."""
+    den = lcm(*(c.den for c in coords))
+    return [[x * (den // c.den) for x in c.num] for c in coords], den
 
 
 def _on_surface(surface: CubicForm, point: ProjPoint) -> bool:
-    """Whether the point lies on the surface: F at its kernel coordinates vanishes."""
-    return not surface.value_at(_kernel_coords(point))
+    """Whether the point lies on the surface: P vanishes at its primitive vector, or mod f at its packed numerators."""
+    if point.is_rational:
+        return not surface.value_at(point.primitive())
+    algebra, values, _, bits = _packed(point.coords, surface._integer_kernel()[4][0], 3)
+    return not any(_reader(algebra, bits, 3 * algebra.degree - 2)(surface.value_at(values)))
 
 
 def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
-    """The normalized point with kernel coordinates `coords` over `algebra`."""
+    """The normalized point proportional to `coords`, a nonzero integer vector at degree
+    1, else numerator polynomials each times the inverse of the last unit one."""
     if algebra.degree == 1:
         return ProjPoint.from_integers(coords, algebra)
-    return ProjPoint(algebra, coords).normalized()
+    k, unit = _first_unit(reversed(coords), algebra)  # no caller passes the zero vector
+    inv, den = algebra._inverse(unit)
+    point = ProjPoint(algebra, [algebra._reduced(_convolve(c, inv), den) for c in coords])
+    object.__setattr__(point, "_norm", point)
+    return point
 
 
 def restrict(value, p, q) -> tuple:
@@ -570,12 +580,31 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
         raise ValueError("points over different algebras")
     if not _on_surface(surface, x) or not _on_surface(surface, y):
         raise PointNotOnSurface("secant endpoints must lie on the surface")
-    xs, ys = _kernel_coords(x), _kernel_coords(y)
+    xs, ys = ((p.primitive() if p.is_rational else p.coords) for p in (x, y))
     _check_spanning(xs, ys)
     _, c1, c2, _ = restrict(surface.value_at, xs, ys)
     if not c1 and not c2:
         raise LineInSurface("the secant is contained in the surface")
-    return _point(x.algebra, tuple(c2 * a - c1 * b for a, b in zip(xs, ys)))
+    coords = [c2 * a - c1 * b for a, b in zip(xs, ys)]
+    return _point(x.algebra, coords if x.is_rational else _numerators(coords)[0])
+
+
+def _plucker(pencil: PlanePencil) -> tuple:
+    """The integer 2x2 minors of the axis' primitive vectors, in `_PAIRS` order."""
+    a, b = pencil.axis.p.primitive(), pencil.axis.q.primitive()
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
+
+
+def _plane(plucker: tuple, xs: Sequence, units=_first_unit) -> tuple:
+    """The plane with Plucker coordinates `plucker` through the point with coordinates
+    xs, once the unit scan `units` finds a coefficient; else x lies on the axis."""
+    p01, p02, p03, p12, p13, p23 = plucker
+    x0, x1, x2, x3 = xs
+    n = (x1 * p23 - x2 * p13 + x3 * p12, x2 * p03 - x0 * p23 - x3 * p02,
+         x0 * p13 - x1 * p03 + x3 * p01, x1 * p02 - x0 * p12 - x2 * p01)
+    if units(reversed(n)) is None:
+        raise PointOnAxis("point lies on the pencil axis")
+    return n
 
 
 def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
@@ -584,17 +613,16 @@ def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
     Computed as the signed 3x3 minors of the rows (axis basepoints, x), each
     expanded along x: the rational axis gives the integer 2x2 minors (its
     Plucker coordinates) of its primitive vectors, and x gives integers when
-    rational and algebra elements otherwise.  All minors vanishing means x
-    lies on the axis.
+    rational, packed `_numerators` otherwise, read back once each.  All
+    minors vanishing means x lies on the axis.
     """
-    a, b = pencil.axis.p.primitive(), pencil.axis.q.primitive()
-    p01, p02, p03, p12, p13, p23 = (a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
-    x0, x1, x2, x3 = _kernel_coords(x)
-    n = (x1 * p23 - x2 * p13 + x3 * p12, x2 * p03 - x0 * p23 - x3 * p02,
-         x0 * p13 - x1 * p03 + x3 * p01, x1 * p02 - x0 * p12 - x2 * p01)
-    if _first_unit(reversed(n)) is None:
-        raise PointOnAxis("point lies on the pencil axis")
-    return n
+    plucker = _plucker(pencil)
+    if x.is_rational:
+        return _plane(plucker, x.primitive())
+    algebra, values, den, bits = _packed(x.coords, 3 * max(map(abs, plucker)), 1)
+    read = _reader(algebra, bits, algebra.degree)
+    n = _plane(plucker, values, lambda plane: _first_unit(map(read, plane), algebra))
+    return tuple(AlgElement(algebra, read(v), den) for v in n)
 
 
 def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> ProjPoint:
@@ -604,17 +632,26 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     section E = S ∩ (plane of the pencil through x).  The tangent line meets
     S doubly at x; the output is the remaining intersection point, which on
     an elliptic section realizes multiplication by -2.  Rational points run
-    on their primitive integer vectors.
+    on their primitive integer vectors, algebra points on packed `_numerators`
+    wide enough for every coefficient up to the tangent direction, read back
+    modulo f only where a zero or unit test needs a value.
     """
-    if not _on_surface(surface, x):
+    algebra, plucker, read, units = x.algebra, _plucker(pencil), (lambda v: v), _first_unit
+    xs = nums = x.primitive() if x.is_rational else _numerators(x.coords)[0]
+    if algebra.degree > 1:
+        w0, w1 = surface._integer_kernel()[4]
+        xs, bits = _pack(nums, 6 * max(w0, w1 * max(map(abs, plucker))), 3)
+        read = _reader(algebra, bits, 3 * algebra.degree - 2)
+        units = lambda values: _first_unit(map(read, values), algebra)  # noqa: E731
+    value = read(surface.value_at(xs))
+    if any(value) if algebra.degree > 1 else value:
         raise PointNotOnSurface("tangent process needs a surface point")
-    n = fiber_plane(pencil, x)
-    xs = _kernel_coords(x)
+    n = _plane(plucker, xs, units)
     grad = surface.gradient_at(xs)
 
     # Tangent direction: the plane form and the gradient cut out a rank-2
     # system whose kernel is spanned by x and the tangent direction.
-    pivot = _first_unit(_det2(n[i], n[j], grad[i], grad[j]) for i, j in _PAIRS)
+    pivot = units(_det2(n[i], n[j], grad[i], grad[j]) for i, j in _PAIRS)
     if pivot is None:
         raise SingularSectionPoint("gradient is proportional to the plane normal")
     index, minor = pivot
@@ -622,21 +659,22 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     k, l = (c for c in range(4) if c not in (i, j))
     # With x_l a unit, the kernel vector with v_k != 0, v_l = 0 spans the
     # kernel together with x; else try x_k with k and l swapped.
-    free = _first_unit((xs[l], xs[k]))
+    free = units((xs[l], xs[k]))
     if free is None:  # x is supported on the pivot coordinates only, so x = 0: impossible
         raise InvariantViolated("point outside the kernel it must lie in")
     k = (k, l)[free[0]]
     # Solve [n_i n_j; g_i g_j] (v_i, v_j) = -v_k (n_k, g_k) with v_k = minor,
     # so Cramer's rule needs no division.
     direction = [minor * 0] * 4
-    direction[i] = n[j] * grad[k] - n[k] * grad[j]
-    direction[j] = n[k] * grad[i] - n[i] * grad[k]
+    direction[i] = read(n[j] * grad[k] - n[k] * grad[j])
+    direction[j] = read(n[k] * grad[i] - n[i] * grad[k])
     direction[k] = minor
 
-    residual = _tangent_line_residual(surface, xs, direction)
+    residual = (_tangent_line_residual(surface, xs, direction) if algebra.degree == 1
+                else _packed_line_residual(surface, algebra, nums, direction))
     if residual is None:
         raise TangentLineInSurface("tangent line is contained in the surface")
-    return _point(x.algebra, residual)
+    return _point(algebra, residual)
 
 
 def _tangent_line_residual(surface: CubicForm, xs: Sequence, direction: Sequence):
@@ -647,6 +685,17 @@ def _tangent_line_residual(surface: CubicForm, xs: Sequence, direction: Sequence
     check_invariant(not c0 and not c1, "tangency must force a double root")
     residual = tuple(c3 * a - c2 * b for a, b in zip(xs, direction))
     return residual if any(residual) else None
+
+
+def _packed_line_residual(surface: CubicForm, algebra: EtaleAlgebra, xs: Sequence, direction: Sequence):
+    """`_tangent_line_residual` on numerator polynomials, packed wide enough for c3*x -
+    c2*v (each coefficient <= 20 * weight * n^3 * M^4) and read back modulo f."""
+    values, bits = _pack([*xs, *direction], 20 * surface._integer_kernel()[4][0], 4)
+    read = _reader(algebra, bits, 4 * algebra.degree - 3)
+    c0, c1, c2, c3 = restrict(surface.value_at, values[:4], values[4:])
+    check_invariant(not any(read(c0)) and not any(read(c1)), "tangency must force a double root")
+    residual = [read(c3 * a - c2 * b) for a, b in zip(values, values[4:])]
+    return residual if any(map(any, residual)) else None
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,20 @@ class TestEtaleAlgebra:
         assert Fraction(1, 2) * (t + t) == t
         assert (t - t).is_zero
 
+    def test_bools_are_not_rationals(self, quad):
+        # bool is an int subclass, but the kernel reads no bool as 0 or 1
+        with pytest.raises(TypeError, match="True"):
+            EtaleAlgebra((0, True))
+        with pytest.raises(TypeError, match="True"):
+            quad.element((True, False))
+        with pytest.raises(TypeError):
+            quad.one * True
+        with pytest.raises(TypeError):
+            False * quad.generator
+        with pytest.raises(TypeError):
+            quad.one + True
+        assert quad.one != True  # noqa: E712
+
     def test_element_serialization(self, cubic):
         a = cubic.element(P(Fraction(1, 3), 2))
         obj = element_json(a)

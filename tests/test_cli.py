@@ -149,6 +149,16 @@ class TestChow:
         assert payload["diagonal_rank_counts"] == {"2": 25}
         assert payload["off_diagonal_rank_counts"] == {"3": 25}
 
+    def test_pencil_takes_every_sample_it_draws(self, capsys):
+        # (a, b) = (-1, 0) makes the third plane parameter (a + 1, b) zero; it is
+        # patched as the second one is, so no seed refuses its own samples
+        for seed in range(10):
+            code, out = run_cli(capsys, "chow", "pencil", "--samples", "1000", "--seed", str(seed))
+            assert code == 0, out
+            payload = json.loads(out)
+            assert sum(payload["diagonal_rank_counts"].values()) == 1000
+            assert sum(payload["off_diagonal_rank_counts"].values()) == 1000
+
 
 class TestDescent:
     def test_certify_verify_roundtrip(self, capsys, tmp_path):

@@ -623,6 +623,35 @@ class TestThresholds:
         assert cert.initial.unknown_degree == 25
         assert cert.final.total_degree(CUBIC) == 25
 
+    def test_entry_certificate_round_trips_through_descent_verify(self, tmp_path, capsys):
+        # the EntryRR move serializes its gamma, and the CLI verifier accepts it
+        from zerocycles.cli import run
+
+        cert = entry_certificate(CUBIC, 25, 2, GOALS["cubic-pos"])
+        payload = json.loads(json.dumps(cert.to_json()))
+        assert payload["moves"][0]["gamma"] == 2
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(payload))
+        assert run(["descent", "verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert Certificate.from_json(payload).moves == cert.moves
+
+    def test_verifier_rejects_a_rule_that_breaks_degree_conservation(self, monkeypatch):
+        # a mutant rule that names a class one degree heavier than it adds keeps
+        # every witness, so only the conservation check can catch it
+        cert = find_certificate(CUBIC, 30, GOALS["cubic-pos"])
+        assert verify_certificate(cert).ok
+        original = descent._rule
+
+        def heavier(*args):
+            flips, combo, c, witness = original(*args)
+            return flips, combo, c + 1, witness
+
+        monkeypatch.setattr(descent, "_rule", heavier)
+        report = verify_certificate(cert)
+        assert not report.ok
+        assert report.failure.startswith("move 0: degree conservation broken")
+
     def test_cubic_threshold_18(self):
         report = effectivity_threshold_report(CUBIC, 18, ceiling=80)
         assert report["all_effective"]

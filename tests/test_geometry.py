@@ -804,6 +804,12 @@ class TestNormalization:
             last = next(q for q in reversed(fractions) if q)
             assert ProjPoint.rational(fractions).to_json() == [fraction_to_string(q / last) for q in fractions]
 
+    def test_rational_points_refuse_bools(self):
+        with pytest.raises(TypeError, match="True"):
+            ProjPoint.rational([True, -1, 0, 0])
+        with pytest.raises(TypeError, match="False"):
+            ProjPoint.rational([1, -1, 0, False])
+
     def test_json_roundtrip(self):
         pt = ProjPoint.rational([2, -4, 6, 0])
         assert point_from_json(pt.to_json()) == pt
