@@ -1,26 +1,29 @@
 """Exact rational, polynomial and etale-algebra arithmetic.
 
-Everything is immutable and exact.  Polynomials are integer coefficient
-lists, lowest degree first, and an etale algebra is a quotient Q[t]/(f) with
-f monic and squarefree, kept as its primitive integer multiple.  Algebra
-elements are integer numerators over one reduced positive denominator.  They
-multiply by one schoolbook convolution (`_convolve`) and one fraction-free
-reduction (`EtaleAlgebra._remainder`, which geometry also runs on bare
-numerators); inverses come from the matrix of multiplication by the element,
-through the one Bareiss routine (`_eliminate`).  The unit test, zero-divisor
-factors and squarefree checks run the primitive pseudo-remainder sequence
-(`_gcd`), and divisibility runs pseudo-division (`_quotient`).  `Fraction`s
-appear only at the boundary: rational scalars coming in, and coefficients for
-keys, JSON and messages going out (`rational_coeffs`).  No factorization is ever
-performed; a reducible modulus is split lazily when some computation runs
-into a zero divisor: `ZeroDivisorFound` carries the factor, and
-`EtaleAlgebra.split` builds both components on integers, without a second
-squarefree check, and returns their CRT recombination.
+Everything is immutable and exact.  Polynomials are integer coefficient lists,
+lowest degree first, and an etale algebra is a quotient Q[t]/(f) with f monic
+and squarefree, kept as its primitive integer multiple.  Algebra elements are
+integer numerators over one reduced positive denominator.  They multiply by
+one schoolbook convolution (`_convolve`) and one fraction-free reduction
+(`EtaleAlgebra._remainder`, which geometry also runs on bare numerators);
+inverses come from the matrix of multiplication by the element, through the
+one Bareiss routine (`_eliminate`), and for an element of degree <= 1 from one
+synthetic division of the modulus.  The unit test, zero-divisor factors and
+squarefree checks run the primitive pseudo-remainder sequence (`_gcd`), and
+divisibility runs pseudo-division (`_quotient`).  `Fraction`s appear only at
+the boundary: rational scalars coming in, and coefficients for keys and
+messages going out (`rational_coeffs`); JSON text is printed off integer
+numerators (`_texts`).  No factorization is ever performed; a reducible
+modulus is split lazily when some computation runs into a zero divisor:
+`ZeroDivisorFound` carries the factor, and `EtaleAlgebra.split` builds both
+components on integers, without a second squarefree check, and returns their
+CRT recombination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -90,11 +93,22 @@ def fraction_to_string(q: Fraction) -> str:
 
 def rational_coeffs(num: Sequence[int], den: int) -> tuple:
     """The Fractions num[i] / den, trailing zeros stripped: the exact form in which
-    a polynomial leaves the integer kernel (keys, JSON, messages)."""
-    out = [Fraction(x, den) for x in num]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    a polynomial leaves the integer kernel for keys and messages."""
+    return tuple(Fraction(x, den) for x in _trim(num))
+
+
+def _texts(values: Sequence[int], den: int) -> list:
+    """The canonical strings of the rationals v / den, den nonzero, by one gcd each and no Fraction."""
+    gcds = [gcd(v, den) if den > 0 else -gcd(v, den) for v in values]
+    return [str(v // g) if g == den else f"{v // g}/{den // g}" for v, g in zip(values, gcds)]
+
+
+def _trim(num: Sequence[int]) -> Sequence[int]:
+    """num without its trailing zeros."""
+    end = len(num)
+    while end and not num[end - 1]:
+        end -= 1
+    return num[:end]
 
 
 def _poly_text(coeffs: Sequence) -> str:
@@ -118,9 +132,7 @@ def _poly_text(coeffs: Sequence) -> str:
 def _primitive_part(f: Sequence[int]) -> list:
     """f over the gcd of its coefficients, trailing zeros stripped and the leading
     coefficient positive; [] for the zero polynomial."""
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
+    f = list(_trim(f))
     g = gcd(*f)
     if f and f[-1] < 0:
         g = -g
@@ -162,13 +174,18 @@ def _quotient(f: Sequence[int], g: Sequence[int]):
 
 def _radical(f: Sequence[int]) -> list:
     """The squarefree part of a nonzero integer polynomial f without trailing
-    zeros, primitive: the product of f's distinct irreducible factors, f / gcd(f, f')."""
+    zeros, primitive: the product of f's distinct irreducible factors, f / gcd(f, f').
+    A cubic with a nonzero discriminant is squarefree, and is its own radical."""
+    if len(f) == 4:
+        d, c, b, a = f
+        if b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d:
+            return _primitive_part(f)
     common = _gcd(f, [k * c for k, c in enumerate(f)][1:])
     return _primitive_part(_pseudo_divmod(f, common)[0])
 
 
 class ZeroDivisorFound(ArithmeticError):
-    """A nonzero, non-invertible element turned up over Q[t]/(f).
+    """A nonzero, non-invertible element turned up over `algebra` = Q[t]/(f).
 
     `factor` is a proper divisor of the modulus as a primitive integer
     coefficient tuple, lowest degree first, so the caller can split the
@@ -176,10 +193,11 @@ class ZeroDivisorFound(ArithmeticError):
     retry componentwise.
     """
 
-    def __init__(self, algebra: "EtaleAlgebra", factor: tuple):
-        super().__init__(f"zero divisor over {algebra}: factor {_poly_text(rational_coeffs(factor, factor[-1]))}")
-        self.algebra = algebra
-        self.factor = factor
+    algebra = property(lambda self: self.args[0])
+    factor = property(lambda self: self.args[1])
+
+    def __str__(self):  # formatted when read, which only the CLI boundary does
+        return f"zero divisor over {self.algebra}: factor {_poly_text(rational_coeffs(self.factor, self.factor[-1]))}"
 
 
 class EtaleAlgebra:
@@ -200,9 +218,7 @@ class EtaleAlgebra:
     __slots__ = ("scale", "tail")
 
     def __init__(self, coeffs: Iterable):
-        f = [_to_fraction(c) for c in coeffs]
-        while f and not f[-1]:
-            f.pop()
+        f = _trim([_to_fraction(c) for c in coeffs])
         if len(f) < 2:
             raise ValueError("modulus must have degree >= 1")
         if f[-1] != 1:
@@ -262,15 +278,26 @@ class EtaleAlgebra:
 
     def _factor(self, num: Sequence[int]) -> tuple:
         """The one unit test: the primitive gcd of num and the modulus is (1,) iff num is
-        a unit, the modulus iff it is zero, else the factor a zero divisor splits along."""
+        a unit, the modulus iff it is zero, else the factor a zero divisor splits along.
+        A nonzero num of degree <= 1 is tested by `_inverse`'s synthetic division."""
+        if any(num[:2]) and not any(num[2:]):
+            return (1,) if self._inverse(num) else tuple(_primitive_part(num))
         return tuple(_gcd(num, self.modulus))
 
     def _inverse(self, num: Sequence[int]):
         """(inv, den) with sum(inv[i] * t^i) / den the inverse of the nonzero element
-        num / 1, or None for a non-unit.  Column j of the integer matrix M is num *
-        (scale*t)^j reduced, that is scale^j * (num * t^j), so M z = e0 (fraction-free,
-        by Bareiss) gives the inverse as sum(z_j * scale^j * t^j), at every degree."""
+        num / 1, or None for a non-unit.  At num = a + b*t, one synthetic division gives
+        b^n * f = q * num + r over the integers (n = deg f): r = b^n * f(-a/b) is nonzero
+        iff num is a unit, whose inverse is -q / r.  Else column j of the integer matrix M
+        is num * (scale*t)^j reduced, that is scale^j * (num * t^j), so M z = e0 (Bareiss)
+        gives the inverse as sum(z_j * scale^j * t^j), at every degree."""
         scale, tail, n = self.scale, self.tail, len(num)
+        if not any(num[2:]):
+            a, b, r, quot = num[0], num[1] if n > 1 else 0, scale, []
+            for j in range(n - 1, -1, -1):  # r runs through sum(f_i * (-a)^(i-j) * b^(n-i), i >= j)
+                quot.insert(0, -r * b**j)  # and q_j is its value one step earlier times b^j
+                r = tail[j] * b ** (n - j) - a * r
+            return ([x if r > 0 else -x for x in quot], abs(r)) if r else None
         cols = [list(num)]
         for _ in range(n - 1):
             col = cols[-1]
@@ -326,12 +353,15 @@ class EtaleAlgebra:
         sub_a, sub_b = EtaleAlgebra._of(g), EtaleAlgebra._of(h)
         g_inv = sub_b._reduced(list(g), 1).inverse()
         e = self._reduced(_convolve(g, g_inv.num), g_inv.den)
+        rest = [e.den - e.num[0], *(-x for x in e.num[1:])]  # d - E for e = E / d
 
         def combine(a: AlgElement, b: AlgElement) -> AlgElement:
+            # a + e*(b - a) = ((d - E)*beta*A + E*alpha*B) / (d*alpha*beta), a = A/alpha, b = B/beta
             if a.algebra != sub_a or b.algebra != sub_b:
                 raise ValueError("elements do not live over the split's components")
-            x = self._reduced(list(a.num), a.den)
-            return x + e * (self._reduced(list(b.num), b.den) - x)
+            x = _convolve(rest, [v * b.den for v in a.num])
+            y = _convolve(e.num, [v * a.den for v in b.num])
+            return self._reduced([p + q for p, q in zip_longest(x, y, fillvalue=0)], e.den * a.den * b.den)
 
         return sub_a, sub_b, combine
 

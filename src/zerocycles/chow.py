@@ -267,21 +267,10 @@ def pencil_condition_solve(lines=STANDARD_LINES) -> dict:
     }
 
 
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _mat_vec(m, v) -> list:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def _mat_inv(m):
-    n = len(m)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots, reduced = _eliminate([list(row) + e for row, e in zip(m, identity)])
+def _solve(a, b) -> list:
+    """a^-1 * b as Fractions, for a square matrix a, by one elimination of [a | b]."""
+    n = len(a)
+    pivots, reduced = _eliminate([list(row) + list(rhs) for row, rhs in zip(a, b)])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [[Fraction(v, row[i]) for v in row[n:]] for i, row in enumerate(reduced)]
@@ -304,16 +293,18 @@ def standardize_skew_lines(lines) -> list:
     basis = [
         [pts[1][0][r], pts[1][1][r], pts[0][0][r], pts[0][1][r]] for r in range(4)
     ]
-    t0 = _mat_inv(basis)
-    r_new, s_new = (_mat_vec(t0, p) for p in pts[2])
+    # t0 = basis^-1, solved together with the third line's coordinates in the basis
+    t0 = _solve(basis, [[int(r == c) for c in range(4)] + [p[r] for p in pts[2]] for r in range(4)])
+    r_new, s_new = ([row[k] for row in t0] for k in (4, 5))
     # Re-spanned so its lower half is the identity, the third line has upper
     # half A = top * bottom^-1; both halves are invertible because it meets
     # neither other line, and diag(A^-1, I) straightens it onto the diagonal
     # while preserving the first two.
     top = [[r_new[0], s_new[0]], [r_new[1], s_new[1]]]
     bottom = [[r_new[2], s_new[2]], [r_new[3], s_new[3]]]
-    transform = _mat_mul(_mat_mul(bottom, _mat_inv(top)), t0[:2]) + t0[2:]
+    upper = _solve(top, [row[:4] for row in t0[:2]])  # bottom * top^-1 * t0[:2], its rows
+    transform = [[b0 * u + b1 * v for u, v in zip(*upper)] for b0, b1 in bottom] + [row[:4] for row in t0[2:]]
     for line, standard in zip(pts, STANDARD_LINES):
-        if not _span_matches([_mat_vec(transform, p) for p in line], standard):
+        if not _span_matches([[sum(a * b for a, b in zip(row, p)) for row in transform] for p in line], standard):
             raise AssertionError("standardization failed to reach the normal form")
     return transform

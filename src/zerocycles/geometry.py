@@ -34,6 +34,8 @@ from .algebra import (
     ZeroDivisorFound,
     _convolve,
     _radical,
+    _texts,
+    _trim,
     fraction_to_string,
     rational_coeffs,
 )
@@ -129,8 +131,8 @@ def _first_unit(values: Iterable, algebra: EtaleAlgebra = None):
 
 
 def _primitive(values: Sequence) -> tuple:
-    """The primitive integer vector proportional to a nonzero vector of ints
-    or Fractions, with its first nonzero entry positive."""
+    """The primitive integer vector proportional to a nonzero vector of ints or
+    Fractions, first nonzero entry positive; such an int vector comes back as it is."""
     if not all(type(v) is int for v in values):
         den = lcm(*(v.denominator for v in values))
         values = [v.numerator * (den // v.denominator) for v in values]
@@ -139,7 +141,7 @@ def _primitive(values: Sequence) -> tuple:
         raise ValueError("all coordinates are zero")
     if next(v for v in values if v) < 0:
         g = -g
-    return tuple(v // g for v in values)
+    return tuple(values) if g == 1 else tuple(v // g for v in values)
 
 
 class ProjPoint:
@@ -148,13 +150,15 @@ class ProjPoint:
     Comparison and serialization normalize by scaling the last unit
     coordinate to 1; a point over a reducible algebra may have no unit
     coordinate at all, in which case normalization raises ZeroDivisorFound
-    and equality falls back to raw representatives.  A rational point also
-    caches its primitive integer vector, on which the integer kernel runs;
-    a point built by `from_integers` keeps only that vector, and builds its
-    algebra coordinates on first use of `coords`.
+    and equality falls back to raw representatives.  A point also holds the
+    integers its kernel runs on: a rational point caches its primitive vector,
+    and a point of degree >= 2 keeps its coordinates' numerator polynomials of
+    length deg f over one denominator, `_nums` = (nums, den), as `_numerators`
+    gives them.  A point built by `from_integers`, `line_section` or
+    normalization keeps only those, and builds `coords` on first use.
     """
 
-    __slots__ = ("algebra", "_coords", "_norm", "_ints", "_key")
+    __slots__ = ("algebra", "_coords", "_norm", "_ints", "_nums", "_key")
 
     def __init__(self, algebra: EtaleAlgebra, coords: Iterable):
         coords = tuple(algebra.element(c) for c in coords)
@@ -166,6 +170,7 @@ class ProjPoint:
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_nums", _numerators(coords) if algebra.degree > 1 else None)
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -179,19 +184,31 @@ class ProjPoint:
     def from_integers(cls, values: Sequence, algebra: EtaleAlgebra = RATIONALS) -> "ProjPoint":
         """The normalized point of a nonzero vector of ints (or Fractions) over a
         degree-1 algebra, kept as its primitive integer vector only; it is its own `_norm`."""
-        point = object.__new__(cls)  # nonzero, with exact coordinates: nothing to check
+        return cls._kept(algebra, _primitive(values), True)
+
+    @classmethod
+    def _kept(cls, algebra: EtaleAlgebra, ints, normalized: bool = False) -> "ProjPoint":
+        """The point kept as its integers only, unchecked: a primitive vector at degree 1,
+        else (nums, den) as `_numerators` gives them (put in lowest terms here)."""
+        rational = algebra.degree == 1
+        if not rational and (g := gcd(ints[1], *itertools.chain(*ints[0]))) > 1:
+            ints = [[x // g for x in num] for num in ints[0]], ints[1] // g
+        point = object.__new__(cls)
         object.__setattr__(point, "algebra", algebra)
         object.__setattr__(point, "_coords", None)
-        object.__setattr__(point, "_norm", point)
-        object.__setattr__(point, "_ints", _primitive(values))
+        object.__setattr__(point, "_norm", point if normalized else None)
+        object.__setattr__(point, "_ints", ints if rational else None)
+        object.__setattr__(point, "_nums", None if rational else ints)
         object.__setattr__(point, "_key", None)
         return point
 
     @property
     def coords(self) -> tuple:
-        """The four algebra coordinates, built on first use for a `from_integers` point."""
+        """The four algebra coordinates, built on first use for a point kept as its integers."""
         if self._coords is None:
-            object.__setattr__(self, "_coords", tuple(map(self.algebra.from_rational, self.rational_coords())))
+            coords = (map(self.algebra.from_rational, self.rational_coords()) if self.is_rational
+                      else (AlgElement(self.algebra, num, self._nums[1]) for num in self._nums[0]))
+            object.__setattr__(self, "_coords", tuple(coords))
         return self._coords
 
     @property
@@ -202,10 +219,7 @@ class ProjPoint:
         """Scale the last unit coordinate to 1 (deterministic representative)."""
         if self._norm is not None:
             return self._norm
-        if self.is_rational:
-            norm = ProjPoint.from_integers(self.primitive(), self.algebra)
-        else:
-            norm = _point(self.algebra, _numerators(self.coords)[0])
+        norm = _point(self.algebra, self.primitive() if self.is_rational else self._nums[0])
         object.__setattr__(self, "_norm", norm)
         return norm
 
@@ -226,17 +240,18 @@ class ProjPoint:
                     pt = self.normalized()
                 except ZeroDivisorFound:
                     pt = self
-                coords = tuple(rational_coeffs(c.num, c.den) for c in pt.coords)
+                nums, den = pt._nums
+                coords = tuple(rational_coeffs(num, den) for num in nums)
             object.__setattr__(self, "_key", (self.algebra.coefficients, coords))
         return self._key
 
     def rational_coords(self) -> tuple:
         """Coordinates as Fractions; requires a degree-1 algebra.  A `from_integers`
         point reads them off its primitive vector, over its last nonzero entry."""
-        if self._coords is None:
+        if self._coords is None and self.is_rational:
             last = next(v for v in reversed(self._ints) if v)
             return tuple(Fraction(v, last) for v in self._ints)
-        return tuple(c.constant_value() for c in self._coords)
+        return tuple(c.constant_value() for c in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -252,19 +267,15 @@ class ProjPoint:
         return f"ProjPoint({list(self.coords)!r})"
 
     def to_json(self):
-        if self.is_rational:  # v / last off the primitive vector, printed as by fraction_to_string
+        if self.is_rational:  # v / last off the primitive vector, then the normalized numerators
             ints = self.primitive()
-            last = next(v for v in reversed(ints) if v)
-            gcds = [gcd(v, last) if last > 0 else -gcd(v, last) for v in ints]
-            return [str(v // g) if g == last else f"{v // g}/{last // g}" for v, g in zip(ints, gcds)]
+            return _texts(ints, next(v for v in reversed(ints) if v))
         try:
             pt = self.normalized()
         except ZeroDivisorFound:
             pt = self
-        return {
-            "modulus": [fraction_to_string(q) for q in self.algebra.coefficients],
-            "coords": [[fraction_to_string(q) for q in rational_coeffs(c.num, c.den)] for c in pt.coords],
-        }
+        (nums, den), algebra = pt._nums, self.algebra
+        return {"modulus": _texts(algebra.modulus, algebra.scale), "coords": [_texts(_trim(num), den) for num in nums]}
 
 
 def _json_list(obj, what: str) -> list:
@@ -535,11 +546,11 @@ def _numerators(coords: Sequence) -> tuple:
 
 
 def _on_surface(surface: CubicForm, point: ProjPoint) -> bool:
-    """Whether the point lies on the surface: P vanishes at its primitive vector, or mod f at its packed numerators."""
+    """Whether the point lies on the surface: P vanishes at its primitive vector, or mod f at its numerators."""
     if point.is_rational:
         return not surface.value_at(point.primitive())
-    algebra, values, _, bits = _packed(point.coords, surface._integer_kernel()[4][0], 3)
-    return not any(_reader(algebra, bits, 3 * algebra.degree - 2)(surface.value_at(values)))
+    values, bits = _pack(point._nums[0], surface._integer_kernel()[4][0], 3)
+    return not any(_reader(point.algebra, bits, 3 * point.algebra.degree - 2)(surface.value_at(values)))
 
 
 def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
@@ -547,11 +558,12 @@ def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
     1, else numerator polynomials each times the inverse of the last unit one."""
     if algebra.degree == 1:
         return ProjPoint.from_integers(coords, algebra)
-    k, unit = _first_unit(reversed(coords), algebra)  # no caller passes the zero vector
+    _, unit = _first_unit(reversed(coords), algebra)  # no caller passes the zero vector
     inv, den = algebra._inverse(unit)
-    point = ProjPoint(algebra, [algebra._reduced(_convolve(c, inv), den) for c in coords])
-    object.__setattr__(point, "_norm", point)
-    return point
+    products = [_convolve(_trim(c), _trim(inv)) for c in coords]
+    top = max(map(len, products))  # padded to one length, the remainders share one factor
+    nums = [algebra._remainder(c + [0] * (top - len(c))) for c in products]
+    return ProjPoint._kept(algebra, (nums, den * algebra.scale ** max(top - algebra.degree, 0)), True)
 
 
 def restrict(value, p, q) -> tuple:
@@ -637,7 +649,7 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     modulo f only where a zero or unit test needs a value.
     """
     algebra, plucker, read, units = x.algebra, _plucker(pencil), (lambda v: v), _first_unit
-    xs = nums = x.primitive() if x.is_rational else _numerators(x.coords)[0]
+    xs = nums = x.primitive() if x.is_rational else x._nums[0]
     if algebra.degree > 1:
         w0, w1 = surface._integer_kernel()[4]
         xs, bits = _pack(nums, 6 * max(w0, w1 * max(map(abs, plucker))), 3)
@@ -736,10 +748,10 @@ class LengthThreeScheme:
 
 def _chart(point: ProjPoint) -> tuple:
     """(P, num, den): the rational point's raw coordinates are (num / den) * P for its
-    primitive vector P, read off P's first nonzero entry, which is positive."""
+    primitive vector P, read off the coordinate at P's first nonzero entry (positive)."""
     prim = point.primitive()
-    x, v = next((x, v) for x, v in zip(point.rational_coords(), prim) if v)
-    return prim, x.numerator, x.denominator * v
+    x, v = next((x, v) for x, v in zip(point.coords, prim) if v)
+    return prim, x.num[0], x.den * v
 
 
 def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
@@ -806,8 +818,9 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     params.sort()
 
     algebra = EtaleAlgebra._of(reduced)
-    coords = [algebra._reduced([u * x, y], pd * qd) for x, y in zip(P, second)]
-    point = ProjPoint(algebra, coords)
+    nums = [[u * x, y] + [0] * (algebra.degree - 2) for x, y in zip(P, second)]
+    point = (ProjPoint._kept(algebra, (nums, pd * qd)) if algebra.degree > 1  # at degree 1, keep the raw coordinates
+             else ProjPoint(algebra, [algebra._reduced(num, pd * qd) for num in nums]))
     check_invariant(_on_surface(surface, point), "the line section must lie on the surface")
     return LengthThreeScheme(
         algebra=algebra,
@@ -824,7 +837,7 @@ def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjP
         return tangent_residual(surface, pencil, point)
     except ZeroDivisorFound as zd:
         sub_a, sub_b, combine = point.algebra.split(zd.factor)
-        parts = (ProjPoint(sub, [sub._reduced(list(c.num), c.den) for c in point.coords]) for sub in (sub_a, sub_b))
+        parts = (ProjPoint(sub, [sub._reduced(num, 1) for num in point._nums[0]]) for sub in (sub_a, sub_b))
         a, b = (_tangent_on_components(surface, pencil, part) for part in parts)
         return ProjPoint(point.algebra, [combine(x, y) for x, y in zip(a.coords, b.coords)])
 

@@ -392,21 +392,29 @@ def test_unit_matrix_is_singular_iff_the_gcd_is_nontrivial():
 
 
 def test_crt_idempotent_matches_bezout_formula():
-    # the old recombination: a + g * ((u * (b - a)) mod h), u = g^-1 mod h
+    # the Bezout recombination a + g * ((u * (b - a)) mod h), u = g^-1 mod h, and
+    # the element formula x + e * (y - x) that combine ran before it worked on
+    # integer numerators over one denominator (x, y the lifts, e = g * u mod f)
     rng = random.Random(9)
+    scaled = 0
     for _ in range(150):
         alg, g, h = split_algebra(rng)
+        scaled += alg.scale != 1
         sub_a, sub_b, combine = alg.split(primitive(g))
         u = poly_xgcd(g, h)[1]
+        e = alg.element((g * u).coeffs)
         for _ in range(3):
             a = sub_a.element(random_poly(rng, 3))
             b = sub_b.element(random_poly(rng, 3))
             got = combine(a, b)
             assert_normalized(got)
             assert rep_of(got) == g * ((u * (rep_of(b) - rep_of(a))) % h) + rep_of(a)
+            x, y = alg._reduced(list(a.num), a.den), alg._reduced(list(b.num), b.den)
+            assert got == x + e * (y - x)
             assert sub_a._reduced(list(got.num), got.den) == a and sub_b._reduced(list(got.num), got.den) == b
         with pytest.raises(ValueError):
             combine(b, a)
+    assert scaled >= 50
 
 
 def test_form_on_algebra_points_matches_monomial_expansion():

@@ -23,7 +23,10 @@ from zerocycles.chow import (
     segre_s2,
     standardize_skew_lines,
 )
-from zerocycles.chow import _mat_inv
+from zerocycles.chow import _solve
+
+#: The n x n identity matrices, n < 6, as the right-hand side that makes `_solve` an inverse.
+IDENTITY = {n: [[int(i == j) for j in range(n)] for i in range(n)] for n in range(6)}
 
 
 class TestTriClass:
@@ -250,19 +253,26 @@ class TestElimination:
                 continue
             if reference.rank() < rows:
                 with pytest.raises(ValueError):
-                    _mat_inv(m)
+                    _solve(m, IDENTITY[rows])
                 continue
             inverse = reference.inv()
-            assert _mat_inv(m) == [
+            assert _solve(m, IDENTITY[rows]) == [
                 [Fraction(int(inverse[i, j].p), int(inverse[i, j].q)) for j in range(cols)]
+                for i in range(rows)
+            ]
+            rhs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)] for _ in range(rows)]
+            solution = inverse * sympy.Matrix(rows, 2, [sympy.Rational(v.numerator, v.denominator)
+                                                         for row in rhs for v in row])
+            assert _solve(m, rhs) == [
+                [Fraction(int(solution[i, j].p), int(solution[i, j].q)) for j in range(2)]
                 for i in range(rows)
             ]
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
-            _mat_inv([[1, 2], [2, 4]])
+            _solve([[1, 2], [2, 4]], IDENTITY[2])
         with pytest.raises(ValueError):
-            _mat_inv([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+            _solve([[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[1], [2], [3]])
 
     def test_empty_and_zero_rank(self):
         assert matrix_rank([]) == 0

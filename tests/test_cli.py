@@ -549,8 +549,13 @@ _ON_AXIS = '[["1","-1","0","0"],["0","0","0","1"]]'
                  "coords": [["2/3", "2/3"], ["-1/3", "-4/3"], ["-1/3", "2/3"], []]})],
             "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 + 1/2*t - 1/2): factor t - 1/2",
         ),
+        (  # over t^2 - t, no coordinate is a unit: (1, -1, 0, 0) at t = 0, (0, 0, 1, -1) at t = 1
+            ["tangent-residual", "--axis", '[["1","1","1","1"],["1","2","4","8"]]', "--point", json.dumps(
+                {"modulus": ["0", "-1", "1"], "coords": [["1", "-1"], ["-1", "1"], ["0", "1"], ["0", "-1"]]})],
+            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - t): factor t",
+        ),
     ],
-    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor"],
+    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor", "no-unit-coordinate"],
 )
 def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, message):
     code, out = run_cli(capsys, "geom", argv[0], "--surface", fermat_path, *argv[1:])

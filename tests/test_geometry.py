@@ -599,6 +599,21 @@ class TestTangentTriple:
         with pytest.raises(PointOnAxis):
             tangent_triple(FERMAT, PlanePencil(axis), line)
 
+    def test_zero_divisor_message_is_formatted_when_read(self, monkeypatch):
+        # the fully split Fermat section raises before its first split; the
+        # message is built on str(), which only the CLI boundary calls, and
+        # reads as it did when it was built in the constructor
+        scheme = line_section(FERMAT, Line.rational([1, -1, 0, 0], [0, 1, -1, 0]))
+        pencil = PlanePencil(Line.rational([1, 1, 1, 1], [1, 2, 4, 8]))
+        texts = []
+        original = algebra_module._poly_text
+        monkeypatch.setattr(algebra_module, "_poly_text", lambda c: texts.append(c) or original(c))
+        with pytest.raises(ZeroDivisorFound) as info:
+            tangent_residual(FERMAT, pencil, scheme.point)
+        assert texts == []
+        assert info.value.algebra == scheme.algebra and info.value.factor == (0, 1)
+        assert str(info.value) == "zero divisor over Q[t]/(t^3 + 3/2*t^2 + 1/2*t): factor t"
+
     def test_zero_divisor_split_path(self, monkeypatch):
         # point over Q[t]/(t^3 - t) whose components are three Fermat points;
         # the chosen axis forces a zero divisor, a split at t and t-1, and a
@@ -741,11 +756,11 @@ class TestNormalization:
             pt.normalized()
 
     def test_one_elimination_per_normalized_algebra_point(self, monkeypatch):
-        # the unit test on the last coordinate and its inverse share one
-        # Bareiss elimination
+        # a linear last unit coordinate is tested and inverted by one synthetic
+        # division and no elimination; a quadratic one by exactly one Bareiss
+        # elimination, for its inverse only
         algebra = EtaleAlgebra(Poly([-2, 0, 0, 1]))
         t = algebra.generator
-        pt = ProjPoint(algebra, [t, t * t + 1, algebra.from_rational(3), t + 2])
         eliminations = []
         original = algebra_module._eliminate
 
@@ -754,13 +769,22 @@ class TestNormalization:
             return original(rows)
 
         monkeypatch.setattr(algebra_module, "_eliminate", spy)
+        pt = ProjPoint(algebra, [t, t * t + 1, algebra.from_rational(3), t + 2])
         norm = pt.normalized()
-        assert len(eliminations) == 1
+        assert len(eliminations) == 0
         assert norm.to_json() == {
             "modulus": ["-2", "0", "0", "1"],
             "coords": [["1/5", "2/5", "-1/5"], ["0", "0", "1/2"], ["6/5", "-3/5", "3/10"], ["1"]],
         }
         assert all(c * (t + 2) == d for c, d in zip(norm.coords, pt.coords))
+        pt = ProjPoint(algebra, [t, t + 2, algebra.from_rational(3), t * t + 1])
+        norm = pt.normalized()
+        assert len(eliminations) == 1
+        assert norm.to_json() == {
+            "modulus": ["-2", "0", "0", "1"],
+            "coords": [["-2/5", "1/5", "2/5"], ["0", "1"], ["3/5", "6/5", "-3/5"], ["1"]],
+        }
+        assert all(c * (t * t + 1) == d for c, d in zip(norm.coords, pt.coords))
 
     @pytest.mark.parametrize("modulus", [(0, 1), (Fraction(-3, 2), 1)], ids=["Q", "t-3/2"])
     def test_integer_point_matches_one_built_from_normalized_coordinates(self, modulus):
@@ -786,6 +810,15 @@ class TestNormalization:
                 assert point.to_json() == eager.to_json() == text
                 assert repr(point) == repr(eager)
                 assert point.coords == eager.coords
+
+    def test_primitive_int_vectors_pass_through(self):
+        # enumeration hands over canonical primitive vectors: they come back as
+        # the same tuple; any other vector is divided by its signed content
+        for v in [(1, -2, 3, 4), (0, 0, 5, -1), (0, 1, 0, 0)]:
+            assert geometry_module._primitive(v) is v
+            assert ProjPoint.from_integers(v).primitive() is v
+        assert geometry_module._primitive((-1, 2, 0, 0)) == (1, -2, 0, 0)
+        assert geometry_module._primitive([0, -2, 4, 6]) == (0, 1, -2, -3)
 
     def test_rational_json_matches_fraction_formatting(self):
         # the JSON is formatted off the primitive vector with no Fraction; it
