@@ -343,8 +343,10 @@ class EtaleAlgebra:
         coefficients lowest degree first, as `ZeroDivisorFound.factor` carries it.
 
         Returns (Q[t]/(g), Q[t]/(h), combine) for the cofactor h, coprime to g as
-        the modulus is squarefree; combine(a, b) = a + e * (b - a) reduces to a mod
-        g and to b mod h, with the idempotent e = g * (g^-1 mod h).
+        the modulus is squarefree.  combine(a, b) takes vectors a over Q[t]/(g) and b
+        over Q[t]/(h) as (numerator lists, positive denominator) and returns a + e * (b - a)
+        here so, not in lowest terms: it reduces to a mod g and to b mod h, with the
+        idempotent e = g * (g^-1 mod h).
         """
         g = _primitive_part(factor)
         h = _quotient(self.modulus, g) if 2 <= len(g) <= self.degree else None
@@ -355,13 +357,16 @@ class EtaleAlgebra:
         e = self._reduced(_convolve(g, g_inv.num), g_inv.den)
         rest = [e.den - e.num[0], *(-x for x in e.num[1:])]  # d - E for e = E / d
 
-        def combine(a: AlgElement, b: AlgElement) -> AlgElement:
+        def combine(a: tuple, b: tuple) -> tuple:
             # a + e*(b - a) = ((d - E)*beta*A + E*alpha*B) / (d*alpha*beta), a = A/alpha, b = B/beta
-            if a.algebra != sub_a or b.algebra != sub_b:
-                raise ValueError("elements do not live over the split's components")
-            x = _convolve(rest, [v * b.den for v in a.num])
-            y = _convolve(e.num, [v * a.den for v in b.num])
-            return self._reduced([p + q for p, q in zip_longest(x, y, fillvalue=0)], e.den * a.den * b.den)
+            (xs, alpha), (ys, beta) = a, b
+            if len(xs) != len(ys) or {*map(len, xs)} - {len(g) - 1} or {*map(len, ys)} - {len(h) - 1}:
+                raise ValueError("vectors do not live over the split's components")
+            nums = []
+            for x, y in zip(xs, ys):  # every sum has length n + max(deg g, deg h) - 1
+                p, q = _convolve(rest, [v * beta for v in x]), _convolve(e.num, [v * alpha for v in y])
+                nums.append(self._remainder([s + t for s, t in zip_longest(p, q, fillvalue=0)]))
+            return nums, e.den * alpha * beta * self.scale ** (max(len(g), len(h)) - 2)
 
         return sub_a, sub_b, combine
 
@@ -419,17 +424,6 @@ class AlgElement:
     def is_unit(self) -> bool:
         return len(self.algebra._factor(self.num)) == 1
 
-    def zero_divisor_factor(self) -> tuple:
-        """Proper modulus divisor witnessing non-invertibility: the primitive
-        integer gcd of the numerator and the modulus, as a coefficient tuple.
-
-        Only meaningful for nonzero non-units.
-        """
-        g = self.algebra._factor(self.num)
-        if not 2 <= len(g) <= self.algebra.degree:
-            raise ValueError("element is zero or a unit")
-        return g
-
     def inverse(self) -> "AlgElement":
         """Multiplicative inverse.
 
@@ -440,7 +434,7 @@ class AlgElement:
             raise ZeroDivisionError("inverting zero in an etale algebra")
         parts = self.algebra._inverse(self.num)
         if parts is None:
-            raise ZeroDivisorFound(self.algebra, self.zero_divisor_factor())
+            raise ZeroDivisorFound(self.algebra, self.algebra._factor(self.num))
         return AlgElement(self.algebra, [x * self.den for x in parts[0]], parts[1])
 
     def __add__(self, other):

@@ -267,13 +267,14 @@ def pencil_condition_solve(lines=STANDARD_LINES) -> dict:
     }
 
 
-def _solve(a, b) -> list:
-    """a^-1 * b as Fractions, for a square matrix a, by one elimination of [a | b]."""
+def _solve(a, b) -> tuple:
+    """(d, x) with a^-1 * b = x / d for a square matrix a, x an integer matrix, by one
+    elimination of [a | b]: every pivot entry is d."""
     n = len(a)
     pivots, reduced = _eliminate([list(row) + list(rhs) for row, rhs in zip(a, b)])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return [[Fraction(v, row[i]) for v in row[n:]] for i, row in enumerate(reduced)]
+    return reduced[0][0], [row[n:] for row in reduced]
 
 
 def standardize_skew_lines(lines) -> list:
@@ -282,9 +283,10 @@ def standardize_skew_lines(lines) -> list:
     Each line is a pair of spanning 4-vectors.  Raises LinesIntersect when
     two of the lines meet (their four spanning vectors have rank < 4); otherwise
     returns the 4x4 matrix T (new coordinates = T * old) and guarantees
-    T maps the lines onto the spans of STANDARD_LINES.
+    T maps the lines onto the spans of STANDARD_LINES.  Int entries stay ints:
+    T is formed on integers over one denominator, divided out last.
     """
-    pts = [[tuple(Fraction(c) for c in p) for p in line] for line in lines]
+    pts = [[tuple(c if type(c) is int else Fraction(c) for c in p) for p in line] for line in lines]
     for i, j in itertools.combinations(range(3), 2):
         stack = [list(pts[i][0]), list(pts[i][1]), list(pts[j][0]), list(pts[j][1])]
         if matrix_rank(stack) < 4:
@@ -293,18 +295,17 @@ def standardize_skew_lines(lines) -> list:
     basis = [
         [pts[1][0][r], pts[1][1][r], pts[0][0][r], pts[0][1][r]] for r in range(4)
     ]
-    # t0 = basis^-1, solved together with the third line's coordinates in the basis
-    t0 = _solve(basis, [[int(r == c) for c in range(4)] + [p[r] for p in pts[2]] for r in range(4)])
-    r_new, s_new = ([row[k] for row in t0] for k in (4, 5))
+    # t0 = basis^-1 = m[:, :4] / d, solved together with the third line's coordinates in the basis
+    d, m = _solve(basis, [[int(r == c) for c in range(4)] + [p[r] for p in pts[2]] for r in range(4)])
     # Re-spanned so its lower half is the identity, the third line has upper
     # half A = top * bottom^-1; both halves are invertible because it meets
     # neither other line, and diag(A^-1, I) straightens it onto the diagonal
     # while preserving the first two.
-    top = [[r_new[0], s_new[0]], [r_new[1], s_new[1]]]
-    bottom = [[r_new[2], s_new[2]], [r_new[3], s_new[3]]]
-    upper = _solve(top, [row[:4] for row in t0[:2]])  # bottom * top^-1 * t0[:2], its rows
-    transform = [[b0 * u + b1 * v for u, v in zip(*upper)] for b0, b1 in bottom] + [row[:4] for row in t0[2:]]
+    top, bottom = [row[4:] for row in m[:2]], [row[4:] for row in m[2:]]
+    d2, upper = _solve(top, [row[:4] for row in m[:2]])  # bottom * top^-1 * t0[:2] = bottom * upper / (d * d2)
+    transform = [[b0 * u + b1 * v for u, v in zip(*upper)] for b0, b1 in bottom]
+    transform += [[v * d2 for v in row[:4]] for row in m[2:]]
     for line, standard in zip(pts, STANDARD_LINES):
         if not _span_matches([[sum(a * b for a, b in zip(row, p)) for row in transform] for p in line], standard):
             raise AssertionError("standardization failed to reach the normal form")
-    return transform
+    return [[Fraction(v, d * d2) for v in row] for row in transform]

@@ -99,9 +99,12 @@ def genus(d_S: int, l: int) -> int:
     return h0(d_S, l - 1)
 
 
-def _require_object(obj, what: str) -> None:
+def _require_object(obj, what: str, *fields: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for name in fields:
+        if name not in obj:
+            raise ValueError(f"{what} is missing the field {name!r}")
 
 
 def _require_int(value, what: str) -> None:
@@ -147,7 +150,7 @@ class DelPezzo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DelPezzo":
-        _require_object(obj, "surface")
+        _require_object(obj, "surface", "dS")
         _require_int(obj["dS"], "dS")
         basis = obj.get("basis", [])
         if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
@@ -202,7 +205,7 @@ class CycleState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycleState":
-        _require_object(obj, "cycle state")
+        _require_object(obj, "cycle state", "sign", "unknown_degree")
         coeffs = obj.get("coeffs", {})
         _require_object(coeffs, "coeffs")
         _require_pairs(coeffs.items())
@@ -280,7 +283,7 @@ class Move:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Move":
-        _require_object(obj, "move")
+        _require_object(obj, "move", "kind")
         combo = obj.get("target", obj.get("combo", {}))
         _require_object(combo, "move target/combo")
         return cls(
@@ -478,7 +481,7 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
-        _require_object(obj, "certificate")
+        _require_object(obj, "certificate", "surface", "initial", "moves", "final")
         if not isinstance(obj["moves"], list):
             raise ValueError(f"moves must be a JSON list, not {type(obj['moves']).__name__}")
         abstract_entry = obj.get("abstract_entry", False)

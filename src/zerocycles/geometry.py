@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -545,12 +546,32 @@ def _numerators(coords: Sequence) -> tuple:
     return [[x * (den // c.den) for x in c.num] for c in coords], den
 
 
-def _on_surface(surface: CubicForm, point: ProjPoint) -> bool:
-    """Whether the point lies on the surface: P vanishes at its primitive vector, or mod f at its numerators."""
+def _on_surface(surface: CubicForm, point: ProjPoint, roots: Sequence = ()) -> bool:
+    """Whether the point lies on the surface: P vanishes at its primitive vector, or mod f at its
+    numerators; over an f with the rational roots `roots` and no other, at each root (so by CRT)."""
     if point.is_rational:
         return not surface.value_at(point.primitive())
+    if roots:
+        return not any(surface.value_at(_at(point._nums[0], tau)) for tau in roots)
     values, bits = _pack(point._nums[0], surface._integer_kernel()[4][0], 3)
     return not any(_reader(point.algebra, bits, 3 * point.algebra.degree - 2)(surface.value_at(values)))
+
+
+def _at(nums: Sequence, tau: Fraction) -> list:
+    """The integer vector, up to a positive factor, of numerator polynomials at the rational tau."""
+    a, b, n = tau.numerator, tau.denominator, len(nums[0])
+    weights = [a**j * b ** (n - 1 - j) for j in range(n)]
+    return [sum(map(mul, num, weights)) for num in nums]
+
+
+def _vector(point: ProjPoint, u: int = None) -> tuple:
+    """A point as `EtaleAlgebra.split`'s combine takes it: its `_nums` at degree >= 2, a rational
+    point as its primitive vector over its entry u, by default its last nonzero one."""
+    if not point.is_rational:
+        return point._nums
+    ints = point.primitive()
+    last = ints[u] if u is not None else next(v for v in reversed(ints) if v)
+    return [[v] if last > 0 else [-v] for v in ints], abs(last)
 
 
 def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
@@ -821,7 +842,8 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     nums = [[u * x, y] + [0] * (algebra.degree - 2) for x, y in zip(P, second)]
     point = (ProjPoint._kept(algebra, (nums, pd * qd)) if algebra.degree > 1  # at degree 1, keep the raw coordinates
              else ProjPoint(algebra, [algebra._reduced(num, pd * qd) for num in nums]))
-    check_invariant(_on_surface(surface, point), "the line section must lie on the surface")
+    roots = params if len(params) == algebra.degree else ()
+    check_invariant(_on_surface(surface, point, roots), "the line section must lie on the surface")
     return LengthThreeScheme(
         algebra=algebra,
         point=point,
@@ -839,7 +861,26 @@ def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjP
         sub_a, sub_b, combine = point.algebra.split(zd.factor)
         parts = (ProjPoint(sub, [sub._reduced(num, 1) for num in point._nums[0]]) for sub in (sub_a, sub_b))
         a, b = (_tangent_on_components(surface, pencil, part) for part in parts)
-        return ProjPoint(point.algebra, [combine(x, y) for x, y in zip(a.coords, b.coords)])
+        return ProjPoint._kept(point.algebra, combine(_vector(a), _vector(b)))
+
+
+def _tangent_at_roots(surface: CubicForm, pencil: PlanePencil, point: ProjPoint, roots: Sequence):
+    """The normalized tangent image of a point over Q[t]/(f), f with the rational roots `roots` and
+    no other: the images at its rational points over the last coordinate u nonzero at every root,
+    recombined by one split per root but the last.  None, for the lazy split order to decide the
+    refusal or the raw representative, when a rational point refuses or there is no such u."""
+    try:
+        images = [tangent_residual(surface, pencil, ProjPoint.from_integers(_at(point._nums[0], tau))) for tau in roots]
+    except GeometryError:
+        return None
+    u = next((i for i in (3, 2, 1, 0) if all(image.primitive()[i] for image in images)), None)
+
+    def combined(algebra, k):
+        if k + 1 == len(roots):
+            return _vector(images[k], u)
+        _, rest, combine = algebra.split((-roots[k].numerator, roots[k].denominator))
+        return combine(_vector(images[k], u), combined(rest, k + 1))
+    return None if u is None else ProjPoint._kept(point.algebra, combined(point.algebra, 0), True)
 
 
 def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> LengthThreeScheme:
@@ -847,17 +888,20 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
 
     The line cuts a length-3 scheme off the surface; over its degree-<=3
     algebra the tangent process is applied to the tautological point, which
-    over the algebraic closure is the triple of residual tangent points.
-    Genericity failures propagate; zero divisors arising mid-computation
-    split the algebra and the computation proceeds componentwise.
+    over the algebraic closure is the triple of residual tangent points.  A
+    fully split section runs it at its known roots first.  Genericity failures
+    propagate; zero divisors arising mid-computation split the algebra and the
+    computation proceeds componentwise.
     """
     scheme = line_section(surface, line)
-    image = _tangent_on_components(surface, pencil, scheme.point)
-    check_invariant(_on_surface(surface, image), "the triple map image must lie on the surface")
+    roots = scheme.known_parameters if scheme.fully_split and scheme.degree > 1 else ()
+    image = _tangent_at_roots(surface, pencil, scheme.point, roots) if roots else None
+    if image is None:
+        image = _tangent_on_components(surface, pencil, scheme.point)
+    check_invariant(_on_surface(surface, image, roots), "the triple map image must lie on the surface")
     return LengthThreeScheme(
         algebra=scheme.algebra,
         point=image,
         non_reduced=scheme.non_reduced,
         known_parameters=scheme.known_parameters,
     )
-

@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from zerocycles.algebra import EtaleAlgebra, _radical, rational_coeffs
+from zerocycles.algebra import AlgElement, EtaleAlgebra, _radical, rational_coeffs
 from zerocycles.geometry import (
     CubicForm,
     GeometryError,
@@ -175,6 +175,18 @@ def primitive(f: Poly) -> tuple:
 def rep_of(a) -> Poly:
     """An algebra element's reduced representative as a `Poly`."""
     return Poly(Fraction(x, a.den) for x in a.num)
+
+
+def combined(combine, algebra, xs, ys):
+    """`EtaleAlgebra.split`'s combine on two vectors of AlgElements, each over one
+    of the split's components: each vector is put over one denominator, and the
+    result is read back as AlgElements of `algebra`."""
+    vectors = []
+    for v in (xs, ys):
+        den = math.lcm(*(c.den for c in v))
+        vectors.append(([[x * (den // c.den) for x in c.num] for c in v], den))
+    nums, den = combine(*vectors)
+    return [AlgElement(algebra, num, den) for num in nums]
 
 
 def modulus_of(algebra) -> Poly:

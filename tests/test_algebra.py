@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Poly, element_json, from_roots, modulus_of, poly_xgcd, primitive, rep_of
+from conftest import Poly, combined, element_json, from_roots, modulus_of, poly_xgcd, primitive, rep_of
 from zerocycles.algebra import (
     EtaleAlgebra,
     ZeroDivisorFound,
@@ -256,6 +256,5 @@ class TestEtaleAlgebra:
             a = algebra.element(random_poly(rng, 2))
             g = from_roots(roots[:1])
             sub_a, sub_b, combine = algebra.split(primitive(g))
-            parts = (sub._reduced(list(a.num), a.den) for sub in (sub_a, sub_b))
-            back = combine(*parts)
-            assert back == a
+            parts = ([sub._reduced(list(a.num), a.den)] for sub in (sub_a, sub_b))
+            assert combined(combine, algebra, *parts) == [a]

@@ -23,6 +23,7 @@ from zerocycles.chow import (
     segre_s2,
     standardize_skew_lines,
 )
+from zerocycles import chow as chow_module
 from zerocycles.chow import _solve
 
 #: The n x n identity matrices, n < 6, as the right-hand side that makes `_solve` an inverse.
@@ -233,6 +234,23 @@ class TestStandardization:
         transform = standardize_skew_lines(lines)
         assert transform == [[Fraction(v) for v in row] for row in expected]
 
+    @pytest.mark.parametrize("lines, expected", PINNED)
+    def test_int_lines_eliminate_on_int_rows_only(self, monkeypatch, lines, expected):
+        # int lines stay ints through every elimination, and give the same
+        # Fraction matrix as the same lines given as Fractions
+        rows_seen = []
+        original = chow_module._eliminate
+        monkeypatch.setattr(chow_module, "_eliminate", lambda rows: rows_seen.extend(rows) or original(rows))
+        transform = standardize_skew_lines(lines)
+        assert rows_seen and all(type(v) is int for row in rows_seen for v in row)
+        assert transform == [[Fraction(v) for v in row] for row in expected]
+        assert standardize_skew_lines([[[Fraction(c) for c in p] for p in line] for line in lines]) == transform
+
+
+def over(d, x):
+    """The Fraction matrix x / d of `_solve`'s (d, x)."""
+    return [[Fraction(v, d) for v in row] for row in x]
+
 
 class TestElimination:
     def test_rank_and_inverse_match_sympy(self):
@@ -256,14 +274,14 @@ class TestElimination:
                     _solve(m, IDENTITY[rows])
                 continue
             inverse = reference.inv()
-            assert _solve(m, IDENTITY[rows]) == [
+            assert over(*_solve(m, IDENTITY[rows])) == [
                 [Fraction(int(inverse[i, j].p), int(inverse[i, j].q)) for j in range(cols)]
                 for i in range(rows)
             ]
             rhs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)] for _ in range(rows)]
             solution = inverse * sympy.Matrix(rows, 2, [sympy.Rational(v.numerator, v.denominator)
                                                          for row in rhs for v in row])
-            assert _solve(m, rhs) == [
+            assert over(*_solve(m, rhs)) == [
                 [Fraction(int(solution[i, j].p), int(solution[i, j].q)) for j in range(2)]
                 for i in range(rows)
             ]

@@ -580,9 +580,13 @@ def _fermat_with(exp=None, coeff=None) -> str:
     return json.dumps(doc)
 
 
+#: The value that makes `_verify_edited_certificate` delete the entry.
+MISSING = object()
+
+
 def _verify_edited_certificate(capsys, tmp_path, where, value):
     """`descent verify` on the dP3 certificate for degree 19 with the entry at
-    the key path `where` set to `value`: (exit code, stdout)."""
+    the key path `where` set to `value`, or deleted for MISSING: (exit code, stdout)."""
     cert_path = tmp_path / "cert.json"
     argv = ["descent", "certify", "--dS", "3", "--degree", "19", "--out", str(cert_path)]
     assert run_cli(capsys, *argv)[0] == 0
@@ -591,7 +595,10 @@ def _verify_edited_certificate(capsys, tmp_path, where, value):
     parent = cert
     for key in where[:-1]:
         parent = parent[key]
-    parent[where[-1]] = value
+    if value is MISSING:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
     cert_path.write_text(json.dumps(cert))
     return run_cli(capsys, "descent", "verify", str(cert_path))
 
@@ -664,9 +671,17 @@ class TestHostileInput:
             (("abstract_entry",), 1, "abstract_entry must be a boolean, not int"),
             (("moves", 1, "kind"), 5, "kind must be a string, not int"),
             (("moves", 1, "kind"), ["Complement"], "kind must be a string, not list"),
+            (("moves",), MISSING, "certificate is missing the field 'moves'"),
+            (("surface",), MISSING, "certificate is missing the field 'surface'"),
+            (("final",), MISSING, "certificate is missing the field 'final'"),
+            (("initial", "unknown_degree"), MISSING, "cycle state is missing the field 'unknown_degree'"),
+            (("final", "sign"), MISSING, "cycle state is missing the field 'sign'"),
+            (("surface", "dS"), MISSING, "surface is missing the field 'dS'"),
+            (("moves", 1, "kind"), MISSING, "move is missing the field 'kind'"),
         ],
         ids=["initial-unknown-cycle", "final-unknown-cycle", "abstract-entry-string", "abstract-entry-int",
-             "kind-int", "kind-list"],
+             "kind-int", "kind-list", "no-moves", "no-surface", "no-final", "no-unknown-degree", "no-sign",
+             "no-dS", "no-kind"],
     )
     def test_verify_error_documents_for_the_loader_contract(self, capsys, tmp_path, where, value, message):
         code, out = _verify_edited_certificate(capsys, tmp_path, where, value)

@@ -3,8 +3,8 @@
 Certificates found here, an EntryRR certificate among them, are mutated and go
 to `descent verify` through `cli.run`: a field gets a new value, loses a key or
 an entry, or has its type swapped.  Every input must end in exit 0, a
-structured refusal (exit 1: one `{"error": {"kind", "message"}}` document) or a
-usage error (exit 2), never a traceback.  Integers stay within -10^4..10^4: the
+structured refusal (exit 1: one `{"error": {"kind", "message"}}` document, never
+of kind `KeyError`) or a usage error (exit 2), never a traceback.  Integers stay within -10^4..10^4: the
 verifier does not bound a move's parameter l yet, and h^0 at a huge l takes
 time without end.
 """
@@ -79,6 +79,7 @@ def test_verify_never_crashes_on_mutated_certificates(cert):
     if code == 1:
         payload = json.loads(out.getvalue())
         assert list(payload) == ["error"] and sorted(payload["error"]) == ["kind", "message"]
+        assert payload["error"]["kind"] != "KeyError"  # a missing field is named, not a bare key
     if code == 0:
         assert json.loads(out.getvalue())["ok"] in (True, False)
 

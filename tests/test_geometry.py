@@ -38,6 +38,7 @@ from zerocycles.geometry import (
     ProjPoint,
     RATIONALS,
     _first_unit,
+    _tangent_at_roots,
     _tangent_on_components,
     fiber_plane,
     line_from_json,
@@ -582,6 +583,60 @@ class TestTangentTriple:
         for tau in source.known_parameters:
             direct = tangent_residual(FERMAT, pencil, component_point(source.point, tau))
             assert component_point(triple.point, tau) == direct
+
+    #: A forced split as the constructions benchmark draws them: the section through
+    #: (-1, 0, -1, 0) on X3 = 0 and (-4, -1, 0, 0) on X2 = 0 is fully split, and
+    #: its tangent image has a coordinate nonzero at every root.
+    FORCED_SPLIT = (
+        CubicForm({(0, 0, 0, 3): 3, (0, 0, 1, 2): -1, (0, 0, 3, 0): -3, (0, 1, 0, 2): 3, (0, 2, 0, 1): -1,
+                   (0, 2, 1, 0): 2, (1, 0, 0, 2): -3, (1, 0, 1, 1): -1, (1, 1, 0, 1): -2, (1, 1, 1, 0): -2,
+                   (1, 2, 0, 0): -1, (2, 0, 0, 1): 1, (2, 0, 1, 0): 1, (2, 1, 0, 0): Fraction(-31, 4),
+                   (3, 0, 0, 0): 2}),
+        Line.rational([-1, 0, -1, 0], [-4, -1, 0, 0]),
+        Line.rational([-4, 0, -4, -4], [-2, -3, 1, -3]),
+    )
+
+    def test_fully_split_section_runs_at_its_roots(self, monkeypatch):
+        # three tangent processes at rational points and two splits, one per
+        # known root but the last: no tangent pass over the algebra, so a
+        # silent fall back to the lazy split order shows here
+        surface, line, axis = self.FORCED_SPLIT
+        pencil = PlanePencil(axis)
+        scheme = line_section(surface, line)
+        assert scheme.fully_split and scheme.degree == 3
+        lazy = _tangent_on_components(surface, pencil, scheme.point).to_json()
+        degrees, splits = [], []
+        residual, split = geometry_module.tangent_residual, EtaleAlgebra.split
+        monkeypatch.setattr(geometry_module, "tangent_residual",
+                            lambda s, p, x: degrees.append(x.algebra.degree) or residual(s, p, x))
+        monkeypatch.setattr(EtaleAlgebra, "split", lambda self, factor: splits.append(factor) or split(self, factor))
+        triple = tangent_triple(surface, pencil, line)
+        assert degrees == [1, 1, 1] and len(splits) == 2
+        assert triple.point.to_json() == lazy
+        for tau in scheme.known_parameters:
+            assert component_point(triple.point, tau) == tangent_residual(surface, pencil, component_point(scheme.point, tau))
+
+    @pytest.mark.parametrize(
+        "axis, kind",
+        [(([1, 1, 1, 1], [1, 2, 4, 8]), "ok"), (([1, -1, 0, 0], [0, 0, 0, 1]), "PointOnAxis")],
+        ids=["no-unit-coordinate", "axis-through-a-component"],
+    )
+    def test_fully_split_fermat_section_falls_back_to_the_lazy_order(self, axis, kind):
+        # no coordinate of the image is nonzero at every root, or one root
+        # refuses: the lazy split order prints its raw representative, or
+        # decides the refusal's kind and message
+        line, pencil = Line.rational([1, -1, 0, 0], [0, 1, -1, 0]), PlanePencil(Line.rational(*axis))
+        scheme = line_section(FERMAT, line)
+        assert _tangent_at_roots(FERMAT, pencil, scheme.point, scheme.known_parameters) is None
+
+        def outcome(run):
+            try:
+                return "ok", run().to_json()
+            except (GeometryError, ZeroDivisorFound) as exc:
+                return exc.kind if isinstance(exc, GeometryError) else "ZeroDivisorFound", str(exc)
+        got = outcome(lambda: tangent_triple(FERMAT, pencil, line).point)
+        assert got[0] == kind
+        assert got == outcome(lambda: _tangent_on_components(FERMAT, pencil, scheme.point))
 
     def test_irreducible_case_on_surface(self):
         surface = CubicForm({(3, 0, 0, 0): 1, (0, 3, 0, 0): -Fraction(1, 2), (0, 0, 0, 3): 1})

@@ -9,10 +9,13 @@ and each rational component is compared with the tangent process at the
 component point on plain integers.  The points are line sections of random
 surfaces (degree 3, split when the line passes through a rational point) and
 their degree-2 components, so moduli with scale != 1 and reducible moduli
-both occur.  The unit scan on numerators is checked against `poly_gcd`.
+both occur.  The unit scan on numerators is checked against `poly_gcd`.  The
+triple map on a fully split section, which runs at its known rational roots, is
+checked against the lazy split order on the same section.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -38,8 +41,11 @@ from zerocycles.geometry import (
     PlanePencil,
     ProjPoint,
     _first_unit,
+    _tangent_at_roots,
+    _tangent_on_components,
     line_section,
     tangent_residual,
+    tangent_triple,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,6 +111,43 @@ def test_tangent_residual_at_algebra_points(seed, through, component):
     # each rational component is the tangent process at the component point, on integers
     for tau in roots:
         assert component_point(y, tau) == tangent_residual(surface, PlanePencil(axis), component_point(x, tau))
+
+
+def tangent_outcome(run):
+    """(kind, message) of a refusal, else ("ok", the output's JSON text)."""
+    try:
+        return "ok", json.dumps(run().to_json())
+    except (GeometryError, ZeroDivisorFound) as exc:
+        return getattr(exc, "kind", type(exc).__name__), str(exc)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.integers(0, 2**32), st.sampled_from(["free", "forced-split", "on-axis"]))
+def test_fully_split_sections_match_the_lazy_split_order(seed, draw):
+    # a line through two rational surface points is a fully split section;
+    # `tangent_triple` runs it at its known roots, `_tangent_on_components`
+    # without them, and both must print the same bytes or refuse alike.
+    # Points on X3 = 0 and X2 = 0 make the lazy path split (the benchmark's
+    # forced splits), and an axis through a section point makes one refuse
+    rng = random.Random(seed)
+    x, y = random_point(rng, 3), random_point(rng, 3)
+    if draw == "forced-split":
+        x[3], y[2] = 0, 0
+    surface = random_surface_through(rng, [x, y])
+    hypothesis.assume(surface is not None)
+    try:
+        line = Line.rational(x, y)
+        scheme = line_section(surface, line)
+        pencil = PlanePencil(Line.rational(x if draw == "on-axis" else random_point(rng, 3), random_point(rng, 3)))
+    except (GeometryError, ValueError):
+        hypothesis.assume(False)
+    hypothesis.assume(scheme.fully_split and scheme.degree >= 2)
+    fast = tangent_outcome(lambda: tangent_triple(surface, pencil, line).point)
+    assert fast == tangent_outcome(lambda: _tangent_on_components(surface, pencil, line_section(surface, line).point))
+    image = _tangent_at_roots(surface, pencil, scheme.point, scheme.known_parameters)
+    if image is not None:  # it is the lazy image, normalized
+        assert fast == ("ok", json.dumps(image.to_json()))
+        assert image.normalized() is image and image.key() == _tangent_on_components(surface, pencil, scheme.point).key()
 
 
 def numerators(algebra, poly):
