@@ -442,8 +442,6 @@ class AlgElement:
         if other is NotImplemented:
             return NotImplemented
         da, db = self.den, other.den
-        if da == db:
-            return AlgElement(self.algebra, [x + y for x, y in zip(self.num, other.num)], da)
         return AlgElement(self.algebra, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
@@ -453,12 +451,7 @@ class AlgElement:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return AlgElement(self.algebra, [x - y for x, y in zip(self.num, other.num)], da)
-        return AlgElement(self.algebra, [x * db - y * da for x, y in zip(self.num, other.num)], da * db)
+        return NotImplemented if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)

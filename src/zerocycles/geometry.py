@@ -8,13 +8,18 @@ composite map sending a plane pencil and a line to the tangent-process image
 of the line's intersection triple.
 
 Coordinates live in an etale algebra so that points of degree up to 3 are
-first-class values.  Rational points compute on their primitive integer
-vectors and are kept as them; their algebra coordinates are built only when
-read.  At a point of degree 2-3 the tangent process, membership and
-normalization run on packed numerator polynomials and build AlgElements only
-for their output.  Whenever a computation over a reducible algebra hits a
-zero divisor, `ZeroDivisorFound` escapes and the caller (see
-`tangent_triple`) splits the algebra and retries componentwise.
+first-class values, but every construction computes on integers.  Rational
+points compute on their primitive integer vectors and are kept as them; their
+algebra coordinates are built only when read.  At a point of degree 2-3,
+chords, the tangent process, fibre planes, membership and normalization run
+on numerator polynomials packed into ints (`_pack`) and read back modulo f
+(`_reader`); AlgElements appear only at the boundary: JSON in, `coords` and
+`fiber_plane`'s output.  `value_at` gives P, the primitive integer multiple of
+F, on any commutative ring, and geometry calls it on ints only.  Chords and
+tangent lines share one residual routine (`_line_residual`).  Whenever a
+computation over a reducible algebra hits a zero divisor, `ZeroDivisorFound`
+escapes and the caller (see `tangent_triple`) splits the algebra and retries
+componentwise.
 
 Smoothness of the surface is never verified globally; each operation checks
 smoothness at the specific points it touches via the gradient.
@@ -112,22 +117,21 @@ def _first_unit(values: Iterable, algebra: EtaleAlgebra = None):
     Find a unit, else split, else fail: with no unit, ZeroDivisorFound is
     raised from the first nonzero non-unit read (the mixed split case), and
     None is returned when every value vanishes, for the caller to refuse.
-    On ints and Fractions a unit is any nonzero value; an AlgElement, or with
-    an `algebra` a numerator polynomial over it, is one iff `_factor` is (1,).
+    On ints a unit is any nonzero value; with an `algebra`, the values are
+    numerator polynomials over it, and one is a unit iff `_factor` is (1,).
     """
     witness = None
     for i, v in enumerate(values):
-        over, num = (v.algebra, v.num) if isinstance(v, AlgElement) else (algebra, v)
-        if over is None:
+        if algebra is None:
             if v:
                 return i, v
-        elif any(num):
-            factor = over._factor(num)
+        elif any(v):
+            factor = algebra._factor(v)
             if len(factor) == 1:
                 return i, v
-            witness = witness or (over, factor)
+            witness = witness or factor
     if witness:
-        raise ZeroDivisorFound(*witness)
+        raise ZeroDivisorFound(algebra, witness)
     return None
 
 
@@ -154,9 +158,9 @@ class ProjPoint:
     and equality falls back to raw representatives.  A point also holds the
     integers its kernel runs on: a rational point caches its primitive vector,
     and a point of degree >= 2 keeps its coordinates' numerator polynomials of
-    length deg f over one denominator, `_nums` = (nums, den), as `_numerators`
-    gives them.  A point built by `from_integers`, `line_section` or
-    normalization keeps only those, and builds `coords` on first use.
+    length deg f over their least common denominator, `_nums` = (nums, den).
+    A point built by `from_integers`, `line_section` or normalization keeps
+    only those, and builds `coords` on first use.
     """
 
     __slots__ = ("algebra", "_coords", "_norm", "_ints", "_nums", "_key")
@@ -171,7 +175,11 @@ class ProjPoint:
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_nums", _numerators(coords) if algebra.degree > 1 else None)
+        nums = None
+        if algebra.degree > 1:
+            den = lcm(*(c.den for c in coords))
+            nums = [[x * (den // c.den) for x in c.num] for c in coords], den
+        object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -190,7 +198,7 @@ class ProjPoint:
     @classmethod
     def _kept(cls, algebra: EtaleAlgebra, ints, normalized: bool = False) -> "ProjPoint":
         """The point kept as its integers only, unchecked: a primitive vector at degree 1,
-        else (nums, den) as `_numerators` gives them (put in lowest terms here)."""
+        else `_nums` = (nums, den), put in lowest terms here."""
         rational = algebra.degree == 1
         if not rational and (g := gcd(ints[1], *itertools.chain(*ints[0]))) > 1:
             ints = [[x // g for x in num] for num in ints[0]], ints[1] // g
@@ -331,7 +339,7 @@ class Line:
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if not (p.is_rational and q.is_rational):
             raise ValueError("both basepoints of a line must be rational")
-        _check_spanning(p.primitive(), q.primitive())
+        _check_spanning(p.primitive(), q.primitive(), _first_unit)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -352,9 +360,9 @@ def line_from_json(obj) -> Line:
     return Line(point_from_json(obj[0]), point_from_json(obj[1]))
 
 
-def _check_spanning(u, v):
-    """Require the 4x2 matrix [u v] to have a unit 2x2 minor."""
-    if _first_unit(_det2(u[i], v[i], u[j], v[j]) for i, j in _PAIRS) is None:
+def _check_spanning(u, v, units):
+    """Require the 4x2 matrix [u v] to have a 2x2 minor that the unit scan `units` finds."""
+    if units(_det2(u[i], v[i], u[j], v[j]) for i, j in _PAIRS) is None:
         raise EqualPoints("basepoints coincide as projective points")
 
 
@@ -400,11 +408,11 @@ class CubicForm:
         return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
 
     def _integer_kernel(self) -> tuple:
-        """(unit, terms, cubic, quadrics, weights), built on first use: `terms` holds P =
-        F / unit, the primitive integer multiple of F (den*F over its content), as
-        (exponents, integer coefficient) pairs, `cubic` P's coefficients in `_CUBICS`
-        order, quadrics[m] those of dP/dX_m in `_QUADRICS` order, and `weights` the
-        `_packed` weights of unit.numerator * P and of its partials."""
+        """(terms, cubic, quadrics, weights), built on first use: `terms` holds P, the
+        primitive integer multiple of F (den*F over its content), as (exponents, integer
+        coefficient) pairs, `cubic` P's coefficients in `_CUBICS` order, quadrics[m]
+        those of dP/dX_m in `_QUADRICS` order, and `weights` the `_pack` weights (sums
+        of |coefficients|) of P and of its largest partial."""
         if self._kernel is None:
             den = lcm(*(coeff.denominator for coeff in self.terms.values()))
             ints = [c.numerator * (den // c.denominator) for c in self.terms.values()]
@@ -415,44 +423,23 @@ class CubicForm:
             for k, derivatives in zip(cubic, _DERIVATIVES):
                 for m, r, e in derivatives:
                     quadrics[m][r] += k * e
-            weights = content * sum(map(abs, cubic)), content * max(sum(map(abs, row)) for row in quadrics)
-            object.__setattr__(self, "_kernel", (Fraction(content, den), terms, cubic, quadrics, weights))
+            weights = sum(map(abs, cubic)), max(sum(map(abs, row)) for row in quadrics)
+            object.__setattr__(self, "_kernel", (terms, cubic, quadrics, weights))
         return self._kernel
 
     def value_at(self, coords: Sequence):
-        """F at 4 coordinates of one ring, exactly, but on ints up to a fixed factor.
-
-        On ints it returns P there, an int: one positive multiple of F at every
-        point.  On Fractions and AlgElements it returns F there, a Fraction or an
-        AlgElement, through `_exact`."""
-        _, _, cubic, _, weights = self._integer_kernel()
-        if all(type(c) is int for c in coords):
-            return _cubic(cubic, *coords)
-        return self._exact(_cubic, (cubic,), coords, weights[0], 3)[0]
+        """P, the primitive integer multiple of F, at 4 values of one commutative ring
+        (ints, Fractions, AlgElements or packed ints): P = s*F for one positive rational
+        s, so on ints it is one positive multiple of F at every point."""
+        return _cubic(self._integer_kernel()[1], *coords)
 
     def gradient_at(self, coords: Sequence) -> tuple:
-        """The partial derivatives at `coords` by the same paths as `value_at`: those
-        of P on ints, and those of F exactly on Fractions and on AlgElements."""
-        _, _, _, quadrics, weights = self._integer_kernel()
-        if all(type(c) is int for c in coords):
-            return tuple([_quadratic(row, *coords) for row in quadrics])
-        return tuple(self._exact(_quadratic, quadrics, coords, weights[1], 2))
-
-    def _exact(self, evaluate, tables: Sequence, coords: Sequence, weight: int, degree: int) -> list:
-        """F's forms of a degree with P's coefficient `tables` at Fractions or AlgElements:
-        `evaluate` runs on `_packed` numerators, and each result is reduced once."""
-        unit = self._integer_kernel()[0]
-        algebra, nums, den, bits = _packed(coords, weight, degree)
-        den = unit.denominator * den**degree
-        out = [unit.numerator * evaluate(table, *nums) for table in tables]
-        if algebra is None:
-            return [Fraction(v, den) for v in out]
-        count = degree * (algebra.degree - 1) + 1
-        return [algebra._reduced(_unpack(v, bits, count), den) for v in out]
+        """The partial derivatives of P at 4 values of one commutative ring, as `value_at`."""
+        return tuple([_quadratic(row, *coords) for row in self._integer_kernel()[2]])
 
     def integer_terms(self) -> tuple:
         """P, the primitive integer multiple of F, as (exponents, coefficient) pairs."""
-        return self._integer_kernel()[1]
+        return self._integer_kernel()[0]
 
     def to_json(self) -> dict:
         return {
@@ -500,20 +487,6 @@ def _quadratic(q: Sequence, x0, x1, x2, x3):
     return head + x2 * (q22 * x2 + q23 * x3) + q33 * x3 * x3
 
 
-def _packed(coords: Sequence, weight: int, degree: int) -> tuple:
-    """(algebra, values, den, bits), coords = values / den, to evaluate a form of the
-    given degree and weight (sum of |integer coefficients|) on: integer numerators
-    on ints and Fractions (algebra None); on AlgElements, the `_numerators` packed
-    by `_pack`, where the form gives its unreduced value."""
-    algebra = next((c.algebra for c in coords if isinstance(c, AlgElement)), None)
-    if algebra is None:
-        den = lcm(*(c.denominator for c in coords))
-        return None, [c.numerator * (den // c.denominator) for c in coords], den, 0
-    nums, den = _numerators([algebra.element(c) for c in coords])
-    values, bits = _pack(nums, weight, degree)
-    return algebra, values, den, bits
-
-
 def _pack(nums: Sequence, weight: int, degree: int) -> tuple:
     """(values, bits): numerator polynomials of one length n as ints at t = 2^bits
     (Kronecker substitution), where + and * act as on the polynomials.  A form of the
@@ -533,17 +506,11 @@ def _reader(algebra: EtaleAlgebra, bits: int, count: int):
 
 def _unpack(value: int, bits: int, count: int) -> list:
     """The `count` signed base-2^bits digits of `value`, lowest first, each below
-    2^(bits-1) in absolute value: the coefficients of the polynomial that `_packed`
+    2^(bits-1) in absolute value: the coefficients of the polynomial that `_pack`
     packs into `value`.  Adding 2^(bits-1) to every digit makes them all unsigned."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     value += half * ((1 << (bits * count)) - 1) // mask  # the geometric sum of half << (bits * j), j < count
     return [((value >> (bits * j)) & mask) - half for j in range(count)]
-
-
-def _numerators(coords: Sequence) -> tuple:
-    """(nums, den): AlgElement coordinates as numerator polynomials over one denominator."""
-    den = lcm(*(c.den for c in coords))
-    return [[x * (den // c.den) for x in c.num] for c in coords], den
 
 
 def _on_surface(surface: CubicForm, point: ProjPoint, roots: Sequence = ()) -> bool:
@@ -553,7 +520,7 @@ def _on_surface(surface: CubicForm, point: ProjPoint, roots: Sequence = ()) -> b
         return not surface.value_at(point.primitive())
     if roots:
         return not any(surface.value_at(_at(point._nums[0], tau)) for tau in roots)
-    values, bits = _pack(point._nums[0], surface._integer_kernel()[4][0], 3)
+    values, bits = _pack(point._nums[0], surface._integer_kernel()[3][0], 3)
     return not any(_reader(point.algebra, bits, 3 * point.algebra.degree - 2)(surface.value_at(values)))
 
 
@@ -590,8 +557,8 @@ def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
 def restrict(value, p, q) -> tuple:
     """Twice the coefficients (c0, c1, c2, c3) of F(s*p + t*q) = sum c[i] s^(3-i) t^i.
 
-    `value` evaluates F on 4 coordinates of one ring (ints, Fractions or
-    AlgElements).  From F at p, q, p + q and p - q, the doubled coefficients
+    `value` evaluates F, or a fixed multiple of it such as P, on 4 coordinates
+    of one ring.  From F at p, q, p + q and p - q, the doubled coefficients
     need no division, so they stay exact in every ring; callers use them up
     to a common factor.  All four vanish iff the line lies in the surface.
     """
@@ -607,19 +574,26 @@ def third_point(surface: CubicForm, x: ProjPoint, y: ProjPoint) -> ProjPoint:
     must not be contained in the surface.  With basepoints on S the
     restricted cubic is s*t*(c1*s + c2*t), so the third root is (c2 : -c1)
     and no division is needed.  Rational points run on their primitive
-    integer vectors.
+    integer vectors, algebra points on their packed numerators, whose 2x2
+    minors are read back modulo f for the spanning check.
     """
-    if x.algebra != y.algebra:
+    algebra = x.algebra
+    if algebra != y.algebra:
         raise ValueError("points over different algebras")
     if not _on_surface(surface, x) or not _on_surface(surface, y):
         raise PointNotOnSurface("secant endpoints must lie on the surface")
-    xs, ys = ((p.primitive() if p.is_rational else p.coords) for p in (x, y))
-    _check_spanning(xs, ys)
-    _, c1, c2, _ = restrict(surface.value_at, xs, ys)
-    if not c1 and not c2:
+    if algebra.degree == 1:
+        xs, ys = x.primitive(), y.primitive()
+        _check_spanning(xs, ys, _first_unit)
+    else:  # each minor coefficient is at most 2 * n * M^2
+        (xs, _), (ys, _) = x._nums, y._nums
+        values, bits = _pack([*xs, *ys], 2, 2)
+        read = _reader(algebra, bits, 2 * algebra.degree - 1)
+        _check_spanning(values[:4], values[4:], lambda minors: _first_unit(map(read, minors), algebra))
+    residual = _line_residual(surface, algebra, xs, ys, 1)
+    if residual is None:
         raise LineInSurface("the secant is contained in the surface")
-    coords = [c2 * a - c1 * b for a, b in zip(xs, ys)]
-    return _point(x.algebra, coords if x.is_rational else _numerators(coords)[0])
+    return _point(algebra, residual)
 
 
 def _plucker(pencil: PlanePencil) -> tuple:
@@ -646,13 +620,14 @@ def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
     Computed as the signed 3x3 minors of the rows (axis basepoints, x), each
     expanded along x: the rational axis gives the integer 2x2 minors (its
     Plucker coordinates) of its primitive vectors, and x gives integers when
-    rational, packed `_numerators` otherwise, read back once each.  All
-    minors vanishing means x lies on the axis.
+    rational, its packed `_nums` otherwise, read back once each.  All minors
+    vanishing means x lies on the axis.
     """
     plucker = _plucker(pencil)
     if x.is_rational:
         return _plane(plucker, x.primitive())
-    algebra, values, den, bits = _packed(x.coords, 3 * max(map(abs, plucker)), 1)
+    (nums, den), algebra = x._nums, x.algebra
+    values, bits = _pack(nums, 3 * max(map(abs, plucker)), 1)
     read = _reader(algebra, bits, algebra.degree)
     n = _plane(plucker, values, lambda plane: _first_unit(map(read, plane), algebra))
     return tuple(AlgElement(algebra, read(v), den) for v in n)
@@ -665,14 +640,14 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     section E = S ∩ (plane of the pencil through x).  The tangent line meets
     S doubly at x; the output is the remaining intersection point, which on
     an elliptic section realizes multiplication by -2.  Rational points run
-    on their primitive integer vectors, algebra points on packed `_numerators`
+    on their primitive integer vectors, algebra points on their packed `_nums`
     wide enough for every coefficient up to the tangent direction, read back
     modulo f only where a zero or unit test needs a value.
     """
     algebra, plucker, read, units = x.algebra, _plucker(pencil), (lambda v: v), _first_unit
     xs = nums = x.primitive() if x.is_rational else x._nums[0]
     if algebra.degree > 1:
-        w0, w1 = surface._integer_kernel()[4]
+        w0, w1 = surface._integer_kernel()[3]
         xs, bits = _pack(nums, 6 * max(w0, w1 * max(map(abs, plucker))), 3)
         read = _reader(algebra, bits, 3 * algebra.degree - 2)
         units = lambda values: _first_unit(map(read, values), algebra)  # noqa: E731
@@ -703,32 +678,26 @@ def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> P
     direction[j] = read(n[k] * grad[i] - n[i] * grad[k])
     direction[k] = minor
 
-    residual = (_tangent_line_residual(surface, xs, direction) if algebra.degree == 1
-                else _packed_line_residual(surface, algebra, nums, direction))
+    residual = _line_residual(surface, algebra, nums, direction, 2)
     if residual is None:
         raise TangentLineInSurface("tangent line is contained in the surface")
     return _point(algebra, residual)
 
 
-def _tangent_line_residual(surface: CubicForm, xs: Sequence, direction: Sequence):
-    """c3*x - c2*v, a kernel vector of the third point on the tangent line at the
-    surface point x along v, where F(x + t*v) = c2*t^2 + c3*t^3 up to one factor;
-    None when the line lies in the surface."""
-    c0, c1, c2, c3 = restrict(surface.value_at, xs, direction)
-    check_invariant(not c0 and not c1, "tangency must force a double root")
-    residual = tuple(c3 * a - c2 * b for a, b in zip(xs, direction))
-    return residual if any(residual) else None
-
-
-def _packed_line_residual(surface: CubicForm, algebra: EtaleAlgebra, xs: Sequence, direction: Sequence):
-    """`_tangent_line_residual` on numerator polynomials, packed wide enough for c3*x -
-    c2*v (each coefficient <= 20 * weight * n^3 * M^4) and read back modulo f."""
-    values, bits = _pack([*xs, *direction], 20 * surface._integer_kernel()[4][0], 4)
-    read = _reader(algebra, bits, 4 * algebra.degree - 3)
-    c0, c1, c2, c3 = restrict(surface.value_at, values[:4], values[4:])
-    check_invariant(not any(read(c0)) and not any(read(c1)), "tangency must force a double root")
-    residual = [read(c3 * a - c2 * b) for a, b in zip(values, values[4:])]
-    return residual if any(map(any, residual)) else None
+def _line_residual(surface: CubicForm, algebra: EtaleAlgebra, xs: Sequence, ys: Sequence, k: int):
+    """c[k+1]*x - c[k]*y, a kernel vector of the third point on the line through the surface
+    point x and y, where F(s*x + t*y) = sum c[i] s^(3-i) t^i up to one factor vanishes to order
+    k at x: a chord (k = 1, y on the surface) or a tangent line along y (k = 2).  On ints, or on
+    numerator polynomials packed wide enough for the residual (each coefficient <= 20 * weight *
+    n^3 * M^4) and read back modulo f.  None when the line lies in the surface."""
+    read, nonzero = (lambda v: v), bool
+    if algebra.degree > 1:
+        values, bits = _pack([*xs, *ys], 20 * surface._integer_kernel()[3][0], 4)
+        xs, ys, read, nonzero = values[:4], values[4:], _reader(algebra, bits, 4 * algebra.degree - 3), any
+    c = restrict(surface.value_at, xs, ys)
+    check_invariant(not any(nonzero(read(v)) for v in c[:k]), "the line must meet the surface to order k at x")
+    residual = [read(c[k + 1] * a - c[k] * b) for a, b in zip(xs, ys)]
+    return residual if any(map(nonzero, residual)) else None
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ from .algebra import ZeroDivisorFound
 from .geometry import (
     CubicForm,
     GeometryError,
+    RATIONALS,
     ProjPoint,
     _cubic,
+    _line_residual,
     _on_surface,
-    _tangent_line_residual,
     check_invariant,
     third_point,
 )
@@ -72,7 +73,7 @@ def enumerate_rational(surface: CubicForm, height_bound: int) -> List[PointRecor
     terms = surface.integer_terms()
     split = _split(terms)
     found = _join(*split, height_bound) if split else _scan(terms, height_bound)
-    cubic, records = surface._integer_kernel()[2], []
+    cubic, records = surface._integer_kernel()[1], []
     for coords in sorted(found):
         check_invariant(not _cubic(cubic, *coords), "an enumerated point must lie on the surface")
         records.append(PointRecord(ProjPoint.from_integers(coords), 1, max(map(abs, coords)), SOURCE_ENUMERATED))
@@ -179,7 +180,7 @@ def _tangent_direction_residuals(
     `p` is the point's primitive integer vector.  Directions are `_directions`
     in the tangent plane at `p` and off `p`; along each, F(p + t*v) = c2*t^2 +
     c3*t^3 up to one factor, and the residual c3*p - c2*v is returned when it
-    is a genuine point (`_tangent_line_residual`).
+    is a genuine point (`_line_residual`).
     """
     g0, g1, g2, g3 = surface.gradient_at(p)
     p0, p1, p2, p3 = p
@@ -191,7 +192,7 @@ def _tangent_direction_residuals(
         if (p0 * v1 == p1 * v0 and p0 * v2 == p2 * v0 and p0 * v3 == p3 * v0
                 and p1 * v2 == p2 * v1 and p1 * v3 == p3 * v1 and p2 * v3 == p3 * v2):
             continue
-        residual = _tangent_line_residual(surface, p, v)
+        residual = _line_residual(surface, RATIONALS, p, v, 2)
         if residual is not None:  # else the tangent line lies in the surface
             yield ProjPoint.from_integers(residual)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 from zerocycles.algebra import AlgElement, EtaleAlgebra, _radical, rational_coeffs
 from zerocycles.geometry import (
@@ -235,10 +236,17 @@ def form_gradient(surface, coords):
     return out
 
 
+def form_scale(surface) -> Fraction:
+    """The positive rational s with P = s*F, for P the primitive integer multiple of F
+    that `value_at` evaluates: F's common denominator over the content it clears to."""
+    den = math.lcm(*(c.denominator for c in surface.terms.values()))
+    return Fraction(den, math.gcd(*(int(c * den) for c in surface.terms.values())))
+
+
 def evaluate(surface, point):
     """F at the point's algebra coordinates, exactly, as an element of its
-    algebra: zero iff the point lies on the surface."""
-    return surface.value_at(point.coords)
+    algebra, by `form_value`: zero iff the point lies on the surface."""
+    return form_value(surface, point.coords)
 
 
 def random_point(rng, height=4):
@@ -373,10 +381,12 @@ def weierstrass_surface(a, b) -> CubicForm:
 def fraction_line_section(surface, line) -> LengthThreeScheme:
     """`line_section` on Fractions: the restricted cubic on the raw basepoints'
     coordinates, the same visible roots, reparametrization and squarefree part,
-    and the point's coordinates p + t*q_new built in the algebra.  The reference
-    the integer chart of `line_section` must agree with byte for byte."""
+    and the point's coordinates p + t*q_new built in the algebra, with F evaluated
+    by `form_value`.  The reference the integer chart of `line_section` must
+    agree with byte for byte."""
     p, q = line.p.rational_coords(), line.q.rational_coords()
-    c = restrict(surface.value_at, p, q)
+    value = partial(form_value, surface)
+    c = restrict(value, p, q)
     if not any(c):
         raise LineInSurface("the line is contained in the surface")
     lead_zeros = next(i for i, v in enumerate(c) if v)
@@ -389,7 +399,7 @@ def fraction_line_section(surface, line) -> LengthThreeScheme:
         visible.append((mids[1], -mids[0]))
     for k in range(4):
         q_new = tuple(k * a + b for a, b in zip(p, q))
-        shifted = restrict(surface.value_at, p, q_new) if k else c
+        shifted = restrict(value, p, q_new) if k else c
         if shifted[3] != 0:
             break
     else:

@@ -5,9 +5,9 @@ Every operation is checked against the `Poly` reference of `conftest`: the
 same computation done on coefficient polynomials over Q followed by an
 explicit remainder modulo the modulus, and Euclid's gcd over Q for the
 primitive pseudo-remainder gcd over Z.  The moduli are the oracle `Poly`s the
-algebras were built from, not read back from them.  The form evaluator on
-algebra points is checked the same way, against a monomial-by-monomial
-expansion.
+algebras were built from, not read back from them.  The form evaluator, on
+algebra points and on the packed numerators geometry runs it on, is checked
+the same way, against a monomial-by-monomial expansion of P = s*F.
 """
 
 import math
@@ -22,6 +22,7 @@ from conftest import (
     combined,
     element_json,
     form_gradient,
+    form_scale,
     form_value,
     from_roots,
     is_squarefree,
@@ -41,7 +42,7 @@ from zerocycles.algebra import (
     _quotient,
     _radical,
 )
-from zerocycles.geometry import CubicForm, ProjPoint, _packed, _unpack
+from zerocycles.geometry import CubicForm, ProjPoint, _pack, _unpack
 
 
 def random_fraction(rng, height=9):
@@ -422,30 +423,31 @@ def test_crt_idempotent_matches_bezout_formula():
 
 
 def test_form_on_algebra_points_matches_monomial_expansion():
-    # value_at and gradient_at reduce once per output; the oracle expands
-    # every monomial on the Poly representatives and reduces at the end
+    # value_at and gradient_at give P = s*F in AlgElement arithmetic; the oracle
+    # expands every monomial on the Poly representatives and reduces at the end
     rng, algs = algebras(10, 90)
     for case, (alg, f) in enumerate(algs):
         for _ in range(3):
             surface = random_form(rng)
+            s = form_scale(surface)
             coords = [alg.element(random_poly(rng, alg.degree - 1)) for _ in range(4)]
             if case % 4 == 0:  # a rational coordinate is read in the algebra
                 coords[case % 3] = random_fraction(rng)
             reps = [rep_of(alg.element(c)) for c in coords]
             value = surface.value_at(coords)
             assert_normalized(value)
-            assert rep_of(value) == (Poly.zero() + form_value(surface, reps)) % f
+            assert rep_of(value) == (Poly.zero() + s * form_value(surface, reps)) % f
             grad = surface.gradient_at(coords)
             for got, want in zip(grad, form_gradient(surface, reps)):
                 assert_normalized(got)
-                assert rep_of(got) == (Poly.zero() + want) % f
+                assert rep_of(got) == (Poly.zero() + s * want) % f
             euler = sum((d * alg.element(c) for d, c in zip(grad, coords)), alg.zero)
             assert euler == 3 * value
 
 
 def test_form_on_fractions_is_exact_and_a_fraction():
-    # denominators are cleared onto the integer path; the value comes back a
-    # Fraction even when it is integral, so t / value never turns into a float
+    # Fractions run the same straight line and give P = s*F; the value comes back
+    # a Fraction even when it is integral, so t / value never turns into a float
     rng = random.Random(11)
     for case in range(300):
         if case % 2:
@@ -456,22 +458,24 @@ def test_form_on_fractions_is_exact_and_a_fraction():
             pt = [random_fraction(rng) for _ in range(4)]
         else:
             pt = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
+        s = form_scale(surface)
         value = surface.value_at(pt)
         assert type(value) is Fraction
-        assert value == sum(c * monomial_value(e, pt) for e, c in surface.terms.items())
+        assert value == s * sum(c * monomial_value(e, pt) for e, c in surface.terms.items())
         grad = surface.gradient_at(pt)
         assert all(type(d) is Fraction for d in grad)
-        assert list(grad) == form_gradient(surface, pt)
+        assert list(grad) == [s * d for d in form_gradient(surface, pt)]
 
 
 class TestKroneckerKernel:
-    """On AlgElements, `value_at` and `gradient_at` pack each coordinate's integer
-    numerator polynomial into one int at t = 2^bits, run the straight-line
-    evaluator on the packed ints and read the unreduced value back as signed
+    """Geometry evaluates forms at a point of degree 2-3 as the library does here:
+    `_pack` puts each coordinate's integer numerator polynomial into one int at
+    t = 2^bits, `value_at`/`gradient_at` run the straight-line evaluator on the
+    packed ints, and `_unpack` reads the unreduced value back as signed
     base-2^bits digits.  `bits` comes from a proven digit bound plus a sign bit;
-    these inputs put the digits at the top of that bound, and are checked against
-    the monomial-by-monomial `form_value`/`form_gradient` on Poly
-    representatives, reduced at the end."""
+    these inputs put the digits at the top of that bound, and are checked digit
+    for digit against the monomial-by-monomial `form_value`/`form_gradient` of
+    P = s*F on the numerator Polys, unreduced."""
 
     MODULI = [
         Poly([Fraction(-5, 3), 1]),  # degree 1, scale 3
@@ -483,14 +487,20 @@ class TestKroneckerKernel:
         Poly([Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5), 1]),  # scale 30
     ]
 
-    def check(self, surface, alg, f, coords):
-        reps = [rep_of(c) for c in coords]
-        value = surface.value_at(coords)
-        assert_normalized(value)
-        assert rep_of(value) == (Poly.zero() + form_value(surface, reps)) % f
-        for got, want in zip(surface.gradient_at(coords), form_gradient(surface, reps)):
-            assert_normalized(got)
-            assert rep_of(got) == (Poly.zero() + want) % f
+    def check(self, surface, alg, coords):
+        # P's weight and its largest partial's, from F's coefficients: sum |s * c|,
+        # and the max over m of sum |s * c| * e_m
+        s, n = form_scale(surface), alg.degree
+        weight = sum(abs(s * c) for c in surface.terms.values())
+        partial = max(sum(abs(s * c) * e[m] for e, c in surface.terms.items()) for m in range(4))
+        den = math.lcm(*(c.den for c in coords))
+        nums = [[x * (den // c.den) for x in c.num] for c in coords]
+        reps = [Poly(num) for num in nums]
+        values, bits = _pack(nums, int(weight), 3)
+        assert Poly(_unpack(surface.value_at(values), bits, 3 * n - 2)) == s * form_value(surface, reps)
+        values, bits = _pack(nums, int(partial), 2)
+        for got, want in zip(surface.gradient_at(values), form_gradient(surface, reps)):
+            assert Poly(_unpack(got, bits, 2 * n - 1)) == s * want
 
     def test_digits_at_the_bound(self):
         # every coordinate M * (1 + t + ... + t^(n-1)) and every coefficient of one
@@ -505,8 +515,8 @@ class TestKroneckerKernel:
                     terms = rng.sample(MONOMIALS, rng.randint(1, 20))
                     surface = CubicForm({e: sign * rng.randint(1, 9) for e in terms})
                     coords = [alg.element([s * top] * alg.degree) for s in (1, 1, sign, 1)]
-                    self.check(surface, alg, f, coords)
-                    self.check(CubicForm({e: 1 for e in MONOMIALS}), alg, f, coords)
+                    self.check(surface, alg, coords)
+                    self.check(CubicForm({e: 1 for e in MONOMIALS}), alg, coords)
 
     def test_random_wide_numerators(self):
         # numerators of 0 to 200 bits with mixed signs and denominators, forms of
@@ -529,11 +539,11 @@ class TestKroneckerKernel:
                 coords.append(alg.element([Fraction(x, rng.choice([1, 1, 7, 2**61 - 1])) for x in num]))
             if not any(coords):
                 continue
-            self.check(surface, alg, f, coords)
+            self.check(surface, alg, coords)
 
     def test_pack_unpack_round_trip_at_the_widest_digits(self):
         # digits of +-(2^(B-1) - 1) are the widest `_unpack` reads back at width B;
-        # `_packed` at weight 1 and degree 1 packs them at exactly that width
+        # `_pack` at weight 1 and degree 1 packs them at exactly that width
         rng = random.Random(73)
         for f in self.MODULI:
             alg = EtaleAlgebra(f)
@@ -542,9 +552,8 @@ class TestKroneckerKernel:
                 digits = [[rng.choice([edge, -edge, 0, rng.randint(-edge, edge)]) for _ in range(alg.degree)]
                           for _ in range(4)]
                 digits[0][-1] = rng.choice([edge, -edge])
-                coords = [alg.element(d) for d in digits]
-                algebra, values, den, bits = _packed(coords, 1, 1)
-                assert (algebra, den, bits) == (alg, 1, width)
+                values, bits = _pack(digits, 1, 1)
+                assert bits == width
                 for d, value in zip(digits, values):
                     assert value == sum(x * 2 ** (width * j) for j, x in enumerate(d))
                     assert _unpack(value, bits, alg.degree) == d

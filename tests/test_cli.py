@@ -563,6 +563,32 @@ def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, me
     assert out == json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True, indent=2) + "\n"
 
 
+#: A point over t^2 - 1 lifting (1, -1, 0, 0) at t = 1 and (0, 1, -1, 0) at t = -1.
+_LIFT = {"modulus": ["-1", "0", "1"], "coords": [["1/2", "1/2"], ["0", "-1"], ["-1/2", "1/2"], []]}
+
+
+@pytest.mark.parametrize(
+    "y, kind, message",
+    [
+        (  # lifts (1, -1, 0, 0) and (0, 0, 1, -1): equal to x at t = 1 only
+            {"modulus": ["-1", "0", "1"], "coords": [["1/2", "1/2"], ["-1/2", "-1/2"], ["1/2", "-1/2"], ["-1/2", "1/2"]]},
+            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - 1): factor t - 1",
+        ),
+        (  # 3 * x
+            {"modulus": ["-1", "0", "1"], "coords": [["3/2", "3/2"], ["0", "-3"], ["-3/2", "3/2"], []]},
+            "EqualPoints", "basepoints coincide as projective points",
+        ),
+    ],
+    ids=["equal-at-one-root", "scalar-multiple"],
+)
+def test_chord_refusals_at_algebra_points(capsys, fermat_path, y, kind, message):
+    # the spanning check of a chord over Q x Q reads its 2x2 minors on packed numerators
+    argv = ["geom", "third-point", "--surface", fermat_path, "--x", json.dumps(_LIFT), "--y", json.dumps(y)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True, indent=2) + "\n"
+
+
 #: Placeholder for the path of the Fermat surface file in parametrized argv lists.
 FERMAT = object()
 X, Y = '["1","-1","0","0"]', '["0","1","-1","0"]'

@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 
@@ -14,6 +14,7 @@ from conftest import (
     evaluate,
     expand_along_line,
     form_gradient,
+    form_scale,
     fraction_line_section,
     from_roots,
     monomial_value,
@@ -71,6 +72,7 @@ class TestEvaluate:
         assert one == RATIONALS.one
 
     def test_against_monomial_oracle(self):
+        # value_at gives P = s*F on every ring
         rng = random.Random(11)
         for _ in range(200):
             surface = random_surface_through(rng, [])
@@ -78,7 +80,7 @@ class TestEvaluate:
             expected = sum(
                 coeff * monomial_value(exp, pt) for exp, coeff in surface.terms.items()
             )
-            assert surface.value_at([Fraction(v) for v in pt]) == expected
+            assert surface.value_at([Fraction(v) for v in pt]) == form_scale(surface) * expected
 
     def test_gradient_euler_relation(self):
         # sum x_i * dS/dx_i = 3 * S for a cubic form
@@ -158,7 +160,8 @@ class TestRestrictToLine:
         "ring", ["int", "Fraction", "t^3 - 2", "t^3 - t", "(t^2 + 1)(t - 2)"]
     )
     def test_every_ring_matches_expansion_oracle(self, ring):
-        # one routine serves the integer kernel, rational lines and algebra points
+        # one routine serves the integer kernel, rational lines and algebra points;
+        # on each ring value_at gives P = s*F, so the coefficients come times s
         rng = random.Random(16)
         moduli = {"t^3 - 2": [-2, 0, 0, 1], "t^3 - t": [0, -1, 0, 1], "(t^2 + 1)(t - 2)": [-2, 1, -2, 1]}
         for _ in range(30):
@@ -167,12 +170,12 @@ class TestRestrictToLine:
                 p, q = random_point(rng), random_point(rng)
                 got = restrict(surface.value_at, p, q)
                 assert all(type(c) is int for c in got)
-                assert Poly(Fraction(c, 2) for c in got) == expand_along_line(surface, p, q)
+                assert Poly(Fraction(c, 2) for c in got) == expand_along_line(surface, p, q) * form_scale(surface)
             elif ring == "Fraction":
                 surface = random_surface_through(rng, [random_point(rng)]) or surface
                 p, q = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in "pq")
                 got = restrict(surface.value_at, p, q)
-                assert Poly(c / 2 for c in got) == expand_along_line(surface, p, q)
+                assert Poly(c / 2 for c in got) == expand_along_line(surface, p, q) * form_scale(surface)
             else:
                 algebra = EtaleAlgebra(Poly(moduli[ring]))
                 p, q = (
@@ -181,7 +184,8 @@ class TestRestrictToLine:
                 )
                 got = restrict(surface.value_at, p, q)
                 assert all(isinstance(c, AlgElement) for c in got)
-                assert [c * Fraction(1, 2) for c in got] == expand_over(algebra, surface, p, q)
+                s = form_scale(surface)
+                assert [c * Fraction(1, 2) for c in got] == [s * c for c in expand_over(algebra, surface, p, q)]
 
 
 class TestThirdPoint:
@@ -766,34 +770,36 @@ class TestCollinear:
 
 
 class TestFirstUnit:
-    """The unit-or-split scan over Q[t]/(t^2 - 1), which is Q x Q."""
+    """The unit-or-split scan on numerators over Q[t]/(t^2 - 1), which is Q x Q:
+    a + b*t is the numerator list [a, b]."""
 
     SPLIT = EtaleAlgebra(Poly([-1, 0, 1]))
-    T = SPLIT.generator
+    ZERO, ONE = [0, 0], [1, 0]
 
     def test_unit_after_zero_divisor_wins(self):
-        values = [self.SPLIT.zero, self.T - 1, self.T + 2]
-        assert _first_unit(values) == (2, self.T + 2)
+        values = [self.ZERO, [-1, 1], [2, 1]]
+        assert _first_unit(values, self.SPLIT) == (2, [2, 1])
 
     def test_zero_divisor_without_unit_splits_at_first(self):
-        values = [self.SPLIT.zero, self.T - 1, self.SPLIT.zero, self.T + 1]
+        values = [self.ZERO, [-1, 1], self.ZERO, [1, 1]]
         with pytest.raises(ZeroDivisorFound) as info:
-            _first_unit(values)
-        assert info.value.factor == (-1, 1)
+            _first_unit(values, self.SPLIT)
+        assert info.value.factor == (-1, 1) and info.value.algebra == self.SPLIT
 
     def test_all_zero_returns_none(self):
-        assert _first_unit([self.SPLIT.zero] * 3) is None
-        assert _first_unit([]) is None
+        assert _first_unit([self.ZERO] * 3, self.SPLIT) is None
+        assert _first_unit([], self.SPLIT) is None
+        assert _first_unit([0, 0]) is None
 
     def test_scan_stops_at_first_unit(self):
         read = []
 
         def values():
-            for v in (self.T + 1, self.SPLIT.one, None):
+            for v in ([1, 1], self.ONE, None):
                 read.append(v)
                 yield v
 
-        assert _first_unit(values()) == (1, self.SPLIT.one)
+        assert _first_unit(values(), self.SPLIT) == (1, self.ONE)
         assert len(read) == 2
 
 
@@ -913,8 +919,8 @@ class TestIntegerKernel:
     """Rational points run on primitive integer vectors; the algebra path is the reference.
 
     A point over Q[t]/(t(t - 1)) = Q x Q is a pair of rational points, one
-    at t = 0 and one at t = 1, and its constructions run the generic
-    `AlgElement` code.  Each component must equal the integer-path output.
+    at t = 0 and one at t = 1, and its constructions run on packed numerator
+    polynomials.  Each component must equal the integer-path output.
     """
 
     SPLIT = EtaleAlgebra(from_roots([0, 1]))
@@ -930,7 +936,7 @@ class TestIntegerKernel:
 
     def test_value_at_on_ints_is_exact(self):
         # on ints the kernel is s*F, for s the positive rational that makes
-        # F's coefficients coprime integers; Fractions still give F itself
+        # F's coefficients coprime integers; Fractions give s*F as well
         rng = random.Random(51)
         for case in range(120):
             if case % 2:
@@ -939,13 +945,12 @@ class TestIntegerKernel:
                 surface = CubicForm(terms)
             else:
                 surface = random_surface_through(rng, [])
-            den = lcm(*(c.denominator for c in surface.terms.values()))
-            s = Fraction(den, gcd(*(int(c * den) for c in surface.terms.values())))
+            s = form_scale(surface)
             pt = [rng.randint(-10**6, 10**6) for _ in range(4)]
             exact = sum(c * monomial_value(e, pt) for e, c in surface.terms.items())
             value = surface.value_at(pt)
             assert type(value) is int and value == s * exact
-            assert surface.value_at([Fraction(v) for v in pt]) == exact
+            assert surface.value_at([Fraction(v) for v in pt]) == s * exact
             grad = surface.gradient_at(pt)
             assert all(type(g) is int for g in grad)
             assert list(grad) == [s * g for g in form_gradient(surface, pt)]
@@ -998,6 +1003,57 @@ class TestIntegerKernel:
             assert [component_point(lifted, tau) for tau in (0, 1)] == want
             done += 1
         assert done >= 90
+
+    def test_algebra_points_compute_without_algelement_arithmetic(self, monkeypatch):
+        # AlgElements appear only at the boundary: with their ring operations patched
+        # to raise, every construction at points of degree 2-3 runs to the same outcome
+        forced = CubicForm({(0, 0, 0, 3): 3, (0, 0, 1, 2): -1, (0, 0, 3, 0): -3, (0, 1, 0, 2): 3,
+                            (0, 2, 0, 1): -1, (0, 2, 1, 0): 2, (1, 0, 0, 2): -3, (1, 0, 1, 1): -1,
+                            (1, 1, 0, 1): -2, (1, 1, 1, 0): -2, (1, 2, 0, 0): -1, (2, 0, 0, 1): 1,
+                            (2, 0, 1, 0): 1, (2, 1, 0, 0): Fraction(-31, 4), (3, 0, 0, 0): 2})
+        cases = [  # irreducible, through a rational point, forced split, fully split with no unit coordinate
+            (FERMAT, [1, 2, 0, 0], [0, 0, 1, 3], [1, 1, 1, 1], [1, 2, 4, 8]),
+            (CubicForm.diagonal(1, 2, -3, 5), [-1, 1, 1, 0], [1, 2, 0, 3], [0, 1, 1, 1], [1, 0, 2, 1]),
+            (forced, [-1, 0, -1, 0], [-4, -1, 0, 0], [-4, 0, -4, -4], [-2, -3, 1, -3]),
+            (FERMAT, [1, -1, 0, 0], [0, 1, -1, 0], [1, 1, 1, 1], [1, 2, 4, 8]),
+        ]
+
+        def outcome(run):
+            try:
+                out = run()
+            except (GeometryError, ZeroDivisorFound) as exc:
+                return type(exc).__name__, str(exc)
+            return "ok", out if isinstance(out, tuple) else out.to_json()
+
+        def constructions():
+            out = []
+            for surface, p, q, a, b in cases:
+                line, pencil = Line.rational(p, q), PlanePencil(Line.rational(a, b))
+                scheme = line_section(surface, line)
+                points = [scheme.point]
+                if scheme.known_parameters and scheme.degree == 3:  # its degree-2 component
+                    tau = scheme.known_parameters[0]
+                    _, sub, _ = scheme.algebra.split((-tau.numerator, tau.denominator))
+                    points.append(ProjPoint(sub, [sub._reduced(num, 1) for num in scheme.point._nums[0]]))
+                out += [outcome(lambda: scheme), outcome(lambda: tangent_triple(surface, pencil, line))]
+                for x in points:
+                    out += [outcome(lambda: tuple((c.num, c.den) for c in fiber_plane(pencil, x))),
+                            outcome(lambda: tangent_residual(surface, pencil, x))]
+                    y = _tangent_on_components(surface, pencil, x)  # splits where the residual refuses
+                    w = _tangent_on_components(surface, PlanePencil(Line.rational([0, 1, 2, 3], [1, 0, 1, -1])), y)
+                    out += [outcome(lambda: third_point(surface, x, y)), outcome(lambda: third_point(surface, x, w)),
+                            outcome(lambda: third_point(surface, w, y)), y.to_json(), w.to_json()]
+            return out
+
+        want = constructions()
+        assert sum(kind == "ok" for kind, _ in want) >= 25
+
+        def refused(self, *args):
+            raise AssertionError("AlgElement arithmetic on a library path")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(AlgElement, name, refused)
+        assert constructions() == want
 
     def test_from_integers_is_the_normalized_point(self):
         rng = random.Random(54)

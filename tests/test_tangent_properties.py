@@ -1,12 +1,13 @@
-"""Property tests of the tangent process at algebra points.
+"""Property tests of the tangent process and of chords at algebra points.
 
-At a point of degree 2 or 3 the tangent process runs on packed numerator
-polynomials and reads values back modulo the modulus only for its zero and
-unit tests.  Its outputs are checked here by evaluators that share nothing
-with that pass: `form_value`/`form_gradient` multiply algebra elements
-monomial by monomial, the fibre plane is a 4x4 determinant over the algebra,
-and each rational component is compared with the tangent process at the
-component point on plain integers.  The points are line sections of random
+At a point of degree 2 or 3 the tangent process and the chord construction
+run on packed numerator polynomials and read values back modulo the modulus
+only for their zero and unit tests.  Their outputs are checked here by
+evaluators that share nothing with that pass: `form_value`/`form_gradient`
+multiply algebra elements monomial by monomial, the fibre plane is a 4x4
+determinant and collinearity a set of 3x3 minors over the algebra, and each
+rational component is compared with the tangent process at the component
+point on plain integers.  The points are line sections of random
 surfaces (degree 3, split when the line passes through a rational point) and
 their degree-2 components, so moduli with scale != 1 and reducible moduli
 both occur.  The unit scan on numerators is checked against `poly_gcd`.  The
@@ -26,6 +27,7 @@ from conftest import (
     Poly,
     component_point,
     form_gradient,
+    form_scale,
     form_value,
     from_roots,
     modulus_of,
@@ -36,6 +38,7 @@ from conftest import (
 )
 from zerocycles.algebra import EtaleAlgebra, ZeroDivisorFound, _gcd
 from zerocycles.geometry import (
+    EqualPoints,
     GeometryError,
     Line,
     PlanePencil,
@@ -46,6 +49,7 @@ from zerocycles.geometry import (
     line_section,
     tangent_residual,
     tangent_triple,
+    third_point,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -111,6 +115,61 @@ def test_tangent_residual_at_algebra_points(seed, through, component):
     # each rational component is the tangent process at the component point, on integers
     for tau in roots:
         assert component_point(y, tau) == tangent_residual(surface, PlanePencil(axis), component_point(x, tau))
+
+
+def widened(point, rng, bits):
+    """The same point with its numerators times a random rational of up to `bits` bits."""
+    scalar = Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1) * rng.choice([1, -1])
+    return ProjPoint(point.algebra, [c * scalar for c in point.coords])
+
+
+def collinear_over(algebra, rows):
+    """Whether three points of P^3 over the algebra lie on a line: every 3x3 minor vanishes."""
+    for cols in itertools.combinations(range(4), 3):
+        (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in rows)
+        if not (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).is_zero:
+            return False
+    return True
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.integers(0, 200))
+def test_chords_at_algebra_points(seed, through, component, bits):
+    # x is a line-section point (degree 3, or its degree-2 component; split when the
+    # line passes through a rational point), y its tangent residual and w the tangent
+    # residual at y in a second pencil, each with numerators widened by up to `bits`
+    # bits.  The chord xy is the tangent line at x, so its third point is x itself;
+    # the chord xw is a generic secant, whose third point z is checked in AlgElement
+    # arithmetic.  Refusals must name a proper factor of the modulus.
+    rng = random.Random(seed)
+    drawn = section_point(rng, through, component)
+    hypothesis.assume(drawn is not None)
+    surface, x, _ = drawn
+    algebra, s = x.algebra, form_scale(surface)
+    try:
+        pencils = [PlanePencil(Line.rational(random_point(rng), random_point(rng))) for _ in range(2)]
+        x = widened(x, rng, bits)
+        y = widened(tangent_residual(surface, pencils[0], x), rng, bits)
+        w = widened(tangent_residual(surface, pencils[1], y), rng, bits)
+        assert third_point(surface, x, y) == x
+        z = third_point(surface, x, w)
+    except GeometryError:
+        return
+    except ZeroDivisorFound as zd:
+        factor, modulus = Poly(zd.factor), modulus_of(algebra)
+        assert 1 <= factor.degree < modulus.degree and (modulus % factor).is_zero
+        return
+    assert z.algebra == algebra
+    assert form_value(surface, z.coords).is_zero
+    assert collinear_over(algebra, [x.coords, w.coords, z.coords])
+    assert third_point(surface, w, x) == z
+    try:  # involution: the third point of the chord xz is w again
+        assert third_point(surface, x, z) == w
+    except (EqualPoints, ZeroDivisorFound):  # only where x and z meet in some component
+        pairs = itertools.combinations(range(4), 2)
+        assert not any((x.coords[i] * z.coords[j] - x.coords[j] * z.coords[i]).is_unit() for i, j in pairs)
+    for point in (x, y, w, z):
+        assert surface.value_at(point.coords) == s * form_value(surface, point.coords)
 
 
 def tangent_outcome(run):
@@ -186,11 +245,3 @@ def test_unit_scan_on_numerators(roots, draws):
         assert info.value.algebra == algebra
     else:
         assert _first_unit(values, algebra) is None
-    # the AlgElement scan agrees, value for value
-    elements = [algebra.element([Fraction(c) for c in v]) for v in values]
-    try:
-        found = _first_unit(elements)
-    except ZeroDivisorFound as zd:
-        assert not units and zd.factor == info.value.factor
-    else:
-        assert found == ((units[0], elements[units[0]]) if units else None)
