@@ -21,7 +21,6 @@ from .geometry import (
     Line,
     PlanePencil,
     ProjPoint,
-    fiber_plane,
     line_section,
     tangent_residual,
     tangent_triple,

@@ -3,21 +3,21 @@
 Everything is immutable and exact.  Polynomials are integer coefficient lists,
 lowest degree first, and an etale algebra is a quotient Q[t]/(f) with f monic
 and squarefree, kept as its primitive integer multiple.  Algebra elements are
-integer numerators over one reduced positive denominator.  They multiply by
-one schoolbook convolution (`_convolve`) and one fraction-free reduction
-(`EtaleAlgebra._remainder`, which geometry also runs on bare numerators);
-inverses come from the matrix of multiplication by the element, through the
-one Bareiss routine (`_eliminate`), and for an element of degree <= 1 from one
-synthetic division of the modulus.  The unit test, zero-divisor factors and
-squarefree checks run the primitive pseudo-remainder sequence (`_gcd`), and
-divisibility runs pseudo-division (`_quotient`).  `Fraction`s appear only at
-the boundary: rational scalars coming in, and coefficients for keys and
-messages going out (`rational_coeffs`); JSON text is printed off integer
-numerators (`_texts`).  No factorization is ever performed; a reducible
-modulus is split lazily when some computation runs into a zero divisor:
-`ZeroDivisorFound` carries the factor, and `EtaleAlgebra.split` builds both
-components on integers, without a second squarefree check, and returns their
-CRT recombination.
+values: integer numerators over one reduced positive denominator, built,
+compared, hashed and printed, with no ring operations.  The kernel computes on
+bare numerators: products by one schoolbook convolution (`_convolve`) and one
+fraction-free reduction (`EtaleAlgebra._remainder`); inverses from the matrix
+of multiplication by the element, through the one Bareiss routine
+(`_eliminate`), and for an element of degree <= 1 from one synthetic division
+of the modulus.  The unit test, zero-divisor factors and squarefree checks run
+the primitive pseudo-remainder sequence (`_gcd`), and divisibility runs
+pseudo-division (`_quotient`).  `Fraction`s appear only at the boundary:
+rational scalars coming in, and coefficients for keys and messages going out
+(`rational_coeffs`); JSON text is printed off integer numerators (`_texts`).
+No factorization is ever performed; a reducible modulus is split lazily when
+some computation runs into a zero divisor: `ZeroDivisorFound` carries the
+factor, and `EtaleAlgebra.split` builds both components on integers, without
+a second squarefree check, and returns their CRT recombination.
 """
 
 from __future__ import annotations
@@ -326,18 +326,6 @@ class EtaleAlgebra:
         num[0] = q.numerator
         return AlgElement(self, num, q.denominator)
 
-    @property
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, (0,) * len(self.tail), 1)
-
-    @property
-    def one(self) -> "AlgElement":
-        return self.from_rational(1)
-
-    @property
-    def generator(self) -> "AlgElement":
-        return self.element((0, 1))
-
     def split(self, factor: Sequence[int]):
         """Split along a proper divisor g of the modulus, given by integer
         coefficients lowest degree first, as `ZeroDivisorFound.factor` carries it.
@@ -353,8 +341,8 @@ class EtaleAlgebra:
         if h is None:
             raise ValueError(f"{_poly_text(g)} is not a proper divisor of the modulus of {self}")
         sub_a, sub_b = EtaleAlgebra._of(g), EtaleAlgebra._of(h)
-        g_inv = sub_b._reduced(list(g), 1).inverse()
-        e = self._reduced(_convolve(g, g_inv.num), g_inv.den)
+        inv, d = sub_b._inverse(sub_b._remainder(g))  # g mod h is a unit, as g and h are coprime
+        e = self._reduced(_convolve(g, [x * sub_b.scale ** max(len(g) - sub_b.degree, 0) for x in inv]), d)
         rest = [e.den - e.num[0], *(-x for x in e.num[1:])]  # d - E for e = E / d
 
         def combine(a: tuple, b: tuple) -> tuple:
@@ -382,7 +370,8 @@ class EtaleAlgebra:
 
 
 class AlgElement:
-    """Element of an etale algebra: sum(num[i] * t^i) / den.
+    """Element of an etale algebra: sum(num[i] * t^i) / den, a value with no ring
+    operations; the kernel computes on `num` and `den`.
 
     `num` holds one integer per power of t below the modulus degree and
     `den` is positive with gcd(den, *num) == 1, so equal elements have equal
@@ -405,69 +394,9 @@ class AlgElement:
     def __setattr__(self, name, value):
         raise AttributeError("AlgElement is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, AlgElement):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise ValueError("elements of different algebras")
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.algebra.from_rational(other)
-        return NotImplemented
-
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def __bool__(self) -> bool:
-        return any(self.num)
-
-    def is_unit(self) -> bool:
-        return len(self.algebra._factor(self.num)) == 1
-
-    def inverse(self) -> "AlgElement":
-        """Multiplicative inverse.
-
-        Raises ZeroDivisionError on 0 and ZeroDivisorFound (carrying a proper
-        factor of the modulus) on a nonzero non-unit.
-        """
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero in an etale algebra")
-        parts = self.algebra._inverse(self.num)
-        if parts is None:
-            raise ZeroDivisorFound(self.algebra, self.algebra._factor(self.num))
-        return AlgElement(self.algebra, [x * self.den for x in parts[0]], parts[1])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, db = self.den, other.den
-        return AlgElement(self.algebra, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgElement(self.algebra, [-x for x in self.num], self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self + -other
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return AlgElement(self.algebra, [x * other.numerator for x in self.num], self.den * other.denominator)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.algebra._reduced(_convolve(self.num, other.num), self.den * other.den)
-
-    __rmul__ = __mul__
 
     def constant_value(self) -> Fraction:
         """The element as a rational number; requires a constant representative."""
@@ -476,13 +405,9 @@ class AlgElement:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        if other is NotImplemented:
+        if not isinstance(other, AlgElement):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.algebra == other.algebra and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash(("AlgElement", self.algebra.tail, self.num, self.den))

@@ -8,15 +8,15 @@ composite map sending a plane pencil and a line to the tangent-process image
 of the line's intersection triple.
 
 Coordinates live in an etale algebra so that points of degree up to 3 are
-first-class values, but every construction computes on integers.  Rational
-points compute on their primitive integer vectors and are kept as them; their
-algebra coordinates are built only when read.  At a point of degree 2-3,
-chords, the tangent process, fibre planes, membership and normalization run
-on numerator polynomials packed into ints (`_pack`) and read back modulo f
-(`_reader`); AlgElements appear only at the boundary: JSON in, `coords` and
-`fiber_plane`'s output.  `value_at` gives P, the primitive integer multiple of
-F, on any commutative ring, and geometry calls it on ints only.  Chords and
-tangent lines share one residual routine (`_line_residual`).  Whenever a
+built, compared, hashed and printed as values, but every construction computes
+on integers.  Rational points compute on their primitive integer vectors and
+are kept as them; their algebra coordinates are built only when read.  At a
+point of degree 2-3, chords, the tangent process, membership and
+normalization run on numerator polynomials packed into ints (`_pack`) and read
+back modulo f (`_reader`); AlgElements appear only at the boundary: JSON in
+and `coords`.  `value_at` gives P, the primitive integer multiple of F, on any
+commutative ring, and geometry calls it on ints only.  Chords and tangent
+lines share one residual routine (`_line_residual`).  Whenever a
 computation over a reducible algebra hits a zero divisor, `ZeroDivisorFound`
 escapes and the caller (see `tangent_triple`) splits the algebra and retries
 componentwise.
@@ -28,6 +28,8 @@ smoothness at the specific points it touches via the gradient.
 from __future__ import annotations
 
 import itertools
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -293,16 +295,23 @@ def _json_list(obj, what: str) -> list:
     return obj
 
 
+#: The one string form of a rational in JSON input: digits, an optional sign and denominator.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational_from_json(value) -> Fraction:
-    """A JSON integer or a "num/den" string; floats and booleans are refused."""
+    """A JSON integer or a "num/den" string matching `_RATIONAL` with a nonzero den.  Floats,
+    booleans, exponents, underscores, spaces and decimal points are refused by a message that
+    names the value, truncated, before any integer is built from it."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f'expected an integer or a "num/den" string, got {value!r}')
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f'expected an integer or a "num/den" string, got {reprlib.repr(value)}')
+    num, den = match.groups()
+    if not (den := int(den or 1)):
+        raise ValueError(f"zero denominator in {reprlib.repr(value)}")
+    return Fraction(int(num), den)
 
 
 def _rationals_from_json(obj, what: str) -> list:
@@ -429,8 +438,8 @@ class CubicForm:
 
     def value_at(self, coords: Sequence):
         """P, the primitive integer multiple of F, at 4 values of one commutative ring
-        (ints, Fractions, AlgElements or packed ints): P = s*F for one positive rational
-        s, so on ints it is one positive multiple of F at every point."""
+        (ints, Fractions or packed ints): P = s*F for one positive rational s, so on
+        ints it is one positive multiple of F at every point."""
         return _cubic(self._integer_kernel()[1], *coords)
 
     def gradient_at(self, coords: Sequence) -> tuple:
@@ -602,9 +611,10 @@ def _plucker(pencil: PlanePencil) -> tuple:
     return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
 
 
-def _plane(plucker: tuple, xs: Sequence, units=_first_unit) -> tuple:
-    """The plane with Plucker coordinates `plucker` through the point with coordinates
-    xs, once the unit scan `units` finds a coefficient; else x lies on the axis."""
+def _plane(plucker: tuple, xs: Sequence, units) -> tuple:
+    """The plane of the pencil with Plucker coordinates `plucker` through the point with
+    coordinates xs, as the signed 3x3 minors of (axis, x) expanded along x, once the
+    unit scan `units` finds a coefficient; else x lies on the axis."""
     p01, p02, p03, p12, p13, p23 = plucker
     x0, x1, x2, x3 = xs
     n = (x1 * p23 - x2 * p13 + x3 * p12, x2 * p03 - x0 * p23 - x3 * p02,
@@ -612,25 +622,6 @@ def _plane(plucker: tuple, xs: Sequence, units=_first_unit) -> tuple:
     if units(reversed(n)) is None:
         raise PointOnAxis("point lies on the pencil axis")
     return n
-
-
-def fiber_plane(pencil: PlanePencil, x: ProjPoint) -> tuple:
-    """The unique plane of the pencil through x, as a linear form on X0..X3.
-
-    Computed as the signed 3x3 minors of the rows (axis basepoints, x), each
-    expanded along x: the rational axis gives the integer 2x2 minors (its
-    Plucker coordinates) of its primitive vectors, and x gives integers when
-    rational, its packed `_nums` otherwise, read back once each.  All minors
-    vanishing means x lies on the axis.
-    """
-    plucker = _plucker(pencil)
-    if x.is_rational:
-        return _plane(plucker, x.primitive())
-    (nums, den), algebra = x._nums, x.algebra
-    values, bits = _pack(nums, 3 * max(map(abs, plucker)), 1)
-    read = _reader(algebra, bits, algebra.degree)
-    n = _plane(plucker, values, lambda plane: _first_unit(map(read, plane), algebra))
-    return tuple(AlgElement(algebra, read(v), den) for v in n)
 
 
 def tangent_residual(surface: CubicForm, pencil: PlanePencil, x: ProjPoint) -> ProjPoint:

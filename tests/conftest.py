@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import partial
 
-from zerocycles.algebra import AlgElement, EtaleAlgebra, _radical, rational_coeffs
+from zerocycles.algebra import AlgElement, EtaleAlgebra
 from zerocycles.geometry import (
     CubicForm,
     GeometryError,
@@ -22,7 +22,6 @@ from zerocycles.geometry import (
     LineInSurface,
     ProjPoint,
     _on_surface,
-    _primitive,
     restrict,
     third_point,
 )
@@ -209,8 +208,8 @@ def monomial_value(exp, point):
 
 
 def form_value(surface, coords):
-    """F at coordinates of any ring with + and * (Fractions, `Poly`s, algebra
-    elements), monomial by monomial: an evaluator independent of the library's."""
+    """F at coordinates of any ring with + and * (Fractions or `Poly`s), monomial by
+    monomial: an evaluator independent of the library's."""
     total = 0
     for exp, coeff in surface.terms.items():
         term = coeff
@@ -243,10 +242,15 @@ def form_scale(surface) -> Fraction:
     return Fraction(den, math.gcd(*(int(c * den) for c in surface.terms.values())))
 
 
+def reps(point) -> list:
+    """A point's four coordinates as `Poly` representatives."""
+    return [rep_of(c) for c in point.coords]
+
+
 def evaluate(surface, point):
-    """F at the point's algebra coordinates, exactly, as an element of its
-    algebra, by `form_value`: zero iff the point lies on the surface."""
-    return form_value(surface, point.coords)
+    """F at the point, exactly, as a `Poly` reduced mod the algebra's modulus: `form_value`
+    on the coordinates' representatives.  Zero iff the point lies on the surface."""
+    return form_value(surface, reps(point)) % modulus_of(point.algebra)
 
 
 def random_point(rng, height=4):
@@ -380,10 +384,10 @@ def weierstrass_surface(a, b) -> CubicForm:
 
 def fraction_line_section(surface, line) -> LengthThreeScheme:
     """`line_section` on Fractions: the restricted cubic on the raw basepoints'
-    coordinates, the same visible roots, reparametrization and squarefree part,
-    and the point's coordinates p + t*q_new built in the algebra, with F evaluated
-    by `form_value`.  The reference the integer chart of `line_section` must
-    agree with byte for byte."""
+    coordinates, the same visible roots and reparametrization, the squarefree part
+    by `squarefree_part`, and the point's coordinates p + t*q_new reduced as `Poly`s,
+    with F evaluated by `form_value`.  The reference the integer chart of
+    `line_section` must agree with byte for byte."""
     p, q = line.p.rational_coords(), line.q.rational_coords()
     value = partial(form_value, surface)
     c = restrict(value, p, q)
@@ -404,23 +408,27 @@ def fraction_line_section(surface, line) -> LengthThreeScheme:
             break
     else:
         raise InvariantViolated("a nonzero binary cubic cannot vanish at 4 parameters")
-    reduced = _radical(_primitive(shifted))
+    reduced = squarefree_part(Poly(shifted))
     params = []
     for s, t in visible:
         tau = t / (s - k * t)
-        assert sum(r * tau**i for i, r in enumerate(reduced)) == 0
+        assert reduced(tau) == 0
         if tau not in params:
             params.append(tau)
-    algebra = EtaleAlgebra(rational_coeffs(reduced, reduced[-1]))
-    tbar = algebra.generator
-    coords = [algebra.from_rational(a) + tbar * algebra.from_rational(b) for a, b in zip(p, q_new)]
-    return LengthThreeScheme(algebra, ProjPoint(algebra, coords), len(reduced) < 4, tuple(sorted(params)))
+    algebra = EtaleAlgebra(reduced)
+    coords = [algebra.element(Poly((a, b)) % reduced) for a, b in zip(p, q_new)]
+    return LengthThreeScheme(algebra, ProjPoint(algebra, coords), reduced.degree < 3, tuple(sorted(params)))
 
 
 def naive_saturate(surface, seeds, rounds, max_points=400):
     """Saturation as the full rounds run it, the reference for `saturate`: every round
     sorts the known points by `ProjPoint.key` (Fractions), redoes every chord and
-    every tangent scan, and adds what is new in that order up to the cap."""
+    every tangent scan, and adds what is new in that order up to the cap.
+
+    It shares the constructions with the library: chords are `third_point` and
+    tangent scans `_tangent_direction_residuals`.  What it checks is the
+    saturation around them: the seed check, the round structure, the order in
+    which new points are found and added, deduplication and the cap."""
     known = {}
     for record in seeds:
         point = ProjPoint.from_integers(record.point.normalized().primitive())

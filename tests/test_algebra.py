@@ -6,7 +6,7 @@ import pytest
 from conftest import Poly, combined, element_json, from_roots, modulus_of, poly_xgcd, primitive, rep_of
 from zerocycles.algebra import (
     EtaleAlgebra,
-    ZeroDivisorFound,
+    _convolve,
     _gcd,
     _quotient,
     _radical,
@@ -148,22 +148,25 @@ class TestEtaleAlgebra:
             EtaleAlgebra(P(5))  # degree 0
 
     def test_defining_relation(self, quad):
-        t = quad.generator
-        assert t * t == quad.from_rational(2)
+        # the product kernel: t * t reduces to 2 over Q[t]/(t^2 - 2)
+        assert quad._reduced(_convolve([0, 1], [0, 1]), 1) == quad.from_rational(2)
 
     def test_identity(self, cubic):
+        # the product kernel on a and the numerators of 1
         rng = random.Random(5)
+        one = cubic.from_rational(1)
         for _ in range(50):
             a = cubic.element(random_poly(rng, 2))
-            assert a * cubic.one == a
+            assert cubic._reduced(_convolve(a.num, one.num), a.den) == a
 
     def test_mul_against_long_division_oracle(self, cubic):
-        # schoolbook multiply then explicit long division, as a separate path
+        # the kernel's convolution and reduction against schoolbook multiply then
+        # explicit long division, as a separate path
         rng = random.Random(6)
         for _ in range(300):
-            fa, fb = random_poly(rng, 2), random_poly(rng, 2)
-            got = rep_of(cubic.element(fa) * cubic.element(fb))
-            raw = list((fa * fb).coeffs)
+            a, b = cubic.element(random_poly(rng, 2)), cubic.element(random_poly(rng, 2))
+            got = rep_of(cubic._reduced(_convolve(a.num, b.num), a.den * b.den))
+            raw = list((rep_of(a) * rep_of(b)).coeffs)
             # divide by t^3 - t - 1 by hand: t^3 -> t + 1
             while len(raw) > 3:
                 top = raw.pop()
@@ -172,26 +175,26 @@ class TestEtaleAlgebra:
             assert Poly(raw) == got
 
     def test_inverse(self, quad, cubic):
-        t = quad.generator
-        assert t.inverse() == quad.element(P(0, Fraction(1, 2)))
-        assert quad.one.inverse() == quad.one
+        inv, den = quad._inverse([0, 1])
+        assert quad._reduced(inv, den) == quad.element(P(0, Fraction(1, 2)))
+        assert quad._inverse([1, 0]) == ([1, 0], 1)
         rng = random.Random(7)
         for _ in range(100):
             a = cubic.element(random_poly(rng, 2))
             if a.is_zero:
                 continue
-            assert a * a.inverse() == cubic.one  # t^3 - t - 1 is irreducible
+            inv, den = cubic._inverse(a.num)  # t^3 - t - 1 is irreducible
+            assert Poly(a.num) * Poly(inv) % modulus_of(cubic) == P(den)
 
-    def test_inverting_zero_is_distinct_error(self, quad):
-        with pytest.raises(ZeroDivisionError):
-            quad.zero.inverse()
+    def test_zero_has_the_modulus_as_factor(self, quad):
+        assert quad._inverse([0, 0]) is None
+        assert quad._factor([0, 0]) == quad.modulus
 
     def test_zero_divisor_carries_proper_factor(self):
         split = EtaleAlgebra(P(-1, 0, 1))  # t^2 - 1
         bad = split.element(P(-1, 1))
-        with pytest.raises(ZeroDivisorFound) as info:
-            bad.inverse()
-        factor = info.value.factor
+        assert split._inverse(bad.num) is None
+        factor = split._factor(bad.num)
         assert factor == (-1, 1)
         assert factor == primitive(Poly(factor))
         assert 2 <= len(factor) <= split.degree
@@ -203,30 +206,12 @@ class TestEtaleAlgebra:
             roots = rng.sample(range(-8, 9), 3)
             algebra = EtaleAlgebra(from_roots(roots))
             witness = algebra.element(from_roots([roots[0]]))
-            with pytest.raises(ZeroDivisorFound) as info:
-                witness.inverse()
-            factor = info.value.factor
+            assert algebra._inverse(witness.num) is None
+            factor = algebra._factor(witness.num)
             assert factor == primitive(Poly(factor)) and 2 <= len(factor) <= 3
             assert Poly(factor).divides(modulus_of(algebra))
             sub_a, sub_b, _ = algebra.split(factor)
             assert modulus_of(sub_a) * modulus_of(sub_b) == modulus_of(algebra)
-
-    def test_ring_axioms_randomized(self, cubic):
-        rng = random.Random(9)
-        for _ in range(1000):
-            a = cubic.element(random_poly(rng, 2))
-            b = cubic.element(random_poly(rng, 2))
-            c = cubic.element(random_poly(rng, 2))
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-
-    def test_scalar_coercion(self, quad):
-        t = quad.generator
-        assert 2 * t == t + t
-        assert Fraction(1, 2) * (t + t) == t
-        assert (t - t).is_zero
 
     def test_bools_are_not_rationals(self, quad):
         # bool is an int subclass, but the kernel reads no bool as 0 or 1
@@ -234,13 +219,9 @@ class TestEtaleAlgebra:
             EtaleAlgebra((0, True))
         with pytest.raises(TypeError, match="True"):
             quad.element((True, False))
-        with pytest.raises(TypeError):
-            quad.one * True
-        with pytest.raises(TypeError):
-            False * quad.generator
-        with pytest.raises(TypeError):
-            quad.one + True
-        assert quad.one != True  # noqa: E712
+        with pytest.raises(TypeError, match="False"):
+            quad.from_rational(False)
+        assert quad.from_rational(1) != True  # noqa: E712
 
     def test_element_serialization(self, cubic):
         a = cubic.element(P(Fraction(1, 3), 2))

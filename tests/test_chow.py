@@ -45,6 +45,15 @@ class TestTriClass:
             with pytest.raises(TypeError):
                 scalar_op()
 
+    def test_equal_classes_hash_equal(self):
+        # the hash reads the coefficients only, so classes built apart, and in
+        # another order, are one set member and one dict key
+        a = ALPHA * BETA + 2 * GAMMA
+        b = TriClass({frozenset({"z"}): 2, frozenset({"y", "x"}): 1})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ALPHA * BETA, BETA * ALPHA}) == 2
+        assert {a: "found"}[b] == "found"
+
     def test_ring_axioms_randomized(self):
         rng = random.Random(20)
 

@@ -563,6 +563,22 @@ def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, me
     assert out == json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "axis, kind, message",
+    [
+        ('[["0","0","1","0"],["0","0","0","1"]]', "SingularSectionPoint", "gradient is proportional to the plane normal"),
+        ('[["0","0","1","-1"],["1","1","1","1"]]', "TangentLineInSurface", "tangent line is contained in the surface"),
+    ],
+    ids=["singular-section-point", "tangent-line-in-surface"],
+)
+def test_tangent_refusals_at_a_fermat_point(capsys, fermat_path, axis, kind, message):
+    # the two refusals of the tangent process past its input checks, at (1, -1, 0, 0)
+    argv = ["geom", "tangent-residual", "--surface", fermat_path, "--axis", axis, "--point", '["1","-1","0","0"]']
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True, indent=2) + "\n"
+
+
 #: A point over t^2 - 1 lifting (1, -1, 0, 0) at t = 1 and (0, 1, -1, 0) at t = -1.
 _LIFT = {"modulus": ["-1", "0", "1"], "coords": [["1/2", "1/2"], ["0", "-1"], ["-1/2", "1/2"], []]}
 
@@ -732,12 +748,17 @@ class TestHostileInput:
             ["delta", "--surface", FERMAT, "--line", f"[{QUADRATIC},{Y}]"],
             ["psi", "--surface", FERMAT, "--axis", f"[{X},{QUADRATIC}]", "--line", LINE],
             ["tangent-residual", "--surface", FERMAT, "--axis", f"[{QUADRATIC},{Y}]", "--point", X],
+            ["delta", "--surface", _fermat_with(coeff="1e999999999"), "--line", LINE],
+            ["third-point", "--surface", FERMAT, "--x", '["1_000","-1","0","0"]', "--y", Y],
+            ["third-point", "--surface", FERMAT, "--x", '{"modulus":[" 3/4 ",1],"coords":[[1],[-1],[],[]]}', "--y", Y],
+            ["delta", "--surface", FERMAT, "--line", '[["1.5","-1","0","0"],["+3","1","-1","0"]]'],
         ],
         ids=[
             "point-scalar", "line-one-point", "monomials-scalar", "surface-list",
             "monomial-list", "exponent-float", "coeff-float", "coeff-bool", "coord-float",
             "coord-bool", "coord-zero-denominator", "algebra-coords-scalar",
             "line-algebra-point", "psi-axis-algebra-point", "tangent-axis-algebra-point",
+            "coeff-exponent-string", "coord-underscore-string", "modulus-spaced-string", "line-decimal-string",
         ],
     )
     def test_geometry_loaders_reject_malformed_json(self, capsys, fermat_path, argv):

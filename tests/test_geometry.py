@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -17,10 +18,12 @@ from conftest import (
     form_scale,
     fraction_line_section,
     from_roots,
+    modulus_of,
     monomial_value,
     random_point,
-    rep_of,
     random_surface_through,
+    rep_of,
+    reps,
     secant_instance,
     weierstrass_surface,
 )
@@ -37,11 +40,14 @@ from zerocycles.geometry import (
     PointNotOnSurface,
     PointOnAxis,
     ProjPoint,
-    RATIONALS,
+    SingularSectionPoint,
+    TangentLineInSurface,
     _first_unit,
+    _plane,
+    _plucker,
+    _rational_from_json,
     _tangent_at_roots,
     _tangent_on_components,
-    fiber_plane,
     line_from_json,
     line_section,
     point_from_json,
@@ -68,8 +74,7 @@ class TestEvaluate:
 
     def test_fermat_examples(self):
         assert evaluate(FERMAT, ProjPoint.rational([1, -1, 0, 0])).is_zero
-        one = evaluate(FERMAT, ProjPoint.rational([1, 0, 0, 0]))
-        assert one == RATIONALS.one
+        assert evaluate(FERMAT, ProjPoint.rational([1, 0, 0, 0])) == Poly.one()
 
     def test_against_monomial_oracle(self):
         # value_at gives P = s*F on every ring
@@ -99,14 +104,15 @@ def restricted(surface, line):
 
 
 def expand_over(algebra, surface, p, q):
-    """`expand_along_line` over an algebra: the coefficients of F(p + t*q) as algebra elements.
+    """`expand_along_line` over an algebra: the coefficients of F(p + t*q) as `Poly`s mod f,
+    for coordinates given as `Poly` representatives.
 
     Coordinates are polynomials of degree <= 2 in the generator u, so each
     coefficient of the expansion is a polynomial of degree <= 6 in u.  It is
     interpolated from the rational expansions at u = 0..6 and then reduced.
     """
     nodes = range(7)
-    rows = [expand_along_line(surface, [rep_of(c)(u) for c in p], [rep_of(c)(u) for c in q]) for u in nodes]
+    rows = [expand_along_line(surface, [c(u) for c in p], [c(u) for c in q]) for u in nodes]
     out = []
     for j in range(4):
         coeff = Poly.zero()
@@ -116,7 +122,7 @@ def expand_over(algebra, surface, p, q):
                 if xm != xk:
                     term = term * Poly([Fraction(-xm, xk - xm), Fraction(1, xk - xm)])
             coeff = coeff + term
-        out.append(algebra.element(coeff))
+        out.append(coeff % modulus_of(algebra))
     return out
 
 
@@ -142,7 +148,7 @@ class TestRestrictToLine:
             if instance is None:
                 continue
             surface, x, y = instance
-            c = restrict(surface.value_at, x.coords, y.coords)
+            c = restrict(surface.value_at, reps(x), reps(y))
             assert c[0].is_zero and c[3].is_zero
 
     def test_matches_expansion_oracle(self):
@@ -160,8 +166,9 @@ class TestRestrictToLine:
         "ring", ["int", "Fraction", "t^3 - 2", "t^3 - t", "(t^2 + 1)(t - 2)"]
     )
     def test_every_ring_matches_expansion_oracle(self, ring):
-        # one routine serves the integer kernel, rational lines and algebra points;
-        # on each ring value_at gives P = s*F, so the coefficients come times s
+        # one routine serves the integer kernel, rational lines and algebra points,
+        # here as Poly representatives reduced mod f; on each ring value_at gives
+        # P = s*F, so the coefficients come times s
         rng = random.Random(16)
         moduli = {"t^3 - 2": [-2, 0, 0, 1], "t^3 - t": [0, -1, 0, 1], "(t^2 + 1)(t - 2)": [-2, 1, -2, 1]}
         for _ in range(30):
@@ -177,15 +184,12 @@ class TestRestrictToLine:
                 got = restrict(surface.value_at, p, q)
                 assert Poly(c / 2 for c in got) == expand_along_line(surface, p, q) * form_scale(surface)
             else:
-                algebra = EtaleAlgebra(Poly(moduli[ring]))
-                p, q = (
-                    [algebra.element(Poly(rng.randint(-3, 3) for _ in range(3))) for _ in range(4)]
-                    for _ in "pq"
-                )
+                algebra, f = EtaleAlgebra(Poly(moduli[ring])), Poly(moduli[ring])
+                p, q = ([Poly(rng.randint(-3, 3) for _ in range(3)) % f for _ in range(4)] for _ in "pq")
                 got = restrict(surface.value_at, p, q)
-                assert all(isinstance(c, AlgElement) for c in got)
+                assert all(isinstance(c, Poly) for c in got)
                 s = form_scale(surface)
-                assert [c * Fraction(1, 2) for c in got] == [s * c for c in expand_over(algebra, surface, p, q)]
+                assert [c * Fraction(1, 2) % f for c in got] == [s * c for c in expand_over(algebra, surface, p, q)]
 
 
 class TestThirdPoint:
@@ -235,7 +239,7 @@ class TestLine:
     @pytest.mark.parametrize("side", [0, 1], ids=["p", "q"])
     def test_basepoints_must_be_rational(self, modulus, side):
         algebra = EtaleAlgebra(modulus)
-        point = ProjPoint(algebra, [algebra.generator, algebra.one, algebra.zero, algebra.zero])
+        point = ProjPoint(algebra, [(0, 1), 1, 0, 0])
         rational = ProjPoint.rational([0, 0, 1, 0])
         basepoints = (point, rational) if side == 0 else (rational, point)
         with pytest.raises(ValueError, match="both basepoints of a line must be rational"):
@@ -243,19 +247,19 @@ class TestLine:
 
     def test_spanning_check_runs_on_integers(self, monkeypatch):
         # the 2x2 minors are scanned on the primitive integer vectors, so no
-        # algebra product and no unit test runs while a line is parsed
+        # algebra reduction, unit test or inverse runs while a line is parsed
         calls = []
 
         def counting(name):
-            original = getattr(AlgElement, name)
+            original = getattr(EtaleAlgebra, name)
 
             def spy(self, *args):
                 calls.append(name)
                 return original(self, *args)
             return spy
 
-        for name in ("__mul__", "__rmul__", "is_unit"):
-            monkeypatch.setattr(AlgElement, name, counting(name))
+        for name in ("_remainder", "_factor", "_inverse"):
+            monkeypatch.setattr(EtaleAlgebra, name, counting(name))
         line = line_from_json([["1", "-1", "0", "0"], ["0", "1/2", "-1/2", "0"]])
         assert line.p.primitive() == (1, -1, 0, 0) and line.q.primitive() == (0, 1, -1, 0)
         with pytest.raises(EqualPoints):
@@ -263,11 +267,22 @@ class TestLine:
         assert calls == []
 
 
+def plane_through(axis, xs, units=_first_unit):
+    """The plane of the pencil about `axis` through the point with coordinates xs, by the
+    Plucker expansion that `tangent_residual` runs."""
+    return _plane(_plucker(PlanePencil(axis)), xs, units)
+
+
+def nonzero_poly(values):
+    """The unit scan on `Poly` values: the first nonzero one, or None."""
+    return next(((i, v) for i, v in enumerate(values) if not v.is_zero), None)
+
+
 class TestFiberPlane:
     AXIS = Line.rational([0, 0, 1, 0], [0, 0, 0, 1])  # X0 = X1 = 0
 
     def normal(self, x):
-        return fiber_plane(PlanePencil(self.AXIS), ProjPoint.rational(x))
+        return plane_through(self.AXIS, ProjPoint.rational(x).primitive())
 
     def test_containment_forces_plane(self):
         # rational points give the plane on their primitive integer vectors
@@ -284,7 +299,7 @@ class TestFiberPlane:
             p, q, x = (random_point(rng) for _ in range(3))
             try:
                 axis = Line.rational(p, q)
-                n = fiber_plane(PlanePencil(axis), ProjPoint.rational(x))
+                n = plane_through(axis, ProjPoint.rational(x).primitive())
             except (EqualPoints, PointOnAxis):
                 continue
             for pt in (p, q, x):
@@ -292,7 +307,8 @@ class TestFiberPlane:
 
     def test_plucker_plane_is_the_signed_3x3_minors(self):
         # n_i = (-1)^i det(rows p, q, x without column i), on the axis' primitive
-        # vectors and x's kernel coordinates: rational, and over degree 2 and 3
+        # vectors and x's coordinates: rational ints, and over degree 2 and 3 the
+        # Poly representatives
         rng = random.Random(17)
         algebras = [EtaleAlgebra((-2, 0, 1)), EtaleAlgebra((Fraction(-1, 3), 1, 0, 1)), EtaleAlgebra((-2, 0, 0, 1))]
         done = on_axis = 0
@@ -302,39 +318,50 @@ class TestFiberPlane:
             except EqualPoints:
                 continue
             a, b = axis.p.primitive(), axis.q.primitive()
+            units = _first_unit
             if case % 3 == 0:
-                x = ProjPoint.rational(random_point(rng))
-                xs = x.primitive()
+                xs = ProjPoint.rational(random_point(rng)).primitive()
             else:
-                alg = algebras[case // 3 % 3]
+                alg, units = algebras[case // 3 % 3], nonzero_poly
                 if case % 7 == 0:  # on the axis, spread over the algebra
-                    u, v = alg.element([rng.randint(-4, 4) for _ in range(alg.degree)]), rng.randint(-4, 4)
+                    u, v = Poly(rng.randint(-4, 4) for _ in range(alg.degree)), rng.randint(-4, 4)
                     coords = [u * i + v * j for i, j in zip(a, b)]
                 else:
-                    coords = [alg.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(alg.degree)])
+                    coords = [Poly(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(alg.degree))
                               for _ in range(4)]
-                try:
-                    x = ProjPoint(alg, coords)
-                except ValueError:
+                if all(c.is_zero for c in coords):
                     continue
-                xs = x.coords
+                xs = reps(ProjPoint(alg, coords))
             rows = [a, b, xs]
             want = []
             for i in range(4):
                 (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = ([row[j] for j in range(4) if j != i] for row in rows)
                 minor = t0 * (r1 * s2 - r2 * s1) - t1 * (r0 * s2 - r2 * s0) + t2 * (r0 * s1 - r1 * s0)
                 want.append(minor if i % 2 == 0 else -minor)
-            if not any(want):
+            if not any(want) if units is _first_unit else all(w.is_zero for w in want):
                 with pytest.raises(PointOnAxis):
-                    fiber_plane(PlanePencil(axis), x)
+                    plane_through(axis, xs, units)
                 on_axis += 1
                 continue
-            assert list(fiber_plane(PlanePencil(axis), x)) == want
+            assert list(plane_through(axis, xs, units)) == want
             done += 1
         assert done >= 200 and on_axis >= 10
 
 
 class TestTangentResidual:
+    @pytest.mark.parametrize("axis, refusal", [
+        # the plane through this axis and x is X0 + X1 = 0, the tangent plane of the
+        # Fermat cubic at x: the section is singular there
+        (([0, 0, 1, 0], [0, 0, 0, 1]), SingularSectionPoint),
+        # the tangent line in this plane runs through x and (0, 0, 1, -1), on the
+        # Fermat line X0 + X1 = X2 + X3 = 0
+        (([0, 0, 1, -1], [1, 1, 1, 1]), TangentLineInSurface),
+    ], ids=["singular-section-point", "tangent-line-in-surface"])
+    def test_refusals_at_a_fermat_point(self, axis, refusal):
+        x = ProjPoint.rational([1, -1, 0, 0])
+        with pytest.raises(refusal):
+            tangent_residual(FERMAT, PlanePencil(Line.rational(*axis)), x)
+
     def embed(self, xy):
         x, y = xy
         return ProjPoint.rational([x, y, 1, 0])
@@ -417,7 +444,7 @@ class TestTangentResidual:
             try:
                 axis = Line.rational(random_point(rng), random_point(rng))
                 pencil = PlanePencil(axis)
-                n = fiber_plane(pencil, x)
+                n = plane_through(axis, x.primitive())
                 residual = tangent_residual(surface, pencil, x)
             except (GeometryError, ZeroDivisorFound, ValueError):
                 continue
@@ -443,7 +470,7 @@ class TestLineSection:
         assert not scheme.known_parameters
         # the tautological point has coordinates (t, 1, 0, 0)
         norm = scheme.point.normalized()
-        assert norm.coords[0] == scheme.algebra.generator
+        assert norm.coords[0] == scheme.algebra.element((0, 1))
 
     def test_fermat_split_section(self):
         line = Line.rational([1, -1, 0, 0], [0, 1, -1, 0])
@@ -681,7 +708,7 @@ class TestTangentTriple:
         x = ProjPoint(
             algebra,
             [
-                algebra.one,
+                1,
                 algebra.element(Poly([-1, 0, 1])),
                 algebra.element(Poly([0, Fraction(-1, 2), Fraction(-1, 2)])),
                 algebra.element(Poly([0, Fraction(1, 2), Fraction(-1, 2)])),
@@ -746,16 +773,16 @@ class TestTangentTriple:
                 continue
             if splits or triple.known_parameters or triple.degree < 2:
                 continue
-            algebra = triple.algebra
-            x, y = line_section(surface, line).point.coords, triple.point.coords
-            rows = [[algebra.from_rational(c) for c in p.rational_coords()] for p in (axis.p, axis.q)]
-            rows += [list(x), list(y)]
-            det = algebra.zero
+            algebra, f = triple.algebra, modulus_of(triple.algebra)
+            x, y = reps(line_section(surface, line).point), reps(triple.point)
+            rows = [[Poly((c,)) for c in p.rational_coords()] for p in (axis.p, axis.q)]
+            rows += [x, y]
+            det = Poly.zero()
             for perm in itertools.permutations(range(4)):
                 inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
-                det = det + (-1) ** inversions * prod((rows[r][perm[r]] for r in range(4)), start=algebra.one)
-            assert det.is_zero
-            assert sum((d * c for d, c in zip(form_gradient(surface, x), y)), algebra.zero).is_zero
+                det = det + (-1) ** inversions * prod((rows[r][perm[r]] for r in range(4)), start=Poly.one())
+            assert (det % f).is_zero
+            assert (sum((d * c for d, c in zip(form_gradient(surface, x), y)), Poly.zero()) % f).is_zero
             c0, c1, c2, c3 = expand_over(algebra, surface, x, y)
             assert c0.is_zero and c1.is_zero and not (c2.is_zero and c3.is_zero)
             done += 1
@@ -810,18 +837,30 @@ class TestNormalization:
 
     def test_no_unit_coordinate_raises(self):
         split = EtaleAlgebra(Poly([0, -1, 1]) * Poly([1]))  # t^2 - t
-        pt = ProjPoint(
-            split, [split.generator, split.one - split.generator, split.zero, split.zero]
-        )
+        pt = ProjPoint(split, [(0, 1), (1, -1), 0, 0])
         with pytest.raises(ZeroDivisorFound):
             pt.normalized()
+
+    def test_key_without_a_unit_coordinate_is_the_raw_representative(self):
+        # over Q[t]/(t^2 - t), (t, 2t, 0, 0) is (0, 0, 0, 0) at t = 0: no coordinate
+        # is a unit, so the point has no normal form, and its key, equality and hash
+        # read the raw coordinates
+        split = EtaleAlgebra((0, -1, 1))
+        pt, same = (ProjPoint(split, [(0, 1), (0, 2), 0, 0]) for _ in range(2))
+        with pytest.raises(ZeroDivisorFound) as info:
+            pt.normalized()
+        assert info.value.factor == (0, 1)
+        assert pt.key() == (split.coefficients, ((0, 1), (0, 2), (), ()))
+        assert pt == same and hash(pt) == hash(same) and len({pt, same}) == 1
+        assert pt != ProjPoint(split, [(0, 1), (0, 3), 0, 0])
+        assert pt.to_json() == {"modulus": ["0", "-1", "1"], "coords": [["0", "1"], ["0", "2"], [], []]}
 
     def test_one_elimination_per_normalized_algebra_point(self, monkeypatch):
         # a linear last unit coordinate is tested and inverted by one synthetic
         # division and no elimination; a quadratic one by exactly one Bareiss
         # elimination, for its inverse only
         algebra = EtaleAlgebra(Poly([-2, 0, 0, 1]))
-        t = algebra.generator
+        f, t = modulus_of(algebra), Poly((0, 1))
         eliminations = []
         original = algebra_module._eliminate
 
@@ -830,22 +869,22 @@ class TestNormalization:
             return original(rows)
 
         monkeypatch.setattr(algebra_module, "_eliminate", spy)
-        pt = ProjPoint(algebra, [t, t * t + 1, algebra.from_rational(3), t + 2])
+        pt = ProjPoint(algebra, [t, t * t + 1, 3, t + 2])
         norm = pt.normalized()
         assert len(eliminations) == 0
         assert norm.to_json() == {
             "modulus": ["-2", "0", "0", "1"],
             "coords": [["1/5", "2/5", "-1/5"], ["0", "0", "1/2"], ["6/5", "-3/5", "3/10"], ["1"]],
         }
-        assert all(c * (t + 2) == d for c, d in zip(norm.coords, pt.coords))
-        pt = ProjPoint(algebra, [t, t + 2, algebra.from_rational(3), t * t + 1])
+        assert all(c * (t + 2) % f == d for c, d in zip(reps(norm), reps(pt)))
+        pt = ProjPoint(algebra, [t, t + 2, 3, t * t + 1])
         norm = pt.normalized()
         assert len(eliminations) == 1
         assert norm.to_json() == {
             "modulus": ["-2", "0", "0", "1"],
             "coords": [["-2/5", "1/5", "2/5"], ["0", "1"], ["3/5", "6/5", "-3/5"], ["1"]],
         }
-        assert all(c * (t * t + 1) == d for c, d in zip(norm.coords, pt.coords))
+        assert all(c * (t * t + 1) % f == d for c, d in zip(reps(norm), reps(pt)))
 
     @pytest.mark.parametrize("modulus", [(0, 1), (Fraction(-3, 2), 1)], ids=["Q", "t-3/2"])
     def test_integer_point_matches_one_built_from_normalized_coordinates(self, modulus):
@@ -908,11 +947,37 @@ class TestNormalization:
         pt = ProjPoint.rational([2, -4, 6, 0])
         assert point_from_json(pt.to_json()) == pt
         algebra = EtaleAlgebra(Poly([-2, 0, 0, 1]))
-        apt = ProjPoint(algebra, [algebra.generator, algebra.one, algebra.zero, algebra.one])
+        apt = ProjPoint(algebra, [(0, 1), 1, 0, 1])
         assert point_from_json(apt.to_json()) == apt
         line = Line.rational([1, 0, 0, 0], [0, 1, 2, 3])
         round_tripped = line_from_json(line.to_json())
         assert round_tripped.p == line.p and round_tripped.q == line.q
+
+
+class TestRationalFromJson:
+    """JSON rationals are ints or "num/den" strings, -?[0-9]+(/[0-9]+)? with a nonzero den."""
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-7", -7), ("007", 7), ("-3/4", Fraction(-3, 4)),
+                                             ("6/8", Fraction(3, 4)), ("-0/5", 0), (str(10**40), 10**40)])
+    def test_accepted(self, text, value):
+        assert _rational_from_json(text) == value and type(_rational_from_json(text)) is Fraction
+
+    @pytest.mark.parametrize("value", ["1.5", "1e3", "1_000", " 3/4 ", "3/4\n", "+3", "3/-4", "--3", "/3", "3/",
+                                       "", "\u0663", "1e200000", "1e999999999", 1.5, True, None, [1]])
+    def test_refused_by_a_message_that_names_the_value(self, value):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            _rational_from_json(value)
+        assert time.perf_counter() - start < 0.05  # no integer is built from an exponent
+        assert str(info.value) == f'expected an integer or a "num/den" string, got {value!r}'
+
+    def test_zero_denominator_and_long_values_are_named_truncated(self):
+        with pytest.raises(ValueError, match="^zero denominator in '3/00'$"):
+            _rational_from_json("3/00")
+        for value in ("1" * 1000 + "e9", ["1"] * 1000):
+            with pytest.raises(ValueError) as info:
+                _rational_from_json(value)
+            assert len(str(info.value)) < 100 and "..." in str(info.value)
 
 
 class TestIntegerKernel:
@@ -1004,9 +1069,9 @@ class TestIntegerKernel:
             done += 1
         assert done >= 90
 
-    def test_algebra_points_compute_without_algelement_arithmetic(self, monkeypatch):
-        # AlgElements appear only at the boundary: with their ring operations patched
-        # to raise, every construction at points of degree 2-3 runs to the same outcome
+    def test_algebra_points_compute_without_algelement_arithmetic(self):
+        # AlgElements are values with no ring operations, and every construction at
+        # points of degree 2-3 runs, twice to the same outcome
         forced = CubicForm({(0, 0, 0, 3): 3, (0, 0, 1, 2): -1, (0, 0, 3, 0): -3, (0, 1, 0, 2): 3,
                             (0, 2, 0, 1): -1, (0, 2, 1, 0): 2, (1, 0, 0, 2): -3, (1, 0, 1, 1): -1,
                             (1, 1, 0, 1): -2, (1, 1, 1, 0): -2, (1, 2, 0, 0): -1, (2, 0, 0, 1): 1,
@@ -1037,22 +1102,19 @@ class TestIntegerKernel:
                     points.append(ProjPoint(sub, [sub._reduced(num, 1) for num in scheme.point._nums[0]]))
                 out += [outcome(lambda: scheme), outcome(lambda: tangent_triple(surface, pencil, line))]
                 for x in points:
-                    out += [outcome(lambda: tuple((c.num, c.den) for c in fiber_plane(pencil, x))),
-                            outcome(lambda: tangent_residual(surface, pencil, x))]
+                    out.append(outcome(lambda: tangent_residual(surface, pencil, x)))
                     y = _tangent_on_components(surface, pencil, x)  # splits where the residual refuses
                     w = _tangent_on_components(surface, PlanePencil(Line.rational([0, 1, 2, 3], [1, 0, 1, -1])), y)
                     out += [outcome(lambda: third_point(surface, x, y)), outcome(lambda: third_point(surface, x, w)),
                             outcome(lambda: third_point(surface, w, y)), y.to_json(), w.to_json()]
             return out
 
+        arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "inverse",
+                      "is_unit", "__bool__", "_coerce")
+        assert not any(hasattr(AlgElement, name) for name in arithmetic)
+        assert not any(hasattr(EtaleAlgebra, name) for name in ("zero", "one", "generator"))
         want = constructions()
-        assert sum(kind == "ok" for kind, _ in want) >= 25
-
-        def refused(self, *args):
-            raise AssertionError("AlgElement arithmetic on a library path")
-
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
-            monkeypatch.setattr(AlgElement, name, refused)
+        assert sum(kind == "ok" for kind, _ in want) >= 20
         assert constructions() == want
 
     def test_from_integers_is_the_normalized_point(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Poly, from_roots, is_squarefree, primitive, squarefree_part
+from conftest import Poly, from_roots, is_squarefree, modulus_of, primitive, squarefree_part
 from zerocycles.algebra import EtaleAlgebra, _eliminate, _gcd, _radical, _texts, fraction_to_string
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -61,7 +61,7 @@ def test_linear_unit_test_and_inverse_match_gcd_and_bareiss(drawn, a, b, on_root
     if got is not None:
         assert got[1] > 0
         assert algebra._reduced(got[0], got[1]) == algebra._reduced(*want)
-        assert algebra._reduced(num, 1) * algebra._reduced(got[0], got[1]) == algebra.one
+        assert Poly(num) * Poly(got[0]) % modulus_of(algebra) == Poly((got[1],))
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

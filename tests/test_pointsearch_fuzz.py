@@ -4,8 +4,8 @@ Random surface JSON and `--seeds` lists go to `points enum` and `points
 saturate` through `cli.run`.  Every input must end in exit 0, a structured
 refusal (exit 1) or a usage error (exit 2), never a traceback, and every point
 printed with exit 0 must lie on the surface, as the monomial-by-monomial
-`form_value` sees it.  The surfaces are sums of terms that vanish wherever
-x_j = -x_i for both pairs {i, j} of one pairing of the coordinates, so a seed
+`form_value` sees it (`evaluate`).  The surfaces are sums of terms that vanish
+wherever x_j = -x_i for both pairs {i, j} of one pairing of the coordinates, so a seed
 (a, -a, b, -b) in those slots lies on the surface and saturation runs; terms
 that mix the two pairs send enumeration down the scan instead of the join.
 Hostile entries replace a valid one about one time in eight.
@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from conftest import form_value
+from conftest import evaluate
 from zerocycles.cli import run
 from zerocycles.geometry import CubicForm, point_from_json
 
@@ -28,8 +28,11 @@ PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 integers = st.sampled_from([-3, -2, -1, 1, 2, 5]) | st.integers(1, 2**300) | st.integers(-(2**300), -1)
 rationals = st.one_of(integers, st.builds(lambda n, d: f"{n}/{d}", integers, st.integers(1, 2**64)))
-#: JSON values a coefficient may not be, all refused with exit 1
-hostile_coefficients = st.sampled_from([1.5, 0.0, True, False, None, "1/0", "x", [], {}])
+#: JSON values a coefficient may not be, all refused with exit 1: among them strings
+#: that `Fraction` would read but "num/den" is not, the exponents refused before any
+#: integer is built
+hostile_coefficients = st.sampled_from([1.5, 0.0, True, False, None, "1/0", "x", [], {}, "1.5", "1e3", "1_000",
+                                        " 3/4 ", "1e200000", "1e999999999"])
 #: exponent vectors that are not degree-3 vectors on 4 variables, or not JSON integers
 bad_exponents = st.sampled_from(
     [[3, 0, 0], [3, 0, 0, 0, 0], [4, 0, 0, -1], [1, 1, 0, 0], [2, 2, 0, 0], [1.0, 1, 1, 0], [True, 1, 1, 0],
@@ -147,4 +150,4 @@ def test_point_search_loaders_never_crash(surface_and_argv):
         assert payload["count"] == len(payload["points"])
         hypothesis.event(f"{argv[1]}: {'no point' if not payload['count'] else 'points'}")
         for record in payload["points"]:
-            assert not form_value(form, point_from_json(record["point"]).coords)
+            assert evaluate(form, point_from_json(record["point"])).is_zero

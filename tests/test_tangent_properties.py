@@ -4,8 +4,9 @@ At a point of degree 2 or 3 the tangent process and the chord construction
 run on packed numerator polynomials and read values back modulo the modulus
 only for their zero and unit tests.  Their outputs are checked here by
 evaluators that share nothing with that pass: `form_value`/`form_gradient`
-multiply algebra elements monomial by monomial, the fibre plane is a 4x4
-determinant and collinearity a set of 3x3 minors over the algebra, and each
+multiply the coordinates' `Poly` representatives monomial by monomial, the
+fibre plane is a 4x4 determinant and collinearity a set of 3x3 minors on them,
+each reduced mod f, and each
 rational component is compared with the tangent process at the component
 point on plain integers.  The points are line sections of random
 surfaces (degree 3, split when the line passes through a rational point) and
@@ -26,6 +27,7 @@ import pytest
 from conftest import (
     Poly,
     component_point,
+    evaluate,
     form_gradient,
     form_scale,
     form_value,
@@ -35,6 +37,7 @@ from conftest import (
     random_point,
     random_surface_through,
     rep_of,
+    reps,
 )
 from zerocycles.algebra import EtaleAlgebra, ZeroDivisorFound, _gcd
 from zerocycles.geometry import (
@@ -56,13 +59,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
-def det4(algebra, rows):
-    """The determinant of a 4x4 matrix over the algebra, by Leibniz' formula."""
-    total = algebra.zero
+def det4(f, rows):
+    """The determinant of a 4x4 matrix of `Poly`s mod f, by Leibniz' formula."""
+    total = Poly.zero()
     for perm in itertools.permutations(range(4)):
         inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
-        total = total + (-1) ** inversions * prod((rows[r][perm[r]] for r in range(4)), start=algebra.one)
-    return total
+        total = total + (-1) ** inversions * prod((rows[r][perm[r]] for r in range(4)), start=Poly.one())
+    return total % f
 
 
 def section_point(rng, through: bool, component: bool):
@@ -104,14 +107,15 @@ def test_tangent_residual_at_algebra_points(seed, through, component):
         assert 1 <= factor.degree < modulus.degree and (modulus % factor).is_zero
         return
     assert y.algebra == algebra
+    f, xs, ys = modulus_of(algebra), reps(x), reps(y)
     # on the surface
-    assert form_value(surface, y.coords).is_zero
+    assert evaluate(surface, y).is_zero
     # in the fibre plane through x: the axis basepoints, x and y are linearly dependent
-    axis_rows = [[algebra.from_rational(c) for c in p.rational_coords()] for p in (axis.p, axis.q)]
-    assert det4(algebra, axis_rows + [list(x.coords), list(y.coords)]).is_zero
+    axis_rows = [[Poly((c,)) for c in p.rational_coords()] for p in (axis.p, axis.q)]
+    assert det4(f, axis_rows + [xs, ys]).is_zero
     # on the tangent line: F(x + t*y) = F(x) + t * grad F(x) . y + ... has a double root at t = 0
-    assert form_value(surface, x.coords).is_zero
-    assert sum((g * c for g, c in zip(form_gradient(surface, x.coords), y.coords)), algebra.zero).is_zero
+    assert evaluate(surface, x).is_zero
+    assert (sum((g * c for g, c in zip(form_gradient(surface, xs), ys)), Poly.zero()) % f).is_zero
     # each rational component is the tangent process at the component point, on integers
     for tau in roots:
         assert component_point(y, tau) == tangent_residual(surface, PlanePencil(axis), component_point(x, tau))
@@ -120,14 +124,15 @@ def test_tangent_residual_at_algebra_points(seed, through, component):
 def widened(point, rng, bits):
     """The same point with its numerators times a random rational of up to `bits` bits."""
     scalar = Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1) * rng.choice([1, -1])
-    return ProjPoint(point.algebra, [c * scalar for c in point.coords])
+    return ProjPoint(point.algebra, [c * scalar for c in reps(point)])
 
 
-def collinear_over(algebra, rows):
-    """Whether three points of P^3 over the algebra lie on a line: every 3x3 minor vanishes."""
+def collinear_over(modulus, rows):
+    """Whether three points of P^3 over Q[t]/(modulus), as `Poly` representatives, lie
+    on a line: every 3x3 minor vanishes mod the modulus."""
     for cols in itertools.combinations(range(4), 3):
         (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in rows)
-        if not (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).is_zero:
+        if not ((a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % modulus).is_zero:
             return False
     return True
 
@@ -139,8 +144,8 @@ def test_chords_at_algebra_points(seed, through, component, bits):
     # line passes through a rational point), y its tangent residual and w the tangent
     # residual at y in a second pencil, each with numerators widened by up to `bits`
     # bits.  The chord xy is the tangent line at x, so its third point is x itself;
-    # the chord xw is a generic secant, whose third point z is checked in AlgElement
-    # arithmetic.  Refusals must name a proper factor of the modulus.
+    # the chord xw is a generic secant, whose third point z is checked on the Poly
+    # representatives mod f.  Refusals must name a proper factor of the modulus.
     rng = random.Random(seed)
     drawn = section_point(rng, through, component)
     hypothesis.assume(drawn is not None)
@@ -160,16 +165,18 @@ def test_chords_at_algebra_points(seed, through, component, bits):
         assert 1 <= factor.degree < modulus.degree and (modulus % factor).is_zero
         return
     assert z.algebra == algebra
-    assert form_value(surface, z.coords).is_zero
-    assert collinear_over(algebra, [x.coords, w.coords, z.coords])
+    f = modulus_of(algebra)
+    assert evaluate(surface, z).is_zero
+    assert collinear_over(f, [reps(x), reps(w), reps(z)])
     assert third_point(surface, w, x) == z
     try:  # involution: the third point of the chord xz is w again
         assert third_point(surface, x, z) == w
     except (EqualPoints, ZeroDivisorFound):  # only where x and z meet in some component
-        pairs = itertools.combinations(range(4), 2)
-        assert not any((x.coords[i] * z.coords[j] - x.coords[j] * z.coords[i]).is_unit() for i, j in pairs)
+        xs, zs = reps(x), reps(z)
+        minors = ((xs[i] * zs[j] - xs[j] * zs[i]) % f for i, j in itertools.combinations(range(4), 2))
+        assert not any(poly_gcd(m, f).degree == 0 for m in minors)
     for point in (x, y, w, z):
-        assert surface.value_at(point.coords) == s * form_value(surface, point.coords)
+        assert surface.value_at(reps(point)) == s * form_value(surface, reps(point))
 
 
 def tangent_outcome(run):
