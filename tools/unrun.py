@@ -9,11 +9,13 @@ to no code of their own (`try:`, docstrings of functions) are not counted.
 Tracing starts before pytest imports the package, so definitions count; code
 run in subprocesses (the CLI's fresh-process tests) is not seen.
 
-    python tools/unrun.py [pytest arguments]
+    python tools/unrun.py
 
-Pytest's arguments default to the tier-1 run, `-q --continue-on-collection-errors`.
-Pytest's output goes to stderr and the report to stdout.  The exit status is
-pytest's.  Tracing makes the run several times slower.
+Pytest runs tier-1 (`-q --continue-on-collection-errors`); its output goes to
+stderr and the report, ending with pytest's exit status, to stdout.  Tracing
+makes the run several times slower, so tests with a wall-clock limit may fail
+under it; the script exits 0 whatever pytest's status, and nonzero only when
+it fails itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ def _statements(path: Path) -> list:
     return sorted(out)
 
 
-def main(argv: list) -> int:
+def main() -> None:
     hits = {}
 
     def trace(frame, event, arg):
@@ -72,14 +73,12 @@ def main(argv: list) -> int:
         return local
 
     sys.path.insert(0, str(SRC))
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries the report only
-            status = pytest.main(argv or ["-q", "--continue-on-collection-errors"])
+            status = pytest.main(["-q", "--continue-on-collection-errors"])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     total, unrun = 0, []
     for path in sorted(Path(PACKAGE).glob("*.py")):
@@ -91,8 +90,8 @@ def main(argv: list) -> int:
                 unrun.append(f"{path.relative_to(SRC.parent)}:{lineno}: {lines[lineno - 1].strip()}")
     print(f"{len(unrun)} of {total} src/ statements never ran")
     print("\n".join(unrun))
-    return int(status)
+    print(f"pytest exit status under the tracer: {int(status)}")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
