@@ -314,17 +314,12 @@ class EtaleAlgebra:
             if value.algebra != self:
                 raise ValueError("element belongs to a different algebra")
             return value
-        if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
+        if isinstance(value, (int, Fraction)):  # a rational runs no reduction
+            q = _to_fraction(value)
+            return AlgElement(self, [q.numerator] + [0] * (len(self.tail) - 1), q.denominator)
         coeffs = [_to_fraction(c) for c in value]
         den = lcm(*(c.denominator for c in coeffs))
         return self._reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
-
-    def from_rational(self, value) -> "AlgElement":
-        q = _to_fraction(value)
-        num = [0] * len(self.tail)
-        num[0] = q.numerator
-        return AlgElement(self, num, q.denominator)
 
     def split(self, factor: Sequence[int]):
         """Split along a proper divisor g of the modulus, given by integer
@@ -342,8 +337,9 @@ class EtaleAlgebra:
             raise ValueError(f"{_poly_text(g)} is not a proper divisor of the modulus of {self}")
         sub_a, sub_b = EtaleAlgebra._of(g), EtaleAlgebra._of(h)
         inv, d = sub_b._inverse(sub_b._remainder(g))  # g mod h is a unit, as g and h are coprime
-        e = self._reduced(_convolve(g, [x * sub_b.scale ** max(len(g) - sub_b.degree, 0) for x in inv]), d)
-        rest = [e.den - e.num[0], *(-x for x in e.num[1:])]  # d - E for e = E / d
+        e = _convolve(g, [x * sub_b.scale ** max(len(g) - sub_b.degree, 0) for x in inv])
+        d, e = d * self.scale ** max(len(e) - self.degree, 0), self._remainder(e)
+        rest = [d - e[0], *(-x for x in e[1:])]  # d - E for e = E / d
 
         def combine(a: tuple, b: tuple) -> tuple:
             # a + e*(b - a) = ((d - E)*beta*A + E*alpha*B) / (d*alpha*beta), a = A/alpha, b = B/beta
@@ -352,9 +348,9 @@ class EtaleAlgebra:
                 raise ValueError("vectors do not live over the split's components")
             nums = []
             for x, y in zip(xs, ys):  # every sum has length n + max(deg g, deg h) - 1
-                p, q = _convolve(rest, [v * beta for v in x]), _convolve(e.num, [v * alpha for v in y])
+                p, q = _convolve(rest, [v * beta for v in x]), _convolve(e, [v * alpha for v in y])
                 nums.append(self._remainder([s + t for s, t in zip_longest(p, q, fillvalue=0)]))
-            return nums, e.den * alpha * beta * self.scale ** (max(len(g), len(h)) - 2)
+            return nums, d * alpha * beta * self.scale ** (max(len(g), len(h)) - 2)
 
         return sub_a, sub_b, combine
 
@@ -375,7 +371,7 @@ class AlgElement:
 
     `num` holds one integer per power of t below the modulus degree and
     `den` is positive with gcd(den, *num) == 1, so equal elements have equal
-    fields.  Build elements through `EtaleAlgebra.element`/`from_rational`.
+    fields.  Build elements through `EtaleAlgebra.element`.
     """
 
     __slots__ = ("algebra", "num", "den")

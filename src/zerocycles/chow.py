@@ -10,6 +10,8 @@ identifying the plane triples through three skew lines that form a pencil.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
@@ -265,6 +267,24 @@ def pencil_condition_solve(lines=STANDARD_LINES) -> dict:
         "diagonal_samples": samples,
         "off_diagonal_example_rank": off,
     }
+
+
+def pencil_report(samples: int, seed: int = 0) -> dict:
+    """The pencil condition's family, and the counts of pencil ranks over `samples`
+    random diagonal parameter triples and as many off-diagonal ones, keyed by rank."""
+    rng = random.Random(seed)
+    diagonal, off = Counter(), Counter()
+    for _ in range(samples):
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        if (a, b) == (0, 0):
+            a = 1
+        diagonal[str(pencil_rank(*diagonal_triple((a, b))))] += 1
+        u, v, w = (a, b), (b - 1, a + 2), (a + 1, b) if a + 1 or b else (1, 1)
+        if matrix_rank([[u[0], u[1]], [v[0], v[1]]]) < 2:
+            v = (v[0] + 1, v[1] + 1)
+        off[str(pencil_rank(u, v, w))] += 1
+    return {"family": pencil_condition_solve(), "samples": samples,
+            "diagonal_rank_counts": dict(diagonal), "off_diagonal_rank_counts": dict(off)}
 
 
 def _solve(a, b) -> tuple:

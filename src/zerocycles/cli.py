@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -193,20 +192,18 @@ def _cmd_geom(args) -> str:
         line = line_from_json(_load_json_arg(args.line))
         result = tangent_triple(surface, PlanePencil(axis), line)
         return _dump({"scheme": result.to_json()})
-    if args.subcommand == "check-smooth":
-        singular = []
-        for record in enumerate_rational(surface, args.height):
-            grad = surface.gradient_at(record.point.primitive())
-            if all(g == 0 for g in grad):
-                singular.append(record.point.to_json())
-        return _dump(
-            {
-                "height": args.height,
-                "singular_points": singular,
-                "smooth_on_sample": not singular,
-            }
-        )
-    raise AssertionError(args.subcommand)
+    singular = []  # check-smooth
+    for record in enumerate_rational(surface, args.height):
+        grad = surface.gradient_at(record.point.primitive())
+        if all(g == 0 for g in grad):
+            singular.append(record.point.to_json())
+    return _dump(
+        {
+            "height": args.height,
+            "singular_points": singular,
+            "smooth_on_sample": not singular,
+        }
+    )
 
 
 def _cmd_chow(args) -> str:
@@ -214,35 +211,7 @@ def _cmd_chow(args) -> str:
         dx, dy, dz = (int(v) for v in args.degs.split(","))
         degs = chow.CurveDegrees(dx, dy, dz)
         return _dump(chow.collinearity_report(degs, args.pair_points))
-    if args.subcommand == "pencil":
-        rng = random.Random(args.seed)
-        diagonal_ranks = []
-        off_ranks = []
-        for _ in range(args.samples):
-            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            if (a, b) == (0, 0):
-                a = 1
-            diagonal_ranks.append(chow.pencil_rank(*chow.diagonal_triple((a, b))))
-            u, v, w = (a, b), (b - 1, a + 2), (a + 1, b) if a + 1 or b else (1, 1)
-            if chow.matrix_rank([[u[0], u[1]], [v[0], v[1]]]) < 2:
-                v = (v[0] + 1, v[1] + 1)
-            off_ranks.append(chow.pencil_rank(u, v, w))
-        return _dump(
-            {
-                "family": chow.pencil_condition_solve(),
-                "samples": args.samples,
-                "diagonal_rank_counts": _counts(diagonal_ranks),
-                "off_diagonal_rank_counts": _counts(off_ranks),
-            }
-        )
-    raise AssertionError(args.subcommand)
-
-
-def _counts(values) -> dict:
-    out = {}
-    for v in values:
-        out[str(v)] = out.get(str(v), 0) + 1
-    return out
+    return _dump(chow.pencil_report(args.samples, args.seed))  # pencil
 
 
 def _cmd_descent(args) -> str:
@@ -261,15 +230,13 @@ def _cmd_descent(args) -> str:
         goal = default_goal(surface, refined=args.refined)
         report = prove_bound_suite(surface, goal, ceiling=args.ceiling)
         return _dump(report.to_json())
-    if args.subcommand == "threshold":
-        report = effectivity_threshold_report(
-            surface,
-            threshold=args.threshold,
-            ceiling=args.ceiling,
-            even_only=args.even_only,
-        )
-        return _dump(report)
-    raise AssertionError(args.subcommand)
+    report = effectivity_threshold_report(  # threshold
+        surface,
+        threshold=args.threshold,
+        ceiling=args.ceiling,
+        even_only=args.even_only,
+    )
+    return _dump(report)
 
 
 def _cmd_points(args) -> str:
@@ -277,14 +244,12 @@ def _cmd_points(args) -> str:
     if args.subcommand == "enum":
         records = enumerate_rational(surface, args.height)
         return _dump({"count": len(records), "points": [r.to_json() for r in records]})
-    if args.subcommand == "saturate":
-        seeds = [
-            PointRecord(point=point_from_json(p), degree=1, height=None, source="seed")
-            for p in _json_list(_load_json_arg(args.seeds), "seeds")
-        ]
-        records = saturate(surface, seeds, args.rounds, max_points=args.max_points)
-        return _dump({"count": len(records), "points": [r.to_json() for r in records]})
-    raise AssertionError(args.subcommand)
+    seeds = [  # saturate
+        PointRecord(point=point_from_json(p), degree=1, height=None, source="seed")
+        for p in _json_list(_load_json_arg(args.seeds), "seeds")
+    ]
+    records = saturate(surface, seeds, args.rounds, max_points=args.max_points)
+    return _dump({"count": len(records), "points": [r.to_json() for r in records]})
 
 
 #: Built on the first `run`, not at import, then reused: argparse keeps no state between parses.

@@ -8,13 +8,12 @@ composite map sending a plane pencil and a line to the tangent-process image
 of the line's intersection triple.
 
 Coordinates live in an etale algebra so that points of degree up to 3 are
-built, compared, hashed and printed as values, but every construction computes
-on integers.  Rational points compute on their primitive integer vectors and
-are kept as them; their algebra coordinates are built only when read.  At a
-point of degree 2-3, chords, the tangent process, membership and
-normalization run on numerator polynomials packed into ints (`_pack`) and read
-back modulo f (`_reader`); AlgElements appear only at the boundary: JSON in
-and `coords`.  `value_at` gives P, the primitive integer multiple of F, on any
+built, compared, hashed and printed as values, but a point is its integers
+and every construction computes on them.  Rational points compute on their
+primitive integer vectors.  At a point of degree 2-3, chords, the tangent
+process, membership and normalization run on numerator polynomials packed into
+ints (`_pack`) and read back modulo f (`_reader`); AlgElements appear only at
+the boundary: JSON in and `coords`.  `value_at` gives P, the primitive integer multiple of F, on any
 commutative ring, and geometry calls it on ints only.  Chords and tangent
 lines share one residual routine (`_line_residual`).  Whenever a
 computation over a reducible algebra hits a zero divisor, `ZeroDivisorFound`
@@ -154,18 +153,20 @@ def _primitive(values: Sequence) -> tuple:
 class ProjPoint:
     """Point of P^3 with coordinates in an etale algebra, up to unit scalars.
 
-    Comparison and serialization normalize by scaling the last unit
-    coordinate to 1; a point over a reducible algebra may have no unit
-    coordinate at all, in which case normalization raises ZeroDivisorFound
-    and equality falls back to raw representatives.  A point also holds the
-    integers its kernel runs on: a rational point caches its primitive vector,
-    and a point of degree >= 2 keeps its coordinates' numerator polynomials of
-    length deg f over their least common denominator, `_nums` = (nums, den).
-    A point built by `from_integers`, `line_section` or normalization keeps
-    only those, and builds `coords` on first use.
+    A point is its integers: its coordinates' numerator lists of length deg f
+    over one positive denominator, in lowest terms (`_integers()`).  It keeps
+    them as `_nums` = (nums, den), and a rational point caches its primitive
+    vector beside them; a point built by `from_integers` keeps only that vector.
+    `coords` builds AlgElements from the integers on each read.  Comparison and
+    serialization normalize by scaling the last unit coordinate to 1.  A point
+    over a reducible algebra may have no unit coordinate at all: normalization
+    then raises ZeroDivisorFound, and the point compares, hashes and prints by
+    its raw lowest-terms representative, so over Q[t]/(t^2 - t) the projectively
+    equal (t, 2t, 0, 0) and (2t, 4t, 0, 0) differ (that needs a normal form
+    computed component by component).
     """
 
-    __slots__ = ("algebra", "_coords", "_norm", "_ints", "_nums", "_key")
+    __slots__ = ("algebra", "_norm", "_ints", "_nums", "_key")
 
     def __init__(self, algebra: EtaleAlgebra, coords: Iterable):
         coords = tuple(algebra.element(c) for c in coords)
@@ -173,15 +174,11 @@ class ProjPoint:
             raise ValueError("projective points here live in P^3")
         if all(c.is_zero for c in coords):
             raise ValueError("all coordinates are zero")
+        den = lcm(*(c.den for c in coords))  # in lowest terms, as every coordinate is
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_ints", None)
-        nums = None
-        if algebra.degree > 1:
-            den = lcm(*(c.den for c in coords))
-            nums = [[x * (den // c.den) for x in c.num] for c in coords], den
-        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_nums", ([[x * (den // c.den) for x in c.num] for c in coords], den))
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -195,32 +192,35 @@ class ProjPoint:
     def from_integers(cls, values: Sequence, algebra: EtaleAlgebra = RATIONALS) -> "ProjPoint":
         """The normalized point of a nonzero vector of ints (or Fractions) over a
         degree-1 algebra, kept as its primitive integer vector only; it is its own `_norm`."""
-        return cls._kept(algebra, _primitive(values), True)
+        return cls._kept(algebra, None, True, _primitive(values))
 
     @classmethod
-    def _kept(cls, algebra: EtaleAlgebra, ints, normalized: bool = False) -> "ProjPoint":
-        """The point kept as its integers only, unchecked: a primitive vector at degree 1,
-        else `_nums` = (nums, den), put in lowest terms here."""
-        rational = algebra.degree == 1
-        if not rational and (g := gcd(ints[1], *itertools.chain(*ints[0]))) > 1:
-            ints = [[x // g for x in num] for num in ints[0]], ints[1] // g
+    def _kept(cls, algebra: EtaleAlgebra, nums, normalized: bool = False, ints: tuple = None) -> "ProjPoint":
+        """The point kept as its integers only, unchecked: `_nums` = (nums, den), put in
+        lowest terms here, or with nums None the primitive vector `ints` at degree 1."""
+        if nums and (g := gcd(nums[1], *itertools.chain(*nums[0]))) > 1:
+            nums = [[x // g for x in num] for num in nums[0]], nums[1] // g
         point = object.__new__(cls)
         object.__setattr__(point, "algebra", algebra)
-        object.__setattr__(point, "_coords", None)
         object.__setattr__(point, "_norm", point if normalized else None)
-        object.__setattr__(point, "_ints", ints if rational else None)
-        object.__setattr__(point, "_nums", None if rational else ints)
+        object.__setattr__(point, "_ints", ints)
+        object.__setattr__(point, "_nums", nums)
         object.__setattr__(point, "_key", None)
         return point
 
+    def _integers(self) -> tuple:
+        """(nums, den): the coordinates' numerator lists over one positive denominator, in
+        lowest terms; for a point kept as its primitive vector, that vector over its last
+        nonzero entry."""
+        if self._nums is None:
+            return _over(self._ints, next(i for i in (3, 2, 1, 0) if self._ints[i]))
+        return self._nums
+
     @property
     def coords(self) -> tuple:
-        """The four algebra coordinates, built on first use for a point kept as its integers."""
-        if self._coords is None:
-            coords = (map(self.algebra.from_rational, self.rational_coords()) if self.is_rational
-                      else (AlgElement(self.algebra, num, self._nums[1]) for num in self._nums[0]))
-            object.__setattr__(self, "_coords", tuple(coords))
-        return self._coords
+        """The four algebra coordinates, built from the integers."""
+        nums, den = self._integers()
+        return tuple(AlgElement(self.algebra, num, den) for num in nums)
 
     @property
     def is_rational(self) -> bool:
@@ -244,25 +244,22 @@ class ProjPoint:
         """Canonical hashable key, built on first use: the modulus and the coefficients
         of the normalized coordinates (the raw ones when there is no unit coordinate)."""
         if self._key is None:
-            if self.is_rational:  # `rational_coeffs` of each normalized coordinate, inlined
-                coords = tuple((q,) if q else () for q in self.normalized().rational_coords())
-            else:
-                try:
-                    pt = self.normalized()
-                except ZeroDivisorFound:
-                    pt = self
-                nums, den = pt._nums
-                coords = tuple(rational_coeffs(num, den) for num in nums)
+            try:
+                pt = self.normalized()
+            except ZeroDivisorFound:
+                pt = self
+            nums, den = pt._integers()
+            coords = tuple(rational_coeffs(num, den) for num in nums)
             object.__setattr__(self, "_key", (self.algebra.coefficients, coords))
         return self._key
 
     def rational_coords(self) -> tuple:
-        """Coordinates as Fractions; requires a degree-1 algebra.  A `from_integers`
-        point reads them off its primitive vector, over its last nonzero entry."""
-        if self._coords is None and self.is_rational:
-            last = next(v for v in reversed(self._ints) if v)
-            return tuple(Fraction(v, last) for v in self._ints)
-        return tuple(c.constant_value() for c in self.coords)
+        """Coordinates as Fractions, read off the integers; requires constant coordinates,
+        as every coordinate over a degree-1 algebra is."""
+        nums, den = self._integers()
+        if any(x for num in nums for x in num[1:]):
+            raise ValueError(f"{next(c for c in self.coords if any(c.num[1:]))} is not a rational constant")
+        return tuple(Fraction(num[0], den) for num in nums)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -540,14 +537,10 @@ def _at(nums: Sequence, tau: Fraction) -> list:
     return [sum(map(mul, num, weights)) for num in nums]
 
 
-def _vector(point: ProjPoint, u: int = None) -> tuple:
-    """A point as `EtaleAlgebra.split`'s combine takes it: its `_nums` at degree >= 2, a rational
-    point as its primitive vector over its entry u, by default its last nonzero one."""
-    if not point.is_rational:
-        return point._nums
-    ints = point.primitive()
-    last = ints[u] if u is not None else next(v for v in reversed(ints) if v)
-    return [[v] if last > 0 else [-v] for v in ints], abs(last)
+def _over(ints: Sequence, u: int) -> tuple:
+    """The integer vector ints over its nonzero entry u, as `EtaleAlgebra.split`'s combine takes
+    a vector: (numerator lists, positive denominator)."""
+    return [[v] if ints[u] > 0 else [-v] for v in ints], abs(ints[u])
 
 
 def _point(algebra: EtaleAlgebra, coords: Sequence) -> ProjPoint:
@@ -729,10 +722,10 @@ class LengthThreeScheme:
 
 def _chart(point: ProjPoint) -> tuple:
     """(P, num, den): the rational point's raw coordinates are (num / den) * P for its
-    primitive vector P, read off the coordinate at P's first nonzero entry (positive)."""
-    prim = point.primitive()
-    x, v = next((x, v) for x, v in zip(point.coords, prim) if v)
-    return prim, x.num[0], x.den * v
+    primitive vector P, read off its integers at P's first nonzero entry (positive)."""
+    prim, (nums, den) = point.primitive(), point._integers()
+    i = next(i for i, v in enumerate(prim) if v)
+    return prim, nums[i][0], den * prim[i]
 
 
 def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
@@ -798,10 +791,9 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
             params.append(tau)
     params.sort()
 
-    algebra = EtaleAlgebra._of(reduced)
-    nums = [[u * x, y] + [0] * (algebra.degree - 2) for x, y in zip(P, second)]
-    point = (ProjPoint._kept(algebra, (nums, pd * qd)) if algebra.degree > 1  # at degree 1, keep the raw coordinates
-             else ProjPoint(algebra, [algebra._reduced(num, pd * qd) for num in nums]))
+    algebra = EtaleAlgebra._of(reduced)  # at degree 1, t reduces to a constant
+    nums = [algebra._remainder([u * x, y]) for x, y in zip(P, second)]
+    point = ProjPoint._kept(algebra, (nums, pd * qd * algebra.scale ** max(2 - algebra.degree, 0)))
     roots = params if len(params) == algebra.degree else ()
     check_invariant(_on_surface(surface, point, roots), "the line section must lie on the surface")
     return LengthThreeScheme(
@@ -819,9 +811,9 @@ def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjP
         return tangent_residual(surface, pencil, point)
     except ZeroDivisorFound as zd:
         sub_a, sub_b, combine = point.algebra.split(zd.factor)
-        parts = (ProjPoint(sub, [sub._reduced(num, 1) for num in point._nums[0]]) for sub in (sub_a, sub_b))
-        a, b = (_tangent_on_components(surface, pencil, part) for part in parts)
-        return ProjPoint._kept(point.algebra, combine(_vector(a), _vector(b)))
+        parts = (ProjPoint._kept(sub, ([sub._remainder(num) for num in point._nums[0]], 1)) for sub in (sub_a, sub_b))
+        a, b = (_tangent_on_components(surface, pencil, part)._integers() for part in parts)
+        return ProjPoint._kept(point.algebra, combine(a, b))
 
 
 def _tangent_at_roots(surface: CubicForm, pencil: PlanePencil, point: ProjPoint, roots: Sequence):
@@ -837,9 +829,9 @@ def _tangent_at_roots(surface: CubicForm, pencil: PlanePencil, point: ProjPoint,
 
     def combined(algebra, k):
         if k + 1 == len(roots):
-            return _vector(images[k], u)
+            return _over(images[k].primitive(), u)
         _, rest, combine = algebra.split((-roots[k].numerator, roots[k].denominator))
-        return combine(_vector(images[k], u), combined(rest, k + 1))
+        return combine(_over(images[k].primitive(), u), combined(rest, k + 1))
     return None if u is None else ProjPoint._kept(point.algebra, combined(point.algebra, 0), True)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,12 +150,12 @@ class TestEtaleAlgebra:
 
     def test_defining_relation(self, quad):
         # the product kernel: t * t reduces to 2 over Q[t]/(t^2 - 2)
-        assert quad._reduced(_convolve([0, 1], [0, 1]), 1) == quad.from_rational(2)
+        assert quad._reduced(_convolve([0, 1], [0, 1]), 1) == quad.element(2)
 
     def test_identity(self, cubic):
         # the product kernel on a and the numerators of 1
         rng = random.Random(5)
-        one = cubic.from_rational(1)
+        one = cubic.element(1)
         for _ in range(50):
             a = cubic.element(random_poly(rng, 2))
             assert cubic._reduced(_convolve(a.num, one.num), a.den) == a
@@ -220,8 +221,13 @@ class TestEtaleAlgebra:
         with pytest.raises(TypeError, match="True"):
             quad.element((True, False))
         with pytest.raises(TypeError, match="False"):
-            quad.from_rational(False)
-        assert quad.from_rational(1) != True  # noqa: E712
+            quad.element(False)
+        assert quad.element(1) != True  # noqa: E712
+
+    def test_constant_value_refuses_a_non_constant(self, quad):
+        assert quad.element(Fraction(-3, 4)).constant_value() == Fraction(-3, 4)
+        with pytest.raises(ValueError, match=re.escape("(t + 1/2 mod t^2 - 2) is not a rational constant")):
+            quad.element(P(Fraction(1, 2), 1)).constant_value()
 
     def test_element_serialization(self, cubic):
         a = cubic.element(P(Fraction(1, 3), 2))

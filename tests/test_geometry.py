@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -488,6 +489,33 @@ class TestLineSection:
         scheme = line_section(FERMAT, Line.rational([1, 2, 0, 3], [0, 1, 1, -1]))
         assert scheme.degree == 3 and not scheme.known_parameters
         assert evaluate(FERMAT, scheme.point).is_zero
+
+    @pytest.mark.parametrize("line, params, coords, json", [
+        # the inflectional tangent of the Fermat cubic at (1, -1, 0, 0): a degree-1 section
+        ([[1, -1, 0, 0], [2, -2, 1, 3]], ["0"], [((1,), 1), ((-1,), 1), ((0,), 1), ((0,), 1)], ["-1", "1", "0", "0"]),
+        # the same line on basepoints that are not primitive and lead with a negative
+        # entry: the section point keeps the chart's raw ratio
+        ([["-2", "2", "0", "0"], ["1", "-1", "1/2", "3/2"]], ["0"], [((-2,), 1), ((2,), 1), ((0,), 1), ((0,), 1)],
+         ["-1", "1", "0", "0"]),
+        ([["-2", "2", "0", "0"], ["0", "1/2", "-1/2", "0"]], ["-1", "-4/5", "0"],
+         [((-2, -2, 0), 1), ((4, 5, 0), 2), ((0, -1, 0), 2), ((0, 0, 0), 1)],
+         {"modulus": ["0", "4/5", "9/5", "1"], "coords": [["-2", "-2"], ["2", "5/2"], ["0", "-1/2"], []]}),
+    ], ids=["degree-1", "degree-1-raw-ratio", "degree-3-raw-ratio"])
+    def test_section_point_representative(self, line, params, coords, json):
+        # the values the section point had when it kept AlgElement coordinates
+        scheme = line_section(FERMAT, line_from_json(line))
+        point = scheme.point
+        assert scheme.known_parameters == tuple(map(Fraction, params))
+        assert [(c.num, c.den) for c in point.coords] == coords
+        assert point.to_json() == json and scheme.to_json()["point"] == json
+        modulus = scheme.algebra.coefficients
+        if scheme.degree == 1:
+            assert point.rational_coords() == tuple(Fraction(num[0], den) for num, den in coords)
+            assert point.key() == (modulus, tuple((Fraction(v),) if v != "0" else () for v in json))
+        else:
+            with pytest.raises(ValueError, match=re.escape("(-2*t - 2 mod t^3 + 9/5*t^2 + 4/5*t) is not a rational")):
+                point.rational_coords()
+            assert point.key() == (modulus, tuple(tuple(map(Fraction, c)) for c in json["coords"]))
 
     def test_non_reduced_flagged(self):
         # tangent line at (-1, 0, 1) inside the Weierstrass plane: double contact
@@ -1069,53 +1097,70 @@ class TestIntegerKernel:
             done += 1
         assert done >= 90
 
-    def test_algebra_points_compute_without_algelement_arithmetic(self):
-        # AlgElements are values with no ring operations, and every construction at
-        # points of degree 2-3 runs, twice to the same outcome
+    def test_algebra_points_compute_without_algelement_arithmetic(self, monkeypatch):
+        # AlgElements are values with no ring operations, built only at the input boundary:
+        # with the lines, pencils and component points built, every construction at points
+        # of degree 1-3, and every print, key and comparison of its points, builds none,
+        # and a second run gives the same outcome
         forced = CubicForm({(0, 0, 0, 3): 3, (0, 0, 1, 2): -1, (0, 0, 3, 0): -3, (0, 1, 0, 2): 3,
                             (0, 2, 0, 1): -1, (0, 2, 1, 0): 2, (1, 0, 0, 2): -3, (1, 0, 1, 1): -1,
                             (1, 1, 0, 1): -2, (1, 1, 1, 0): -2, (1, 2, 0, 0): -1, (2, 0, 0, 1): 1,
                             (2, 0, 1, 0): 1, (2, 1, 0, 0): Fraction(-31, 4), (3, 0, 0, 0): 2})
-        cases = [  # irreducible, through a rational point, forced split, fully split with no unit coordinate
+        cases = [  # irreducible, through a rational point, forced split, fully split with no unit
+            # coordinate (twice, the second time on basepoints that are not primitive), and a
+            # degree-1 section: the inflectional tangent of the Fermat cubic at (1, -1, 0, 0)
             (FERMAT, [1, 2, 0, 0], [0, 0, 1, 3], [1, 1, 1, 1], [1, 2, 4, 8]),
             (CubicForm.diagonal(1, 2, -3, 5), [-1, 1, 1, 0], [1, 2, 0, 3], [0, 1, 1, 1], [1, 0, 2, 1]),
             (forced, [-1, 0, -1, 0], [-4, -1, 0, 0], [-4, 0, -4, -4], [-2, -3, 1, -3]),
             (FERMAT, [1, -1, 0, 0], [0, 1, -1, 0], [1, 1, 1, 1], [1, 2, 4, 8]),
+            (FERMAT, ["-2", "2", "0", "0"], ["0", "1/2", "-1/2", "0"], [1, 1, 1, 1], [1, 2, 4, 8]),
+            (FERMAT, ["-2", "2", "0", "0"], ["1", "-1", "1/2", "3/2"], [1, 1, 1, 1], [1, 2, 4, 8]),
         ]
+        other = PlanePencil(Line.rational([0, 1, 2, 3], [1, 0, 1, -1]))
+        inputs = []
+        for surface, p, q, a, b in cases:
+            line = line_from_json([p, q])
+            points = [line_section(surface, line).point]
+            algebra, tau = points[0].algebra, line_section(surface, line).known_parameters[:1]
+            if tau and algebra.degree == 3:  # its degree-2 component, as `_tangent_on_components` builds it
+                _, sub, _ = algebra.split((-tau[0].numerator, tau[0].denominator))
+                points.append(ProjPoint._kept(sub, ([sub._remainder(num) for num in points[0]._nums[0]], 1)))
+            inputs.append((surface, line, PlanePencil(Line.rational(a, b)), points))
 
         def outcome(run):
             try:
                 out = run()
             except (GeometryError, ZeroDivisorFound) as exc:
                 return type(exc).__name__, str(exc)
-            return "ok", out if isinstance(out, tuple) else out.to_json()
+            point = out if isinstance(out, ProjPoint) else out.point
+            return "ok", out.to_json(), point.key(), hash(point)
 
         def constructions():
             out = []
-            for surface, p, q, a, b in cases:
-                line, pencil = Line.rational(p, q), PlanePencil(Line.rational(a, b))
-                scheme = line_section(surface, line)
-                points = [scheme.point]
-                if scheme.known_parameters and scheme.degree == 3:  # its degree-2 component
-                    tau = scheme.known_parameters[0]
-                    _, sub, _ = scheme.algebra.split((-tau.numerator, tau.denominator))
-                    points.append(ProjPoint(sub, [sub._reduced(num, 1) for num in scheme.point._nums[0]]))
-                out += [outcome(lambda: scheme), outcome(lambda: tangent_triple(surface, pencil, line))]
+            for surface, line, pencil, points in inputs:
+                out.append(outcome(lambda: line_section(surface, line)))
+                out.append(outcome(lambda: tangent_triple(surface, pencil, line)))
                 for x in points:
                     out.append(outcome(lambda: tangent_residual(surface, pencil, x)))
                     y = _tangent_on_components(surface, pencil, x)  # splits where the residual refuses
-                    w = _tangent_on_components(surface, PlanePencil(Line.rational([0, 1, 2, 3], [1, 0, 1, -1])), y)
+                    w = _tangent_on_components(surface, other, y)
                     out += [outcome(lambda: third_point(surface, x, y)), outcome(lambda: third_point(surface, x, w)),
-                            outcome(lambda: third_point(surface, w, y)), y.to_json(), w.to_json()]
+                            outcome(lambda: third_point(surface, w, y)), outcome(lambda: x), outcome(lambda: y),
+                            outcome(lambda: w), ("==", x == y, y == w, w == x)]
             return out
+
+        def refuse(*args):
+            raise AssertionError("an AlgElement was built")
 
         arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "inverse",
                       "is_unit", "__bool__", "_coerce")
         assert not any(hasattr(AlgElement, name) for name in arithmetic)
         assert not any(hasattr(EtaleAlgebra, name) for name in ("zero", "one", "generator"))
-        want = constructions()
-        assert sum(kind == "ok" for kind, _ in want) >= 20
-        assert constructions() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(AlgElement, "__init__", refuse)
+            got = constructions()
+        assert sum(kind == "ok" for kind, *_ in got) >= 50
+        assert constructions() == got
 
     def test_from_integers_is_the_normalized_point(self):
         rng = random.Random(54)
@@ -1131,5 +1176,6 @@ class TestIntegerKernel:
             assert point.to_json() == ProjPoint.rational(v).to_json()
             g = gcd(*v) * (1 if next(c for c in v if c) > 0 else -1)
             assert point.primitive() == tuple(c // g for c in v)
-        with pytest.raises(ValueError):
-            ProjPoint.from_integers([0, 0, 0, 0])
+        for build in (ProjPoint.from_integers, ProjPoint.rational):
+            with pytest.raises(ValueError, match="all coordinates are zero"):
+                build([0, 0, 0, 0])
