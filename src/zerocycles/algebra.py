@@ -394,12 +394,6 @@ class AlgElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def constant_value(self) -> Fraction:
-        """The element as a rational number; requires a constant representative."""
-        if any(self.num[1:]):
-            raise ValueError(f"{self} is not a rational constant")
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other):
         if not isinstance(other, AlgElement):
             return NotImplemented

@@ -267,12 +267,10 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _write_output(_HANDLERS[args.command](args), getattr(args, "out", None))
-    except (GeometryError, ZeroDivisorFound, PreconditionFailed, CertificateNotFound) as exc:
+    except (GeometryError, ZeroDivisorFound, PreconditionFailed, CertificateNotFound,
+            ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         kind = getattr(exc, "kind", type(exc).__name__)
         sys.stdout.write(_dump({"error": {"kind": kind, "message": str(exc)}}))
-        return 1
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        sys.stdout.write(_dump({"error": {"kind": type(exc).__name__, "message": str(exc)}}))
         return 1
     return 0
 

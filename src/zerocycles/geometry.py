@@ -15,10 +15,10 @@ process, membership and normalization run on numerator polynomials packed into
 ints (`_pack`) and read back modulo f (`_reader`); AlgElements appear only at
 the boundary: JSON in and `coords`.  `value_at` gives P, the primitive integer multiple of F, on any
 commutative ring, and geometry calls it on ints only.  Chords and tangent
-lines share one residual routine (`_line_residual`).  Whenever a
-computation over a reducible algebra hits a zero divisor, `ZeroDivisorFound`
-escapes and the caller (see `tangent_triple`) splits the algebra and retries
-componentwise.
+lines share one residual routine (`_line_residual`).  Whenever normalization
+or the tangent process over a reducible algebra hits a zero divisor,
+`ZeroDivisorFound` escapes to `_on_components`, which splits the algebra,
+reruns componentwise and recombines the parts.
 
 Smoothness of the surface is never verified globally; each operation checks
 smoothness at the specific points it touches via the gradient.
@@ -31,6 +31,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -40,6 +41,7 @@ from .algebra import (
     EtaleAlgebra,
     ZeroDivisorFound,
     _convolve,
+    _gcd,
     _radical,
     _texts,
     _trim,
@@ -157,13 +159,12 @@ class ProjPoint:
     over one positive denominator, in lowest terms (`_integers()`).  It keeps
     them as `_nums` = (nums, den), and a rational point caches its primitive
     vector beside them; a point built by `from_integers` keeps only that vector.
-    `coords` builds AlgElements from the integers on each read.  Comparison and
-    serialization normalize by scaling the last unit coordinate to 1.  A point
-    over a reducible algebra may have no unit coordinate at all: normalization
-    then raises ZeroDivisorFound, and the point compares, hashes and prints by
-    its raw lowest-terms representative, so over Q[t]/(t^2 - t) the projectively
-    equal (t, 2t, 0, 0) and (2t, 4t, 0, 0) differ (that needs a normal form
-    computed component by component).
+    `coords` builds AlgElements from the integers on each read.  Comparison,
+    hashing and serialization read the normal form (`normalized`): the last unit
+    coordinate scaled to 1, or over a split algebra with no unit coordinate, the
+    normal forms of the components recombined, so over Q[t]/(t^2 - t) the point
+    (2t, 3 - 3t, 0, 0) is (t, 1 - t, 0, 0).  Coordinates that all vanish on one
+    component of the algebra, such as (t, t, 0, 0) there, are no point and are refused.
     """
 
     __slots__ = ("algebra", "_norm", "_ints", "_nums", "_key")
@@ -174,6 +175,8 @@ class ProjPoint:
             raise ValueError("projective points here live in P^3")
         if all(c.is_zero for c in coords):
             raise ValueError("all coordinates are zero")
+        if algebra.degree > 1 and len(common := reduce(_gcd, (c.num for c in coords), algebra.modulus)) > 1:
+            raise ValueError(f"all coordinates vanish on the component {EtaleAlgebra._of(common)} of the algebra")
         den = lcm(*(c.den for c in coords))  # in lowest terms, as every coordinate is
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_norm", None)
@@ -213,7 +216,7 @@ class ProjPoint:
         lowest terms; for a point kept as its primitive vector, that vector over its last
         nonzero entry."""
         if self._nums is None:
-            return _over(self._ints, next(i for i in (3, 2, 1, 0) if self._ints[i]))
+            return _over(self._ints)
         return self._nums
 
     @property
@@ -227,12 +230,12 @@ class ProjPoint:
         return self.algebra.degree == 1
 
     def normalized(self) -> "ProjPoint":
-        """Scale the last unit coordinate to 1 (deterministic representative)."""
-        if self._norm is not None:
-            return self._norm
-        norm = _point(self.algebra, self.primitive() if self.is_rational else self._nums[0])
-        object.__setattr__(self, "_norm", norm)
-        return norm
+        """The normal form: the last unit coordinate scaled to 1, else the components' (`_on_components`)."""
+        if self._norm is None:
+            norm = _on_components(self, lambda p: _point(p.algebra, p.primitive() if p.is_rational else p._nums[0]))
+            object.__setattr__(norm, "_norm", norm)
+            object.__setattr__(self, "_norm", norm)
+        return self._norm
 
     def primitive(self) -> tuple:
         """Primitive integer coordinates, first nonzero one positive (degree-1 algebras only)."""
@@ -242,13 +245,9 @@ class ProjPoint:
 
     def key(self):
         """Canonical hashable key, built on first use: the modulus and the coefficients
-        of the normalized coordinates (the raw ones when there is no unit coordinate)."""
+        of the normalized coordinates."""
         if self._key is None:
-            try:
-                pt = self.normalized()
-            except ZeroDivisorFound:
-                pt = self
-            nums, den = pt._integers()
+            nums, den = self.normalized()._integers()
             coords = tuple(rational_coeffs(num, den) for num in nums)
             object.__setattr__(self, "_key", (self.algebra.coefficients, coords))
         return self._key
@@ -278,11 +277,7 @@ class ProjPoint:
         if self.is_rational:  # v / last off the primitive vector, then the normalized numerators
             ints = self.primitive()
             return _texts(ints, next(v for v in reversed(ints) if v))
-        try:
-            pt = self.normalized()
-        except ZeroDivisorFound:
-            pt = self
-        (nums, den), algebra = pt._nums, self.algebra
+        (nums, den), algebra = self.normalized()._nums, self.algebra
         return {"modulus": _texts(algebra.modulus, algebra.scale), "coords": [_texts(_trim(num), den) for num in nums]}
 
 
@@ -537,9 +532,10 @@ def _at(nums: Sequence, tau: Fraction) -> list:
     return [sum(map(mul, num, weights)) for num in nums]
 
 
-def _over(ints: Sequence, u: int) -> tuple:
-    """The integer vector ints over its nonzero entry u, as `EtaleAlgebra.split`'s combine takes
-    a vector: (numerator lists, positive denominator)."""
+def _over(ints: Sequence, u: int = None) -> tuple:
+    """The integer vector ints over its nonzero entry u, by default its last nonzero one, as
+    `EtaleAlgebra.split`'s combine takes a vector: (numerator lists, positive denominator)."""
+    u = next(i for i in (3, 2, 1, 0) if ints[i]) if u is None else u
     return [[v] if ints[u] > 0 else [-v] for v in ints], abs(ints[u])
 
 
@@ -804,27 +800,29 @@ def line_section(surface: CubicForm, line: Line) -> LengthThreeScheme:
     )
 
 
-def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjPoint) -> ProjPoint:
-    """Tangent process over the point's algebra, splitting lazily at zero divisors
-    and recombining the components through one CRT idempotent per split."""
+def _on_components(point: ProjPoint, run) -> ProjPoint:
+    """run(point), a point over the point's algebra; where it hits a zero divisor, the same on
+    both components of the split, recombined through the split's CRT idempotent."""
     try:
-        return tangent_residual(surface, pencil, point)
+        return run(point)
     except ZeroDivisorFound as zd:
         sub_a, sub_b, combine = point.algebra.split(zd.factor)
         parts = (ProjPoint._kept(sub, ([sub._remainder(num) for num in point._nums[0]], 1)) for sub in (sub_a, sub_b))
-        a, b = (_tangent_on_components(surface, pencil, part)._integers() for part in parts)
+        a, b = (_on_components(part, run)._integers() for part in parts)
         return ProjPoint._kept(point.algebra, combine(a, b))
 
 
-def _tangent_at_roots(surface: CubicForm, pencil: PlanePencil, point: ProjPoint, roots: Sequence):
-    """The normalized tangent image of a point over Q[t]/(f), f with the rational roots `roots` and
-    no other: the images at its rational points over the last coordinate u nonzero at every root,
-    recombined by one split per root but the last.  None, for the lazy split order to decide the
-    refusal or the raw representative, when a rational point refuses or there is no such u."""
-    try:
-        images = [tangent_residual(surface, pencil, ProjPoint.from_integers(_at(point._nums[0], tau))) for tau in roots]
-    except GeometryError:
-        return None
+def _tangent_on_components(surface: CubicForm, pencil: PlanePencil, point: ProjPoint) -> ProjPoint:
+    """Tangent process over the point's algebra, splitting lazily at zero divisors."""
+    return _on_components(point, lambda part: tangent_residual(surface, pencil, part))
+
+
+def _tangent_at_roots(surface: CubicForm, pencil: PlanePencil, point: ProjPoint, roots: Sequence) -> ProjPoint:
+    """The tangent image of a point over Q[t]/(f), f with the rational roots `roots` and no other:
+    the images at its rational points in root order, so the first refusal propagates, each over the
+    last coordinate u nonzero at every root (the result is then normalized), else over its own last
+    nonzero entry, and recombined by one split per root but the last."""
+    images = [tangent_residual(surface, pencil, ProjPoint.from_integers(_at(point._nums[0], tau))) for tau in roots]
     u = next((i for i in (3, 2, 1, 0) if all(image.primitive()[i] for image in images)), None)
 
     def combined(algebra, k):
@@ -832,7 +830,7 @@ def _tangent_at_roots(surface: CubicForm, pencil: PlanePencil, point: ProjPoint,
             return _over(images[k].primitive(), u)
         _, rest, combine = algebra.split((-roots[k].numerator, roots[k].denominator))
         return combine(_over(images[k].primitive(), u), combined(rest, k + 1))
-    return None if u is None else ProjPoint._kept(point.algebra, combined(point.algebra, 0), True)
+    return ProjPoint._kept(point.algebra, combined(point.algebra, 0), u is not None)
 
 
 def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> LengthThreeScheme:
@@ -841,15 +839,14 @@ def tangent_triple(surface: CubicForm, pencil: PlanePencil, line: Line) -> Lengt
     The line cuts a length-3 scheme off the surface; over its degree-<=3
     algebra the tangent process is applied to the tautological point, which
     over the algebraic closure is the triple of residual tangent points.  A
-    fully split section runs it at its known roots first.  Genericity failures
-    propagate; zero divisors arising mid-computation split the algebra and the
-    computation proceeds componentwise.
+    fully split section runs it at its known roots only, so a refusal is the first
+    refusing root's in increasing order; any other runs it over its algebra, split
+    at zero divisors and recombined.  Genericity failures propagate.
     """
     scheme = line_section(surface, line)
     roots = scheme.known_parameters if scheme.fully_split and scheme.degree > 1 else ()
-    image = _tangent_at_roots(surface, pencil, scheme.point, roots) if roots else None
-    if image is None:
-        image = _tangent_on_components(surface, pencil, scheme.point)
+    image = (_tangent_at_roots(surface, pencil, scheme.point, roots) if roots
+             else _tangent_on_components(surface, pencil, scheme.point))
     check_invariant(_on_surface(surface, image, roots), "the triple map image must lie on the surface")
     return LengthThreeScheme(
         algebra=scheme.algebra,

@@ -15,7 +15,6 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Collection, Iterable, List, Optional, Sequence
 
-from .algebra import ZeroDivisorFound
 from .geometry import (
     CubicForm,
     GeometryError,
@@ -229,7 +228,7 @@ def saturate(
     for record in seeds:
         try:
             point = ProjPoint.from_integers(record.point.normalized().primitive())
-        except (ValueError, ZeroDivisorFound):
+        except ValueError:
             raise ValueError("saturation seeds must be rational points") from None
         if not _on_surface(surface, point):
             raise ValueError("seed point is not on the surface")

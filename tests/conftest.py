@@ -351,6 +351,25 @@ def poly_xgcd(a, b):
     return r0.monic(), u0 * inv, v0 * inv
 
 
+def normal_form(rs, f):
+    """The normal form of the point of P^3 with `Poly` coordinates rs over Q[t]/(f), as
+    `ProjPoint.normalized` defines it: with a unit coordinate, every coordinate times the
+    inverse of the last unit one; else f splits at g, the gcd of f and the last nonzero
+    coordinate, and the normal forms over g and f/g are recombined by the Chinese
+    remainder theorem.  Every coordinate vanishing modulo one factor of f is refused."""
+    units = [r for r in rs if not r.is_zero and poly_gcd(r, f).degree == 0]
+    if units:
+        _, inverse, _ = poly_xgcd(units[-1], f)
+        return [(inverse * r) % f for r in rs]
+    if all(r.is_zero for r in rs):
+        raise ValueError("all coordinates vanish on a component")
+    g = poly_gcd(next(r for r in reversed(rs) if not r.is_zero), f)
+    h = f // g
+    a, b = normal_form([r % g for r in rs], g), normal_form([r % h for r in rs], h)
+    e = (h * poly_xgcd(h, g)[1]) % f  # 1 mod g, 0 mod h
+    return [(y + e * (x - y)) % f for x, y in zip(a, b)]
+
+
 def element_json(a):
     """An algebra element as {"modulus": [...], "rep": [...]} coefficient strings."""
     return {"modulus": modulus_of(a.algebra).to_strings(), "rep": rep_of(a).to_strings()}

@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -223,11 +222,6 @@ class TestEtaleAlgebra:
         with pytest.raises(TypeError, match="False"):
             quad.element(False)
         assert quad.element(1) != True  # noqa: E712
-
-    def test_constant_value_refuses_a_non_constant(self, quad):
-        assert quad.element(Fraction(-3, 4)).constant_value() == Fraction(-3, 4)
-        with pytest.raises(ValueError, match=re.escape("(t + 1/2 mod t^2 - 2) is not a rational constant")):
-            quad.element(P(Fraction(1, 2), 1)).constant_value()
 
     def test_element_serialization(self, cubic):
         a = cubic.element(P(Fraction(1, 3), 2))

@@ -13,6 +13,7 @@ the same way, against a monomial-by-monomial expansion of P = s*F.
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -27,6 +28,7 @@ from conftest import (
     from_roots,
     is_squarefree,
     monomial_value,
+    normal_form,
     poly_gcd,
     poly_xgcd,
     primitive,
@@ -37,7 +39,6 @@ from zerocycles import algebra as algebra_module
 from zerocycles.algebra import (
     AlgElement,
     EtaleAlgebra,
-    ZeroDivisorFound,
     _convolve,
     _gcd,
     _quotient,
@@ -201,11 +202,12 @@ def test_degree_one_matches_fraction_arithmetic(root):
     for c0, c1 in pairs:
         a = alg.element((c0, c1))
         assert_normalized(a)
-        assert a.constant_value() == c0 + c1 * root
+        assert Fraction(a.num[0], a.den) == c0 + c1 * root
         elements.append(a)
     for a, b in zip(elements, elements[1:] + elements[:1]):
-        x, y = a.constant_value(), b.constant_value()
-        assert alg._reduced(_convolve(a.num, b.num), a.den * b.den).constant_value() == x * y
+        x, y = Fraction(a.num[0], a.den), Fraction(b.num[0], b.den)
+        product = alg._reduced(_convolve(a.num, b.num), a.den * b.den)
+        assert Fraction(product.num[0], product.den) == x * y
         assert (len(alg._factor(a.num)) == 1) == (x != 0)
         inv = alg._inverse(a.num)
         if x:
@@ -296,26 +298,33 @@ def test_equality_hash_zero_and_json_agree_with_poly_view():
                     assert hash(a) == hash(b)
             if rep_of(a).degree <= 0:  # equal to the rational's element, not to the rational
                 assert a == alg.element(rep_of(a).coeff(0)) and a != rep_of(a).coeff(0)
-                assert a.constant_value() == rep_of(a).coeff(0)
+                assert not any(a.num[1:]) and Fraction(a.num[0], a.den) == rep_of(a).coeff(0)
 
 
 def test_point_key_matches_poly_normalization():
-    rng, algs = algebras(7, 60)
+    # over a split algebra a coordinate is often a multiple of one linear factor
+    # of the modulus, so that some points have no unit coordinate and some have
+    # every coordinate vanish on one component
+    rng, algs = algebras(7, 90)
     for alg, f in algs:
-        coords = [alg.element(random_poly(rng, alg.degree - 1)) for _ in range(4)]
+        roots = {Fraction(n, d) for n in range(-5, 6) for d in (1, 2, 3, 4, 6, 7) if f(Fraction(n, d)) == 0}
+        factors = [Poly((-r, 1)) for r in sorted(roots)] + [Poly.one()] * 2
+        coords = [alg.element(random_poly(rng, alg.degree - 1) * rng.choice(factors)) for _ in range(4)]
         if all(c.is_zero for c in coords):
             continue
-        point = ProjPoint(alg, coords)
         reps = [rep_of(c) for c in coords]
+        if reduce(poly_gcd, reps, f).degree > 0:
+            # every coordinate vanishes on one component: no point
+            with pytest.raises(ValueError, match="all coordinates vanish on the component"):
+                ProjPoint(alg, coords)
+            continue
         units = [i for i, r in enumerate(reps) if not r.is_zero and poly_gcd(r, f).degree == 0]
         if units:
             _, u, _ = poly_xgcd(reps[units[-1]], f)
-            reps = [(u * r) % f for r in reps]
-        else:
-            # no unit coordinate: the key keeps the raw representatives
-            with pytest.raises(ZeroDivisorFound):
-                point.normalized()
-        assert point.key() == (f.coeffs, tuple(r.coeffs for r in reps))
+            normal = [(u * r) % f for r in reps]
+        else:  # no unit coordinate: the normal forms on the components, recombined
+            normal = normal_form(reps, f)
+        assert ProjPoint(alg, coords).key() == (f.coeffs, tuple(r.coeffs for r in normal))
 
 
 def split_algebra(rng):

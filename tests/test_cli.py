@@ -271,21 +271,26 @@ class TestPoints:
         assert all(isinstance(p, list) for p in points)
 
     @pytest.mark.parametrize(
-        "seed",
+        "seed, message",
         [
             # (1 : -1 : i : -i) lies on the Fermat cubic, with no rational normal form
-            {"modulus": [1, 0, 1], "coords": [[1], [-1], [0, 1], [0, -1]]},
-            # over Q[t]/(t^2 - t) no coordinate of (t : t : 0 : 0) is a unit
-            {"modulus": [0, -1, 1], "coords": [[0, 1], [0, 1], [0], [0]]},
+            ({"modulus": [1, 0, 1], "coords": [[1], [-1], [0, 1], [0, -1]]},
+             "saturation seeds must be rational points"),
+            # over Q[t]/(t^2 - t) no coordinate of (t : 1 - t : 0 : 0) is a unit, and its
+            # normal form, (0 : 1 : 0 : 0) at t = 0 and (1 : 0 : 0 : 0) at t = 1, is not rational
+            ({"modulus": [0, -1, 1], "coords": [[0, 1], [1, -1], [0], [0]]},
+             "saturation seeds must be rational points"),
+            # (t : t : 0 : 0) is (0 : 0 : 0 : 0) at t = 0: no point, refused as it is read
+            ({"modulus": [0, -1, 1], "coords": [[0, 1], [0, 1], [0], [0]]},
+             "all coordinates vanish on the component Q[t]/(t) of the algebra"),
         ],
-        ids=["Q(i)", "no-unit"],
+        ids=["Q(i)", "no-unit", "zero-on-a-component"],
     )
-    def test_irrational_saturation_seed_is_refused(self, capsys, fermat_path, seed):
+    def test_irrational_saturation_seed_is_refused(self, capsys, fermat_path, seed, message):
         seeds = json.dumps([[0, 1, -1, 0], seed])
         code, out = run_cli(capsys, "points", "saturate", "--surface", fermat_path, "--seeds", seeds, "--rounds", "1")
         assert code == 1
-        error = {"kind": "ValueError", "message": "saturation seeds must be rational points"}
-        assert json.loads(out) == {"error": error}
+        assert json.loads(out) == {"error": {"kind": "ValueError", "message": message}}
 
 
 class TestDeterminism:
@@ -350,9 +355,9 @@ class TestLineSectionPins:
             ("psi", "dense", "AXIS2", [["-9/7", -2, 2, 3], [-3, 3, -5, -9]], 0, "440c3901139a5c593383f1f83bb8baf72049affe6afffeeb7437bdb181331f36"),
             ("delta", "fermat", None, [["-1/7", 5, "-3/2", -3], [1, 0, -1, 0]], 0, "e152b6ea0e6619ac9f409c68764a71de435927de646fd1bac9cd38c3d6319042"),
             ("psi", "fermat", "AXIS2", [["-1/7", 5, "-3/2", -3], [1, 0, -1, 0]], 0, "b2b1ee6f60c83c3ee9327d52653355d122e9ca9d36108c4fc3fcdb69701afe01"),
-            ("delta", "fermat", None, [[-1, 1, 0, 0], [0, "1/3", 0, "-1/3"]], 0, "8a58a6b5e4b507babceede19b551f5c79465a071c69892fece7291d9486427e8"),
+            ("delta", "fermat", None, [[-1, 1, 0, 0], [0, "1/3", 0, "-1/3"]], 0, "f70d01ac38eaeadf5ce742b6f0392841e4669da33ddeaec005ede653e23ee23c"),
             ("psi", "fermat", "AXIS2", [[-1, 1, 0, 0], [0, "1/3", 0, "-1/3"]], 0, "f70d01ac38eaeadf5ce742b6f0392841e4669da33ddeaec005ede653e23ee23c"),
-            ("delta", "dense", None, [[2, -2, 0, 0], [-2, 0, 2, 0]], 0, "4ac96bcb8f78cbf6d182de87396c96a97cf2ab737ec5db6dec04940a4d724f09"),
+            ("delta", "dense", None, [[2, -2, 0, 0], [-2, 0, 2, 0]], 0, "88b75bbfbf421f17c64adf4529bb8522a2a04ee4e74261500046f9cd6b79b31b"),
             ("psi", "dense", "AXIS2", [[2, -2, 0, 0], [-2, 0, 2, 0]], 0, "3b3e0bead37b4c393418c437652c306c106539ee1e2748dce2719e587df05caa"),
             ("delta", "fermat", None, [[0, "5/7", "-5/7", 0], [1, 0, 0, -1]], 1, "c287e6c6d23f245dc4d8c543da6a7a3cd698a6584fda3a952f05f75e11770259"),
             ("psi", "fermat", "AXIS2", [[0, "5/7", "-5/7", 0], [1, 0, 0, -1]], 1, "c287e6c6d23f245dc4d8c543da6a7a3cd698a6584fda3a952f05f75e11770259"),
@@ -480,7 +485,7 @@ _AXIS = '[["1","1","1","1"],["1","2","4","8"]]'
         ),
         (
             ["geom", "delta", "--line", _SPLIT_LINE],
-            "22fa6ab3364d6b3a497098beb5b29fcf04191e95a66135084f343297b7feabaf",
+            "b17b775d076754688239d8f2be946ae7137984599ac8125a66329e0e64f6e612",
         ),
         (
             ["geom", "delta", "--surface", _CUBE_ROOT_2, "--line", '[["0","1","0","0"],["1","0","0","0"]]'],
@@ -492,7 +497,7 @@ _AXIS = '[["1","1","1","1"],["1","2","4","8"]]'
         ),
         (
             ["geom", "delta", "--surface", _WEIERSTRASS, "--line", '[["-1","0","1","0"],["0","1","0","0"]]'],
-            "29566d75b8473da13dc85c9ae0ce118667da9e5865241d6ae632097963d0d2fc",
+            "9fa37ae133c04907da1d94397bd0df8e40ee8f3b24f9bcfab38c8e1214958a0c",
         ),
         (
             ["geom", "psi", "--axis", _AXIS, "--line", _SPLIT_LINE],
@@ -554,8 +559,13 @@ _ON_AXIS = '[["1","-1","0","0"],["0","0","0","1"]]'
                 {"modulus": ["0", "-1", "1"], "coords": [["1", "-1"], ["-1", "1"], ["0", "1"], ["0", "-1"]]})],
             "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - t): factor t",
         ),
+        (  # over t(t - 1)(t - 2), every coordinate a multiple of (t - 1)(t - 2): no point
+            ["tangent-residual", "--axis", '[["1","1","1","1"],["1","2","4","8"]]', "--point", json.dumps(
+                {"modulus": ["0", "2", "-3", "1"], "coords": [["2", "-3", "1"], ["4", "-6", "2"], [], []]})],
+            "ValueError", "all coordinates vanish on the component Q[t]/(t^2 - 3*t + 2) of the algebra",
+        ),
     ],
-    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor", "no-unit-coordinate"],
+    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor", "no-unit-coordinate", "zero-on-a-component"],
 )
 def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, message):
     code, out = run_cli(capsys, "geom", argv[0], "--surface", fermat_path, *argv[1:])

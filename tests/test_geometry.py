@@ -47,7 +47,6 @@ from zerocycles.geometry import (
     _plane,
     _plucker,
     _rational_from_json,
-    _tangent_at_roots,
     _tangent_on_components,
     line_from_json,
     line_section,
@@ -494,12 +493,14 @@ class TestLineSection:
         # the inflectional tangent of the Fermat cubic at (1, -1, 0, 0): a degree-1 section
         ([[1, -1, 0, 0], [2, -2, 1, 3]], ["0"], [((1,), 1), ((-1,), 1), ((0,), 1), ((0,), 1)], ["-1", "1", "0", "0"]),
         # the same line on basepoints that are not primitive and lead with a negative
-        # entry: the section point keeps the chart's raw ratio
+        # entry: the section point keeps the chart's raw ratio in `coords`, and at
+        # degree 3, where no coordinate is a unit, prints its normal form
         ([["-2", "2", "0", "0"], ["1", "-1", "1/2", "3/2"]], ["0"], [((-2,), 1), ((2,), 1), ((0,), 1), ((0,), 1)],
          ["-1", "1", "0", "0"]),
         ([["-2", "2", "0", "0"], ["0", "1/2", "-1/2", "0"]], ["-1", "-4/5", "0"],
          [((-2, -2, 0), 1), ((4, 5, 0), 2), ((0, -1, 0), 2), ((0, 0, 0), 1)],
-         {"modulus": ["0", "4/5", "9/5", "1"], "coords": [["-2", "-2"], ["2", "5/2"], ["0", "-1/2"], []]}),
+         {"modulus": ["0", "4/5", "9/5", "1"],
+          "coords": [["-1", "4", "5"], ["1", "-7/4", "-15/4"], ["0", "-9/4", "-5/4"], []]}),
     ], ids=["degree-1", "degree-1-raw-ratio", "degree-3-raw-ratio"])
     def test_section_point_representative(self, line, params, coords, json):
         # the values the section point had when it kept AlgElement coordinates
@@ -680,22 +681,45 @@ class TestTangentTriple:
         [(([1, 1, 1, 1], [1, 2, 4, 8]), "ok"), (([1, -1, 0, 0], [0, 0, 0, 1]), "PointOnAxis")],
         ids=["no-unit-coordinate", "axis-through-a-component"],
     )
-    def test_fully_split_fermat_section_falls_back_to_the_lazy_order(self, axis, kind):
+    def test_fully_split_fermat_section_runs_at_its_roots_only(self, monkeypatch, axis, kind):
         # no coordinate of the image is nonzero at every root, or one root
-        # refuses: the lazy split order prints its raw representative, or
-        # decides the refusal's kind and message
+        # refuses: either way the known roots decide, with no pass over the
+        # algebra, and the image prints the bytes of the lazy split order's
         line, pencil = Line.rational([1, -1, 0, 0], [0, 1, -1, 0]), PlanePencil(Line.rational(*axis))
         scheme = line_section(FERMAT, line)
-        assert _tangent_at_roots(FERMAT, pencil, scheme.point, scheme.known_parameters) is None
 
         def outcome(run):
             try:
                 return "ok", run().to_json()
             except (GeometryError, ZeroDivisorFound) as exc:
                 return exc.kind if isinstance(exc, GeometryError) else "ZeroDivisorFound", str(exc)
+        lazy = outcome(lambda: _tangent_on_components(FERMAT, pencil, scheme.point))
+        monkeypatch.setattr(geometry_module, "_tangent_on_components",
+                            lambda *args: pytest.fail("a fully split section ran the lazy split order"))
         got = outcome(lambda: tangent_triple(FERMAT, pencil, line).point)
-        assert got[0] == kind
-        assert got == outcome(lambda: _tangent_on_components(FERMAT, pencil, scheme.point))
+        assert got[0] == kind and got == lazy
+
+    def test_roots_refusing_differently_report_the_first_root(self):
+        # on this section (degree 2, roots -1 and 0) the tangent process refuses
+        # at both roots, with different kinds: the known roots report the first
+        # root's refusal, and the lazy split order another root's
+        surface = CubicForm({(0, 0, 0, 3): -2, (0, 0, 1, 2): -3, (0, 0, 2, 1): -1, (0, 1, 1, 1): -2, (0, 2, 0, 1): 1,
+                             (0, 2, 1, 0): 3, (1, 0, 0, 2): -3, (1, 0, 1, 1): -1, (1, 0, 2, 0): 3, (1, 1, 1, 0): 3,
+                             (1, 2, 0, 0): -2, (2, 0, 0, 1): 1, (2, 0, 1, 0): 1, (3, 0, 0, 0): -5})
+        line = Line.rational([-1, 1, 2, -1], [0, 0, -3, 3])
+        pencil = PlanePencil(Line.rational([-1, 1, 2, -1], [1, 2, 3, 2]))
+        scheme = line_section(surface, line)
+        assert scheme.fully_split and scheme.known_parameters == (-1, 0)
+        kinds = []
+        for tau in scheme.known_parameters:
+            with pytest.raises(GeometryError) as info:
+                tangent_residual(surface, pencil, component_point(scheme.point, tau))
+            kinds.append(info.value.kind)
+        assert kinds == ["SingularSectionPoint", "PointOnAxis"]
+        with pytest.raises(SingularSectionPoint, match="gradient is proportional to the plane normal"):
+            tangent_triple(surface, pencil, line)
+        with pytest.raises(PointOnAxis):
+            _tangent_on_components(surface, pencil, scheme.point)
 
     def test_irreducible_case_on_surface(self):
         surface = CubicForm({(3, 0, 0, 0): 1, (0, 3, 0, 0): -Fraction(1, 2), (0, 0, 0, 3): 1})
@@ -863,25 +887,50 @@ class TestNormalization:
         pt = ProjPoint.rational([2, 4, 0, 0]).normalized()
         assert pt.rational_coords() == (Fraction(1, 2), 1, 0, 0)
 
-    def test_no_unit_coordinate_raises(self):
-        split = EtaleAlgebra(Poly([0, -1, 1]) * Poly([1]))  # t^2 - t
+    def test_no_unit_coordinate_normalizes_by_components(self, monkeypatch):
+        # over Q[t]/(t^2 - t), which is Q x Q, no coordinate of (t, 1 - t, 0, 0) is a
+        # unit: it is (0, 1, 0, 0) at t = 0 and (1, 0, 0, 0) at t = 1, each its own
+        # normal form, so one split, at t - 1 (the last nonzero coordinate's factor),
+        # recombines it as it is
+        split = EtaleAlgebra(Poly([0, -1, 1]))
+        splits, original = [], EtaleAlgebra.split
+        monkeypatch.setattr(EtaleAlgebra, "split", lambda self, factor: splits.append(factor) or original(self, factor))
         pt = ProjPoint(split, [(0, 1), (1, -1), 0, 0])
-        with pytest.raises(ZeroDivisorFound):
-            pt.normalized()
+        norm = pt.normalized()
+        assert splits == [(-1, 1)]
+        assert [rep_of(c) for c in norm.coords] == [Poly([0, 1]), Poly([1, -1]), Poly(), Poly()]
+        assert norm.normalized() is norm and ProjPoint(split, norm.coords).normalized().key() == norm.key()
 
-    def test_key_without_a_unit_coordinate_is_the_raw_representative(self):
-        # over Q[t]/(t^2 - t), (t, 2t, 0, 0) is (0, 0, 0, 0) at t = 0: no coordinate
-        # is a unit, so the point has no normal form, and its key, equality and hash
-        # read the raw coordinates
+    def test_key_without_a_unit_coordinate_is_the_normal_form(self):
+        # unit multiples of a point with no unit coordinate -- by 2, by -1 and by
+        # 1 + t, which is 1 at t = 0 and 2 at t = 1 -- compare, hash and print as one
         split = EtaleAlgebra((0, -1, 1))
-        pt, same = (ProjPoint(split, [(0, 1), (0, 2), 0, 0]) for _ in range(2))
-        with pytest.raises(ZeroDivisorFound) as info:
-            pt.normalized()
-        assert info.value.factor == (0, 1)
-        assert pt.key() == (split.coefficients, ((0, 1), (0, 2), (), ()))
-        assert pt == same and hash(pt) == hash(same) and len({pt, same}) == 1
-        assert pt != ProjPoint(split, [(0, 1), (0, 3), 0, 0])
-        assert pt.to_json() == {"modulus": ["0", "-1", "1"], "coords": [["0", "1"], ["0", "2"], [], []]}
+        pt = ProjPoint(split, [(0, 1), (1, -1), 0, 0])
+        multiples = [ProjPoint(split, coords) for coords in (
+            [(0, 2), (3, -3), 0, 0], [(0, -1), (-1, 1), 0, 0], [(0, 2), (1, -1), 0, 0])]
+        assert pt.key() == (split.coefficients, ((0, 1), (1, -1), (), ()))
+        assert all(pt == other and hash(pt) == hash(other) for other in multiples)
+        assert len({pt, *multiples}) == 1
+        assert pt != ProjPoint(split, [(0, 1), (1, -2), 0, 0])
+        json = {"modulus": ["0", "-1", "1"], "coords": [["0", "1"], ["1", "-1"], [], []]}
+        assert pt.to_json() == json and all(other.to_json() == json for other in multiples)
+
+    @pytest.mark.parametrize("modulus, coords, component", [
+        ((0, -1, 1), [(0, 1), (0, 1), 0, 0], "Q[t]/(t)"),
+        ((0, 2, -3, 1), [(2, -3, 1), (4, -6, 2), 0, (-2, 3, -1)], "Q[t]/(t^2 - 3*t + 2)"),
+        ((Fraction(-1, 4), 0, 1), [(Fraction(1, 2), 1), 0, (1, 2), 0], "Q[t]/(t + 1/2)"),
+    ], ids=["t^2-t", "t(t-1)(t-2)", "scaled"])
+    def test_coordinates_vanishing_on_a_component_are_refused(self, modulus, coords, component):
+        # no point of P^3: every coordinate is a multiple of one factor of the modulus
+        with pytest.raises(ValueError, match=re.escape(f"all coordinates vanish on the component {component} ")):
+            ProjPoint(EtaleAlgebra(modulus), coords)
+
+    def test_rational_points_run_no_gcd(self, monkeypatch):
+        # over a degree-1 algebra only the all-zero check runs
+        monkeypatch.setattr(geometry_module, "_gcd", lambda *args: pytest.fail("a rational point ran a gcd"))
+        assert ProjPoint.rational([1, Fraction(1, 2), 0, 0]).primitive() == (2, 1, 0, 0)
+        with pytest.raises(ValueError, match="all coordinates are zero"):
+            ProjPoint.rational([0, 0, 0, 0])
 
     def test_one_elimination_per_normalized_algebra_point(self, monkeypatch):
         # a linear last unit coordinate is tested and inverted by one synthetic

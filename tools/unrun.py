@@ -11,8 +11,10 @@ run in subprocesses (the CLI's fresh-process tests) is not seen.
 
     python tools/unrun.py
 
-Pytest runs tier-1 (`-q --continue-on-collection-errors`); its output goes to
-stderr and the report, ending with pytest's exit status, to stdout.  Tracing
+Pytest runs tier-1 (`-q --continue-on-collection-errors --hypothesis-seed=0`),
+so the property tests draw the same examples on every run and two reports can
+be compared line by line; its output goes to stderr and the report, ending with
+pytest's exit status, to stdout.  Tracing
 makes the run several times slower, so tests with a wall-clock limit may fail
 under it; the script exits 0 whatever pytest's status, and nonzero only when
 it fails itself.
@@ -76,7 +78,7 @@ def main() -> None:
     sys.settrace(trace)
     try:
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries the report only
-            status = pytest.main(["-q", "--continue-on-collection-errors"])
+            status = pytest.main(["-q", "--continue-on-collection-errors", "--hypothesis-seed=0"])
     finally:
         sys.settrace(None)
 
