@@ -11,9 +11,10 @@ of multiplication by the element, through the one Bareiss routine
 (`_eliminate`), and for an element of degree <= 1 from one synthetic division
 of the modulus.  The unit test, zero-divisor factors and squarefree checks run
 the primitive pseudo-remainder sequence (`_gcd`), and divisibility runs
-pseudo-division (`_quotient`).  `Fraction`s appear only at the boundary:
-rational scalars coming in, and coefficients for keys and messages going out
-(`rational_coeffs`); JSON text is printed off integer numerators (`_texts`).
+pseudo-division (`_quotient`).  Every incoming rational is an int or a `Fraction`,
+cleared to integers over one denominator by `_cleared`; `Fraction`s are built only going
+out, as coefficients for keys and messages (`rational_coeffs`), and JSON text is printed
+off integer numerators (`_texts`).
 No factorization is ever performed; a reducible modulus is split lazily when
 some computation runs into a zero divisor: `ZeroDivisorFound` carries the
 factor, and `EtaleAlgebra.split` builds both components on integers, without
@@ -28,12 +29,18 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+def _cleared(values: Iterable) -> tuple:
+    """(ints, den): rationals as a list of integers over their least common denominator, the
+    one way a rational enters the library.  A rational is an int (not a bool) or a Fraction,
+    and anything else is a TypeError that names it, a float or string too."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"cannot interpret {v!r} as a rational number")
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
@@ -49,21 +56,14 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
 def _eliminate(rows: Sequence[Sequence]) -> tuple:
     """Exact fraction-free (Bareiss) Gauss-Jordan elimination: (pivot columns, rows).
 
-    Rows of ints are used as they are; any other row is first scaled to
-    integers.  Every division below is exact.  The rank is the number of
+    Each row is first cleared to integers (`_cleared`), which scales it and keeps
+    the row space.  Every division below is exact.  The rank is the number of
     pivots, and every pivot row ends with the same entry (the last pivot) in
     its pivot column, so row i of the result divided by that entry is row i
     of the reduced row echelon form.  On an augmented [M | I], M is
     invertible iff the pivots are M's columns.
     """
-    m = []
-    for row in rows:
-        if all(type(v) is int for v in row):
-            m.append(list(row))
-            continue
-        row = [Fraction(v) for v in row]
-        scale = lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+    m = [_cleared(row)[0] for row in rows]
     pivots = []
     prev = 1
     for col in range(len(m[0]) if m else 0):
@@ -218,15 +218,13 @@ class EtaleAlgebra:
     __slots__ = ("scale", "tail")
 
     def __init__(self, coeffs: Iterable):
-        f = _trim([_to_fraction(c) for c in coeffs])
-        if len(f) < 2:
+        ints, scale = _cleared(coeffs)
+        if len(ints := _trim(ints)) < 2:
             raise ValueError("modulus must have degree >= 1")
-        if f[-1] != 1:
+        if ints[-1] != scale:
             raise ValueError("modulus must be monic")
-        scale = lcm(*(c.denominator for c in f))
-        ints = [c.numerator * (scale // c.denominator) for c in f]
         if len(_radical(ints)) != len(ints):
-            raise ValueError(f"modulus {_poly_text(f)} is not squarefree")
+            raise ValueError(f"modulus {_poly_text(rational_coeffs(ints, scale))} is not squarefree")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "tail", tuple(ints[:-1]))
 
@@ -272,10 +270,6 @@ class EtaleAlgebra:
                     num[base + i] -= top * c
         return num
 
-    def _reduced(self, num: Sequence[int], den: int) -> "AlgElement":
-        """The element sum(num[i] * t^i) / den, for any number of numerators."""
-        return AlgElement(self, self._remainder(num), den * self.scale ** max(len(num) - len(self.tail), 0))
-
     def _factor(self, num: Sequence[int]) -> tuple:
         """The one unit test: the primitive gcd of num and the modulus is (1,) iff num is
         a unit, the modulus iff it is zero, else the factor a zero divisor splits along.
@@ -308,18 +302,21 @@ class EtaleAlgebra:
         det = rows[0][0]  # every pivot entry, so z_j = rows[j][n] / det
         return [row[n] * (1 if det > 0 else -1) * scale**j for j, row in enumerate(rows)], abs(det)
 
-    def element(self, value) -> "AlgElement":
-        """An element of this algebra, a rational, or rational coefficients lowest degree first."""
+    def _integers(self, value) -> tuple:
+        """(num, den): an element of this algebra, a rational, or rational coefficients lowest
+        degree first, as one numerator per power of t over a positive denominator, not always
+        in lowest terms; only more coefficients than the degree run a reduction."""
         if isinstance(value, AlgElement):
             if value.algebra != self:
                 raise ValueError("element belongs to a different algebra")
-            return value
-        if isinstance(value, (int, Fraction)):  # a rational runs no reduction
-            q = _to_fraction(value)
-            return AlgElement(self, [q.numerator] + [0] * (len(self.tail) - 1), q.denominator)
-        coeffs = [_to_fraction(c) for c in value]
-        den = lcm(*(c.denominator for c in coeffs))
-        return self._reduced([c.numerator * (den // c.denominator) for c in coeffs], den)
+            return list(value.num), value.den
+        num, den = _cleared(value if isinstance(value, Iterable) and not isinstance(value, (str, bytes)) else (value,))
+        k = len(num) - len(self.tail)
+        return (self._remainder(num), den * self.scale**k) if k > 0 else (num + [0] * -k, den)
+
+    def element(self, value) -> "AlgElement":
+        """An element of this algebra, a rational, or rational coefficients lowest degree first."""
+        return AlgElement(self, *self._integers(value))
 
     def split(self, factor: Sequence[int]):
         """Split along a proper divisor g of the modulus, given by integer

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .algebra import _eliminate
+from .algebra import _cleared, _eliminate
 
 GENERATORS = ("x", "y", "z")
 
@@ -213,14 +213,12 @@ def plane_rows(u: Tuple, v: Tuple, w: Tuple) -> list:
 
     u = (u0:u1) picks u0*X0 + u1*X1 through the first line, v = (v2:v3)
     picks v2*X2 + v3*X3 through the second, w = (w:w') picks
-    w*(X0-X2) + w'*(X1-X3) through the third.
+    w*(X0-X2) + w'*(X1-X3) through the third; each pair is cleared to integers (`_cleared`).
     """
-    for pair in (u, v, w):
-        if len(pair) != 2 or all(Fraction(c) == 0 for c in pair):
-            raise ValueError("each plane parameter must be a nonzero pair")
-    u0, u1 = (Fraction(c) for c in u)
-    v2, v3 = (Fraction(c) for c in v)
-    w0, w1 = (Fraction(c) for c in w)
+    pairs = [_cleared(pair)[0] for pair in (u, v, w)]
+    if any(len(pair) != 2 or not any(pair) for pair in pairs):
+        raise ValueError("each plane parameter must be a nonzero pair")
+    (u0, u1), (v2, v3), (w0, w1) = pairs
     return [
         [u0, u1, 0, 0],
         [0, 0, v2, v3],
@@ -303,13 +301,16 @@ def standardize_skew_lines(lines) -> list:
     Each line is a pair of spanning 4-vectors.  Raises LinesIntersect when
     two of the lines meet (their four spanning vectors have rank < 4); otherwise
     returns the 4x4 matrix T (new coordinates = T * old) and guarantees
-    T maps the lines onto the spans of STANDARD_LINES.  Int entries stay ints:
-    T is formed on integers over one denominator, divided out last.
+    T maps the lines onto the spans of STANDARD_LINES.  T is formed on integers:
+    the lines' coordinates are cleared over one denominator D (`_cleared`), which
+    divides T by D, and T's denominator is divided out last.
     """
-    pts = [[tuple(c if type(c) is int else Fraction(c) for c in p) for p in line] for line in lines]
+    pts = [[list(p) for p in line] for line in lines]
+    ints, scale = _cleared(c for line in pts for p in line for c in p)
+    coords = iter(ints)
+    pts = [[[next(coords) for _ in p] for p in line] for line in pts]
     for i, j in itertools.combinations(range(3), 2):
-        stack = [list(pts[i][0]), list(pts[i][1]), list(pts[j][0]), list(pts[j][1])]
-        if matrix_rank(stack) < 4:
+        if matrix_rank([*pts[i], *pts[j]]) < 4:
             raise LinesIntersect(f"lines {i} and {j} intersect")
     # Columns (p2, q2, p1, q1) send line 2 to span(e0, e1), line 1 to span(e2, e3).
     basis = [
@@ -328,4 +329,4 @@ def standardize_skew_lines(lines) -> list:
     for line, standard in zip(pts, STANDARD_LINES):
         if not _span_matches([[sum(a * b for a, b in zip(row, p)) for row in transform] for p in line], standard):
             raise AssertionError("standardization failed to reach the normal form")
-    return [[Fraction(v, d * d2) for v in row] for row in transform]
+    return [[Fraction(v * scale, d * d2) for v in row] for row in transform]

@@ -31,10 +31,10 @@ from .geometry import (
     GeometryError,
     PlanePencil,
     _json_list,
+    _tangent_on_components,
     line_from_json,
     line_section,
     point_from_json,
-    tangent_residual,
     tangent_triple,
     third_point,
 )
@@ -182,7 +182,7 @@ def _cmd_geom(args) -> str:
     if args.subcommand == "tangent-residual":
         axis = line_from_json(_load_json_arg(args.axis))
         point = point_from_json(_load_json_arg(args.point))
-        result = tangent_residual(surface, PlanePencil(axis), point)
+        result = _tangent_on_components(surface, PlanePencil(axis), point)
         return _dump({"point": result.to_json()})
     if args.subcommand == "delta":
         line = line_from_json(_load_json_arg(args.line))

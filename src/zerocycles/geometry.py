@@ -12,8 +12,9 @@ built, compared, hashed and printed as values, but a point is its integers
 and every construction computes on them.  Rational points compute on their
 primitive integer vectors.  At a point of degree 2-3, chords, the tangent
 process, membership and normalization run on numerator polynomials packed into
-ints (`_pack`) and read back modulo f (`_reader`); AlgElements appear only at
-the boundary: JSON in and `coords`.  `value_at` gives P, the primitive integer multiple of F, on any
+ints (`_pack`) and read back modulo f (`_reader`).  Incoming rationals are cleared to
+integers (`algebra._cleared`), and AlgElements are built only by `coords`, `repr` and
+`EtaleAlgebra.element`.  `value_at` gives P, the primitive integer multiple of F, on any
 commutative ring, and geometry calls it on ints only.  Chords and tangent
 lines share one residual routine (`_line_residual`).  Whenever normalization
 or the tangent process over a reducible algebra hits a zero divisor,
@@ -40,6 +41,7 @@ from .algebra import (
     AlgElement,
     EtaleAlgebra,
     ZeroDivisorFound,
+    _cleared,
     _convolve,
     _gcd,
     _radical,
@@ -139,11 +141,10 @@ def _first_unit(values: Iterable, algebra: EtaleAlgebra = None):
 
 
 def _primitive(values: Sequence) -> tuple:
-    """The primitive integer vector proportional to a nonzero vector of ints or
-    Fractions, first nonzero entry positive; such an int vector comes back as it is."""
-    if not all(type(v) is int for v in values):
-        den = lcm(*(v.denominator for v in values))
-        values = [v.numerator * (den // v.denominator) for v in values]
+    """The primitive integer vector proportional to a nonzero vector of rationals
+    (`_cleared`), first nonzero entry positive; such an int vector comes back as it is."""
+    if not all(type(v) is int for v in values):  # spares an int vector the call
+        values, _ = _cleared(values)
     g = gcd(*values)
     if not g:
         raise ValueError("all coordinates are zero")
@@ -169,32 +170,29 @@ class ProjPoint:
 
     __slots__ = ("algebra", "_norm", "_ints", "_nums", "_key")
 
-    def __init__(self, algebra: EtaleAlgebra, coords: Iterable):
-        coords = tuple(algebra.element(c) for c in coords)
-        if len(coords) != 4:
+    def __new__(cls, algebra: EtaleAlgebra, coords: Iterable):
+        """The checked point; like every point, it is built by `_kept`."""
+        pairs = [algebra._integers(c) for c in coords]
+        if len(pairs) != 4:
             raise ValueError("projective points here live in P^3")
-        if all(c.is_zero for c in coords):
+        if not any(x for num, _ in pairs for x in num):
             raise ValueError("all coordinates are zero")
-        if algebra.degree > 1 and len(common := reduce(_gcd, (c.num for c in coords), algebra.modulus)) > 1:
+        if algebra.degree > 1 and len(common := reduce(_gcd, (num for num, _ in pairs), algebra.modulus)) > 1:
             raise ValueError(f"all coordinates vanish on the component {EtaleAlgebra._of(common)} of the algebra")
-        den = lcm(*(c.den for c in coords))  # in lowest terms, as every coordinate is
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "_norm", None)
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_nums", ([[x * (den // c.den) for x in c.num] for c in coords], den))
-        object.__setattr__(self, "_key", None)
+        den = lcm(*(d for _, d in pairs))
+        return cls._kept(algebra, ([[x * (den // d) for x in num] for num, d in pairs], den))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
     @classmethod
     def rational(cls, values: Sequence) -> "ProjPoint":
-        return cls(RATIONALS, [RATIONALS.element(v) for v in values])
+        return cls(RATIONALS, values)
 
     @classmethod
     def from_integers(cls, values: Sequence, algebra: EtaleAlgebra = RATIONALS) -> "ProjPoint":
-        """The normalized point of a nonzero vector of ints (or Fractions) over a
-        degree-1 algebra, kept as its primitive integer vector only; it is its own `_norm`."""
+        """The normalized point of a nonzero vector of rationals over a degree-1 algebra,
+        kept as its primitive integer vector only (`_primitive`); it is its own `_norm`."""
         return cls._kept(algebra, None, True, _primitive(values))
 
     @classmethod
@@ -240,7 +238,7 @@ class ProjPoint:
     def primitive(self) -> tuple:
         """Primitive integer coordinates, first nonzero one positive (degree-1 algebras only)."""
         if self._ints is None:
-            object.__setattr__(self, "_ints", _primitive(self.rational_coords()))
+            object.__setattr__(self, "_ints", _primitive(self._constants()[0]))
         return self._ints
 
     def key(self):
@@ -252,13 +250,18 @@ class ProjPoint:
             object.__setattr__(self, "_key", (self.algebra.coefficients, coords))
         return self._key
 
-    def rational_coords(self) -> tuple:
-        """Coordinates as Fractions, read off the integers; requires constant coordinates,
-        as every coordinate over a degree-1 algebra is."""
+    def _constants(self) -> tuple:
+        """(values, den): the constant coordinates as integers over one positive denominator."""
         nums, den = self._integers()
         if any(x for num in nums for x in num[1:]):
             raise ValueError(f"{next(c for c in self.coords if any(c.num[1:]))} is not a rational constant")
-        return tuple(Fraction(num[0], den) for num in nums)
+        return [num[0] for num in nums], den
+
+    def rational_coords(self) -> tuple:
+        """Coordinates as Fractions, read off the integers; requires constant coordinates,
+        as every coordinate over a degree-1 algebra is."""
+        values, den = self._constants()
+        return tuple(Fraction(v, den) for v in values)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -291,19 +294,19 @@ def _json_list(obj, what: str) -> list:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational_from_json(value) -> Fraction:
-    """A JSON integer or a "num/den" string matching `_RATIONAL` with a nonzero den.  Floats,
-    booleans, exponents, underscores, spaces and decimal points are refused by a message that
-    names the value, truncated, before any integer is built from it."""
+def _rational_from_json(value):
+    """A JSON integer or a "num/den" string matching `_RATIONAL` with a nonzero den, as an int, or a Fraction
+    for a den other than 1.  Floats, booleans, exponents, underscores, spaces and decimal points are
+    refused by a message that names the value, truncated, before any integer is built from it."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise ValueError(f'expected an integer or a "num/den" string, got {reprlib.repr(value)}')
     num, den = match.groups()
     if not (den := int(den or 1)):
         raise ValueError(f"zero denominator in {reprlib.repr(value)}")
-    return Fraction(int(num), den)
+    return int(num) if den == 1 else Fraction(int(num), den)
 
 
 def _rationals_from_json(obj, what: str) -> list:
@@ -324,7 +327,7 @@ def point_from_json(obj) -> ProjPoint:
         if any(len(_json_list(c, "a coordinate")) > degree for c in coords):  # bounds the reduction
             raise ValueError(f"a coordinate over a degree-{degree} modulus has at most {degree} entries")
         return ProjPoint(algebra, [_rationals_from_json(c, "a coordinate") for c in coords])
-    return ProjPoint.rational([_rational_from_json(c) for c in _json_list(obj, "a point")])
+    return ProjPoint.rational(_rationals_from_json(obj, "a point"))
 
 
 class Line:
@@ -380,20 +383,18 @@ class CubicForm:
     __slots__ = ("terms", "_kernel")
 
     def __init__(self, terms):
+        terms = dict(terms)
+        ints, den = _cleared(terms.values())
         clean = {}
-        for exp, coeff in dict(terms).items():
+        for exp, k in zip(terms, ints):
             exp = tuple(exp)
             if len(exp) != 4 or any(type(e) is not int or e < 0 for e in exp) or sum(exp) != 3:
                 raise ValueError(f"{exp} is not a degree-3 exponent vector on 4 variables")
-            if isinstance(coeff, (float, bool)):
-                raise ValueError(f"coefficient {coeff!r} of {exp} must be an integer or a Fraction")
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if coeff != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
-        clean = {e: c for e, c in clean.items() if c != 0}
-        if not clean:
+            clean[exp] = clean.get(exp, 0) + k
+        if not any(clean.values()):
             raise ValueError("the zero form is not a cubic surface")
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
+        terms = {e: k // den if k % den == 0 else Fraction(k, den) for e, k in sorted(clean.items()) if k}
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
@@ -406,7 +407,7 @@ class CubicForm:
     @classmethod
     def diagonal(cls, a, b, c, d) -> "CubicForm":
         exps = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
-        return cls({e: v for e, v in zip(exps, (a, b, c, d)) if Fraction(v) != 0})
+        return cls(dict(zip(exps, (a, b, c, d))))
 
     def _integer_kernel(self) -> tuple:
         """(terms, cubic, quadrics, weights), built on first use: `terms` holds P, the
@@ -415,8 +416,7 @@ class CubicForm:
         those of dP/dX_m in `_QUADRICS` order, and `weights` the `_pack` weights (sums
         of |coefficients|) of P and of its largest partial."""
         if self._kernel is None:
-            den = lcm(*(coeff.denominator for coeff in self.terms.values()))
-            ints = [c.numerator * (den // c.denominator) for c in self.terms.values()]
+            ints, _ = _cleared(self.terms.values())
             content = gcd(*ints)
             terms = tuple((exp, k // content) for exp, k in zip(self.terms, ints))
             cubic = tuple(map(dict(terms).get, _CUBICS, itertools.repeat(0)))

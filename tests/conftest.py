@@ -177,6 +177,12 @@ def rep_of(a) -> Poly:
     return Poly(Fraction(x, a.den) for x in a.num)
 
 
+def reduced(algebra, num, den):
+    """The element sum(num[i] * t^i) / den of `algebra`, for any number of integer numerators."""
+    num, scale = algebra._integers(num)
+    return AlgElement(algebra, num, scale * den)
+
+
 def combined(combine, algebra, xs, ys):
     """`EtaleAlgebra.split`'s combine on two vectors of AlgElements, each over one
     of the split's components: each vector is put over one denominator, and the

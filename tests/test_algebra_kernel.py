@@ -32,6 +32,7 @@ from conftest import (
     poly_gcd,
     poly_xgcd,
     primitive,
+    reduced,
     rep_of,
     squarefree_part,
 )
@@ -152,8 +153,8 @@ def test_ring_operations_match_poly_reference():
             b = alg.element(random_poly(rng, alg.degree - 1))
             ra, rb = rep_of(a), rep_of(b)
             cases = [
-                (alg._reduced(_convolve(a.num, b.num), a.den * b.den), (ra * rb) % f),
-                (alg._reduced(_convolve(_convolve(a.num, a.num), a.num), a.den**3), (ra * ra * ra) % f),
+                (reduced(alg, _convolve(a.num, b.num), a.den * b.den), (ra * rb) % f),
+                (reduced(alg, _convolve(_convolve(a.num, a.num), a.num), a.den**3), (ra * ra * ra) % f),
             ]
             for got, want in cases:
                 assert_normalized(got)
@@ -206,7 +207,7 @@ def test_degree_one_matches_fraction_arithmetic(root):
         elements.append(a)
     for a, b in zip(elements, elements[1:] + elements[:1]):
         x, y = Fraction(a.num[0], a.den), Fraction(b.num[0], b.den)
-        product = alg._reduced(_convolve(a.num, b.num), a.den * b.den)
+        product = reduced(alg, _convolve(a.num, b.num), a.den * b.den)
         assert Fraction(product.num[0], product.den) == x * y
         assert (len(alg._factor(a.num)) == 1) == (x != 0)
         inv = alg._inverse(a.num)
@@ -249,7 +250,7 @@ def test_split_divides_once_and_reductions_match_reduce_mod(monkeypatch):
     sub_a, sub_b, _ = alg.split(primitive(g))
     assert checks == [list(primitive(g))]
     for sub, modulus in ((sub_a, g), (sub_b, h)):
-        got = [sub._reduced(list(x.num), x.den) for x in elements]
+        got = [reduced(sub, list(x.num), x.den) for x in elements]
         assert got == [sub.element(rep_of(x) % modulus) for x in elements]
     stranger = from_roots([Fraction(5)])
     for factor in (stranger, g * h, Poly.one()):
@@ -268,7 +269,7 @@ def test_reduce_mod_and_crt_match_poly_reference():
         alg = EtaleAlgebra(g * h)
         sub_a, sub_b, combine = alg.split(primitive(g))
         a = alg.element(random_poly(rng, 2 * degree))
-        ra, rb = (sub._reduced(list(a.num), a.den) for sub in (sub_a, sub_b))
+        ra, rb = (reduced(sub, list(a.num), a.den) for sub in (sub_a, sub_b))
         for got, modulus in ((ra, g), (rb, h)):
             assert_normalized(got)
             assert rep_of(got) == rep_of(a) % modulus
@@ -387,9 +388,9 @@ def test_crt_idempotent_matches_bezout_formula():
         for got, a, b in zip(combined(combine, alg, xs, ys), xs, ys):
             assert_normalized(got)
             assert rep_of(got) == g * ((u * (rep_of(b) - rep_of(a))) % h) + rep_of(a)
-            x, y = alg._reduced(list(a.num), a.den), alg._reduced(list(b.num), b.den)
+            x, y = reduced(alg, list(a.num), a.den), reduced(alg, list(b.num), b.den)
             assert rep_of(got) == (rep_of(x) + e * (rep_of(y) - rep_of(x))) % (g * h)
-            assert sub_a._reduced(list(got.num), got.den) == a and sub_b._reduced(list(got.num), got.den) == b
+            assert reduced(sub_a, list(got.num), got.den) == a and reduced(sub_b, list(got.num), got.den) == b
         # vectors of two lengths, or of a component's wrong degree, are refused
         with pytest.raises(ValueError):
             combined(combine, alg, xs, ys[:2])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Poly, from_roots, modulus_of, rep_of
+from conftest import Poly, from_roots, modulus_of, reduced, rep_of
 from zerocycles.algebra import EtaleAlgebra, _convolve
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -38,8 +38,8 @@ def test_product_kernel_property(triple):
     # denominators, read back in lowest terms, are the Poly products mod f
     a, b, c = triple
     alg, f = a.algebra, modulus_of(a.algebra)
-    ab = alg._reduced(_convolve(a.num, b.num), a.den * b.den)
-    abc = alg._reduced(_convolve(ab.num, c.num), ab.den * c.den)
+    ab = reduced(alg, _convolve(a.num, b.num), a.den * b.den)
+    abc = reduced(alg, _convolve(ab.num, c.num), ab.den * c.den)
     assert rep_of(ab) == (rep_of(a) * rep_of(b)) % f
     assert rep_of(abc) == (rep_of(a) * rep_of(b) * rep_of(c)) % f
     for x in (a, ab, abc):

@@ -254,6 +254,9 @@ class TestStandardization:
         assert rows_seen and all(type(v) is int for row in rows_seen for v in row)
         assert transform == [[Fraction(v) for v in row] for row in expected]
         assert standardize_skew_lines([[[Fraction(c) for c in p] for p in line] for line in lines]) == transform
+        # lines scaled by 1/3 are cleared over 3, and T of the scaled lines is 3 * T
+        thirds = standardize_skew_lines([[[Fraction(c, 3) for c in p] for p in line] for line in lines])
+        assert thirds == [[3 * v for v in row] for row in transform]
 
 
 def over(d, x):

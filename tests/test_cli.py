@@ -530,47 +530,77 @@ def test_construction_outputs_pinned(capsys, argv, sha256):
 _ON_AXIS = '[["1","-1","0","0"],["0","0","0","1"]]'
 
 
+def _error(kind: str, message: str) -> dict:
+    return {"error": {"kind": kind, "message": message}}
+
+
 @pytest.mark.parametrize(
-    "argv, kind, message",
+    "argv, expected",
     [
         (
             ["third-point", "--x", json.dumps({"modulus": ["1/4", "-1", 1], "coords": [["1"], ["-1"], [], []]}),
              "--y", '["0","1","-1","0"]'],
-            "ValueError", "modulus t^2 - t + 1/4 is not squarefree",
+            _error("ValueError", "modulus t^2 - t + 1/4 is not squarefree"),
         ),
-        (  # over t^2 - 1, on the axis at t = -1
+        (  # over t^2 - 1, on the axis at t = -1: the split refuses at that component
             ["tangent-residual", "--axis", _ON_AXIS, "--point", json.dumps(
                 {"modulus": ["-1", "0", "1"], "coords": [["1/2", "-1/2"], ["0", "1"], ["-1/2", "-1/2"], []]})],
-            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - 1): factor t + 1",
+            _error("PointOnAxis", "point lies on the pencil axis"),
         ),
         (  # over t^2 - t, on the axis at t = 0
             ["tangent-residual", "--axis", _ON_AXIS, "--point", json.dumps(
                 {"modulus": ["0", "-1", "1"], "coords": [["1", "-1"], ["-1", "2"], ["0", "-1"], []]})],
-            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - t): factor t",
+            _error("PointOnAxis", "point lies on the pencil axis"),
         ),
         (  # over (t - 1/2)(t + 1), on the axis at t = 1/2
             ["tangent-residual", "--axis", _ON_AXIS, "--point", json.dumps(
                 {"modulus": ["-1/2", "1/2", "1"],
                  "coords": [["2/3", "2/3"], ["-1/3", "-4/3"], ["-1/3", "2/3"], []]})],
-            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 + 1/2*t - 1/2): factor t - 1/2",
+            _error("PointOnAxis", "point lies on the pencil axis"),
         ),
-        (  # over t^2 - t, no coordinate is a unit: (1, -1, 0, 0) at t = 0, (0, 0, 1, -1) at t = 1
+        (  # over t^2 - t, no coordinate is a unit: (1, -1, 0, 0) at t = 0, (0, 0, 1, -1) at t = 1,
+            # so the split runs the tangent process at each component and recombines the images
             ["tangent-residual", "--axis", '[["1","1","1","1"],["1","2","4","8"]]', "--point", json.dumps(
                 {"modulus": ["0", "-1", "1"], "coords": [["1", "-1"], ["-1", "1"], ["0", "1"], ["0", "-1"]]})],
-            "ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - t): factor t",
+            {"point": {"modulus": ["0", "-1", "1"], "coords": [["-1", "1"], ["1", "-1"], ["0", "-1"], ["0", "1"]]}},
         ),
         (  # over t(t - 1)(t - 2), every coordinate a multiple of (t - 1)(t - 2): no point
             ["tangent-residual", "--axis", '[["1","1","1","1"],["1","2","4","8"]]', "--point", json.dumps(
                 {"modulus": ["0", "2", "-3", "1"], "coords": [["2", "-3", "1"], ["4", "-6", "2"], [], []]})],
-            "ValueError", "all coordinates vanish on the component Q[t]/(t^2 - 3*t + 2) of the algebra",
+            _error("ValueError", "all coordinates vanish on the component Q[t]/(t^2 - 3*t + 2) of the algebra"),
+        ),
+        # A chord does not split, as both of its points would have to split together.  Each x and y
+        # lift (0, 0, 1, -1) at the root named by the factor, and (1, -1, 0, 0) and (0, 1, -1, 0) at the other.
+        (
+            ["third-point",
+             "--x", json.dumps({"modulus": ["-1", "0", "1"],
+                                "coords": [["1/2", "1/2"], ["-1/2", "-1/2"], ["1/2", "-1/2"], ["-1/2", "1/2"]]}),
+             "--y", json.dumps({"modulus": ["-1", "0", "1"], "coords": [[], ["1/2", "1/2"], ["0", "-1"], ["-1/2", "1/2"]]})],
+            _error("ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - 1): factor t + 1"),
+        ),
+        (
+            ["third-point",
+             "--x", json.dumps({"modulus": ["0", "-1", "1"], "coords": [["0", "1"], ["0", "-1"], ["1", "-1"], ["-1", "1"]]}),
+             "--y", json.dumps({"modulus": ["0", "-1", "1"], "coords": [[], ["0", "1"], ["1", "-2"], ["-1", "1"]]})],
+            _error("ZeroDivisorFound", "zero divisor over Q[t]/(t^2 - t): factor t"),
+        ),
+        (
+            ["third-point",
+             "--x", json.dumps({"modulus": ["-1/2", "1/2", "1"],
+                                "coords": [["1/3", "-2/3"], ["-1/3", "2/3"], ["2/3", "2/3"], ["-2/3", "-2/3"]]}),
+             "--y", json.dumps({"modulus": ["-1/2", "1/2", "1"],
+                                "coords": [[], ["1/3", "-2/3"], ["1/3", "4/3"], ["-2/3", "-2/3"]]})],
+            _error("ZeroDivisorFound", "zero divisor over Q[t]/(t^2 + 1/2*t - 1/2): factor t - 1/2"),
         ),
     ],
-    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor", "no-unit-coordinate", "zero-on-a-component"],
+    ids=["not-squarefree", "t^2-1", "t^2-t", "fractional-factor", "no-unit-coordinate", "zero-on-a-component",
+         "chord-t^2-1", "chord-t^2-t", "chord-fractional-factor"],
 )
-def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, kind, message):
+def test_error_texts_that_print_a_polynomial(capsys, fermat_path, argv, expected):
+    # `geom tangent-residual` splits at a zero divisor as `geom psi` does
     code, out = run_cli(capsys, "geom", argv[0], "--surface", fermat_path, *argv[1:])
-    assert code == 1
-    assert out == json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True, indent=2) + "\n"
+    assert code == (1 if "error" in expected else 0)
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

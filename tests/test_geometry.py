@@ -31,6 +31,7 @@ from conftest import (
 from zerocycles import algebra as algebra_module
 from zerocycles import geometry as geometry_module
 from zerocycles.algebra import AlgElement, EtaleAlgebra, ZeroDivisorFound, fraction_to_string
+from zerocycles.chow import STANDARD_LINES, matrix_rank, pencil_rank, standardize_skew_lines
 from zerocycles.geometry import (
     CubicForm,
     EqualPoints,
@@ -62,15 +63,17 @@ FERMAT = CubicForm.fermat()
 
 class TestEvaluate:
     def test_form_refuses_silent_coercion(self):
-        for terms, shown in [
-            ({(3.9, -0.9, 0, 0): 1, (0, 3, 0, 0): 1}, "3.9"),
-            ({(3, 0, 0, 0): 1, (True, 2, 0, 0): 1}, "True"),
-            ({(3, 0, 0, 0): 1, (0, 3, 0, 0): True}, "True"),
-            ({(3, 0, 0, 0): 0.1}, "0.1"),
+        for error, terms, shown in [
+            (ValueError, {(3.9, -0.9, 0, 0): 1, (0, 3, 0, 0): 1}, "3.9"),
+            (ValueError, {(3, 0, 0, 0): 1, (True, 2, 0, 0): 1}, "True"),
+            (TypeError, {(3, 0, 0, 0): 1, (0, 3, 0, 0): True}, "True"),
+            (TypeError, {(3, 0, 0, 0): 0.1}, "0.1"),
+            (TypeError, {(3, 0, 0, 0): Fraction(1, 10), (0, 3, 0, 0): "2/3"}, "'2/3'"),
         ]:
-            with pytest.raises(ValueError, match=shown):
+            with pytest.raises(error, match=shown):
                 CubicForm(terms)
-        assert CubicForm({(3, 0, 0, 0): Fraction(1, 10), (0, 3, 0, 0): "2/3"}).terms[(0, 3, 0, 0)] == Fraction(2, 3)
+        terms = CubicForm({(3, 0, 0, 0): Fraction(1, 10), (0, 3, 0, 0): 2}).terms
+        assert terms == {(0, 3, 0, 0): 2, (3, 0, 0, 0): Fraction(1, 10)} and type(terms[(0, 3, 0, 0)]) is int
 
     def test_fermat_examples(self):
         assert evaluate(FERMAT, ProjPoint.rational([1, -1, 0, 0])).is_zero
@@ -1037,7 +1040,8 @@ class TestRationalFromJson:
     @pytest.mark.parametrize("text, value", [("0", 0), ("-7", -7), ("007", 7), ("-3/4", Fraction(-3, 4)),
                                              ("6/8", Fraction(3, 4)), ("-0/5", 0), (str(10**40), 10**40)])
     def test_accepted(self, text, value):
-        assert _rational_from_json(text) == value and type(_rational_from_json(text)) is Fraction
+        # an int unless the text has a denominator, so an integer input builds no Fraction
+        assert _rational_from_json(text) == value and type(_rational_from_json(text)) is (Fraction if "/" in text else int)
 
     @pytest.mark.parametrize("value", ["1.5", "1e3", "1_000", " 3/4 ", "3/4\n", "+3", "3/-4", "--3", "/3", "3/",
                                        "", "\u0663", "1e200000", "1e999999999", 1.5, True, None, [1]])
@@ -1055,6 +1059,42 @@ class TestRationalFromJson:
             with pytest.raises(ValueError) as info:
                 _rational_from_json(value)
             assert len(str(info.value)) < 100 and "..." in str(info.value)
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("built on the way in")
+
+
+class TestInputBoundary:
+    """A rational comes in as an int or a Fraction, and integer input stays integers."""
+
+    @pytest.mark.parametrize("value", [0.5, True, "1e3", " 1_000 "])
+    @pytest.mark.parametrize("api", [
+        lambda v: pencil_rank((v, 1), (1, 0), (1, 0)),
+        lambda v: matrix_rank([[v, 2], [1, 3]]),
+        lambda v: standardize_skew_lines([((0, 0, v, 0), (0, 0, 0, 1)), *STANDARD_LINES[1:]]),
+        lambda v: CubicForm({(3, 0, 0, 0): v, (0, 3, 0, 0): 1}),
+        lambda v: EtaleAlgebra((v, 0, 1)),
+        lambda v: ProjPoint.rational([v, 1, 0, 0]),
+    ], ids=["pencil_rank", "matrix_rank", "standardize_skew_lines", "CubicForm", "EtaleAlgebra", "ProjPoint.rational"])
+    def test_python_api_refuses_what_is_no_rational(self, api, value):
+        with pytest.raises(TypeError, match=f"^cannot interpret {re.escape(repr(value))} as a rational number$"):
+            api(value)
+
+    def test_integer_input_builds_no_fraction_or_element(self, monkeypatch):
+        surface = {"monomials": [{"exp": [3, 0, 0, 0], "coeff": 1}, {"exp": [0, 3, 0, 0], "coeff": "1"},
+                                 {"exp": [0, 0, 3, 0], "coeff": "1/1"}, {"exp": [0, 0, 0, 3], "coeff": 1}]}
+        monkeypatch.setattr(Fraction, "__new__", _raising)
+        monkeypatch.setattr(AlgElement, "__init__", _raising)
+        form = CubicForm.from_json(surface)
+        assert [k for _, k in form.integer_terms()] == [1, 1, 1, 1]
+        rational = point_from_json(["2", -2, "0", 0])
+        line = line_from_json([["1", "-1", "0", "0"], [0, "1", "-1", "0"]])
+        point = point_from_json({"modulus": ["-2", 0, "1"], "coords": [["0", "1"], [1], [], ["-3", 0]]})
+        assert rational.primitive() == (1, -1, 0, 0) and rational.to_json() == ["-1", "1", "0", "0"]
+        assert line.p.primitive() == (1, -1, 0, 0) and line.q.primitive() == (0, 1, -1, 0)
+        assert point.algebra.modulus == (-2, 0, 1) and point._integers() == ([[0, 1], [1, 0], [0, 0], [-3, 0]], 1)
+        assert all(type(k) is int for k in form.terms.values())
 
 
 class TestIntegerKernel:

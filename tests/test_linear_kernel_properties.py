@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Poly, from_roots, is_squarefree, modulus_of, primitive, squarefree_part
+from conftest import Poly, from_roots, is_squarefree, modulus_of, primitive, reduced, squarefree_part
 from zerocycles.algebra import EtaleAlgebra, _eliminate, _gcd, _radical, _texts, fraction_to_string
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,7 +60,7 @@ def test_linear_unit_test_and_inverse_match_gcd_and_bareiss(drawn, a, b, on_root
     assert (got is None) == (want is None) == (len(factor) > 1)
     if got is not None:
         assert got[1] > 0
-        assert algebra._reduced(got[0], got[1]) == algebra._reduced(*want)
+        assert reduced(algebra, got[0], got[1]) == reduced(algebra, *want)
         assert Poly(num) * Poly(got[0]) % modulus_of(algebra) == Poly((got[1],))
 
 
